@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import numcore
-from .dataio import ChoiceDataset
+from .dataio import ChoiceDataset, DataError
 from .models import HybridChoiceModel
 from .numcore import TrainConfig
 from .numcore.backend import fit_program
@@ -317,14 +317,31 @@ def build_report(model: HybridChoiceModel, train: ChoiceDataset,
     return report
 
 
+def _training_program(model: HybridChoiceModel, train: ChoiceDataset) -> numcore.ModelProgram:
+    """Compile the model for ``train`` after checking the data it will read.
+
+    Raises DataError on an empty set, on a bad choice, or on a non-finite
+    value in a column the program reads; other columns may hold anything.
+    """
+    if train.n_rows == 0:
+        raise DataError("training set has no rows")
+    train.validate_choices()
+    prog = model.program(train.columns)
+    cols = np.concatenate([prog.lin_cols, prog.q_cols])
+    bad = ~np.isfinite(train.values[:, cols])
+    if bad.any():
+        row, j = np.argwhere(bad)[0]
+        raise DataError(f"row {row}: non-finite value in column {train.columns[cols[j]]!r}")
+    return prog
+
+
 def fit_joint(model: HybridChoiceModel, train: ChoiceDataset, config: TrainConfig,
               test: ChoiceDataset | None = None, backend: str | None = None,
               compute_std_errors: bool = True,
               references: dict[str, float] | None = None,
               ratio_defs: tuple[tuple[str, str, str], ...] = ()) -> EstimationReport:
     """Train every parameter block together, then assemble the report."""
-    train.validate_choices()
-    prog = model.program(train.columns)
+    prog = _training_program(model, train)
     fit = fit_program(prog, train.values, train.avail, train.choice, config,
                       backend=backend)
     return build_report(model, train, test, config, fit, compute_std_errors,
@@ -345,8 +362,7 @@ def fit_sequential(model: HybridChoiceModel, train: ChoiceDataset, config: Train
     """
     if order not in (BETA_THEN_NET, NET_THEN_BETA):
         raise ValueError(f"unknown order {order!r}")
-    train.validate_choices()
-    prog = model.program(train.columns)
+    prog = _training_program(model, train)
     phases = [(True, False), (False, True)] if order == BETA_THEN_NET else [(False, True), (True, False)]
     traces = []
     steps = 0

@@ -18,7 +18,7 @@ import numpy as np
 from . import numcore
 from .dataio import ChoiceDataset
 from .numcore import prng
-from .numcore.program import ModelProgram, empty_net, single_nest
+from .numcore.program import ModelProgram, empty_net, nested_parts, single_nest
 
 KIND_LOGIT = "Logit"
 KIND_DNN = "DNN"
@@ -344,12 +344,10 @@ def nested_probabilities(v: np.ndarray, nests: NestStructure,
     was_1d = np.asarray(v).ndim == 1
     v = np.atleast_2d(np.asarray(v, dtype=np.float64))
     avail = np.ones_like(v) if avail is None else np.atleast_2d(np.asarray(avail, dtype=np.float64))
-    alt_nest, mu_free = nests.resolve(alt_labels)
-    prog = ModelProgram(v.shape[1], 0,
-                        np.zeros(0, np.int64), np.zeros(0, np.int64), np.zeros(0, np.int64),
-                        np.zeros(0), np.zeros(0, np.int64), *empty_net(v.shape[1]),
-                        alt_nest, nests.mu, mu_free, True)
-    p = numcore.probabilities(prog, v, avail)
+    if not (avail > 0).any(axis=1).all():
+        raise ValueError("row with no available alternative")
+    alt_nest, _ = nests.resolve(alt_labels)
+    p = nested_parts(v, avail, alt_nest, nests.mu)["probs"]
     return p[0] if was_1d else p
 
 

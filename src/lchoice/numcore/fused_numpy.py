@@ -1,21 +1,28 @@
 """Mini-batch Adam training loop, vectorised numpy backend.
 
-Reuses the reference forward/backward from `program` batch by batch.  The
-jit backend in `fused_numba` follows the same stream contract: one shared
-splitmix64 stream supplies, per epoch, N permutation keys and then, per
-batch that trains the net with dropout, B*H mask uniforms in sample-major
-order.  Adam bias-correction powers are kept as running products.
+Calls the reference passes of `program` on each batch.  An epoch gathers its
+permuted rows once, so each batch is a contiguous slice.  Every trained
+tensor is a view into one flat vector: Adam, the divergence snapshot and the
+rollback are each one vector operation.
+
+Stream contract, shared with `fused_numba`: one splitmix64 stream supplies,
+per epoch, N permutation keys and then, per batch that trains the net with
+dropout, B*H mask uniforms in sample-major order.  Being counter-addressed,
+the masks of consecutive batches are one contiguous block of the stream, so
+they are drawn together, up to DRAW_CAP per call, without changing a draw.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import prng
 from . import program as pr
 from .ops import TrainConfig
+
+DRAW_CAP = 65_536  # uniforms per PRNG call; bounds the mask memory of wide nets
 
 
 @dataclass
@@ -31,87 +38,81 @@ def fit_numpy(prog: pr.ModelProgram, data: np.ndarray, avail: np.ndarray,
               choice: np.ndarray, config: TrainConfig,
               train_beta: bool = True, train_net: bool = True,
               train_mu: bool = True) -> FitResult:
-    n = data.shape[0]
+    n, bs = data.shape[0], config.batch_size
     width = prog.hidden_width
     fit_seed = prng.derive_seed(config.seed, 1)
     counter = 0
     dropout_on = config.dropout > 0.0 and train_net and prog.has_net
+    rows_per_draw = bs * max(1, DRAW_CAP // (bs * width)) if dropout_on else n
+    l2 = config.l2 if train_net else 0.0
+    backward = train_beta or (train_net and prog.has_net)
 
-    tensors: dict[str, np.ndarray] = {}
-    if train_beta and prog.n_params > 0:
-        tensors["beta"] = prog.beta
+    names = ["beta"] if train_beta and prog.n_params > 0 else []
     if train_net and prog.has_net:
-        tensors.update(w_in=prog.w_in, w_hidden=prog.w_hidden, b_hidden=prog.b_hidden,
-                       w_out=prog.w_out, b_out=prog.b_out)
+        names += ["w_in", "w_hidden", "b_hidden", "w_out", "b_out"]
     fit_mu = train_mu and prog.use_nests and bool((prog.mu_free > 0).any())
-    if fit_mu:
-        tensors["mu"] = prog.mu
-    moments = {k: (np.zeros_like(a), np.zeros_like(a)) for k, a in tensors.items()}
-    good = {k: a.copy() for k, a in tensors.items()}
+    names += ["mu"] if fit_mu else []
+    tensors = [getattr(prog, k) for k in names]
+    flat = np.concatenate([a.ravel() for a in tensors] + [np.zeros(0)])
+    parts = np.split(flat, np.cumsum([a.size for a in tensors])[:-1])
+    views = {k: part.reshape(a.shape) for k, part, a in zip(names, parts, tensors)}
+    work = replace(prog, **views)  # the program, reading the trained tensors from `flat`
+    grad, m1, m2 = np.zeros((3, flat.size))  # gradient, Adam moments, laid out like `flat`
+    good = flat.copy()
+    onehot = np.eye(prog.n_alts)[choice]
+    probs = np.empty((n, prog.n_alts))
 
     b1p = b2p = 1.0
-    step = 0
     trace = np.full(config.epochs, np.nan)
     status, epochs_run = "ok", 0
 
     for epoch in range(config.epochs):
-        keys = prng.uniforms(fit_seed, counter, n)
+        perm = np.argsort(prng.uniforms(fit_seed, counter, n))
         counter += n
-        perm = np.argsort(keys)
-        nll_total = 0.0
-        for start in range(0, n, config.batch_size):
-            rows = perm[start:start + config.batch_size]
-            b = rows.shape[0]
-            xb, ab, yb = data[rows], avail[rows], choice[rows]
+        xs, avs, chs, ys = data[perm], avail[perm], choice[perm], onehot[perm]
+        for start in range(0, n, bs):
+            stop = min(start + bs, n)
+            b = stop - start
+            xb = xs[start:stop]
             mask = None
             if dropout_on:
-                u = prng.uniforms(fit_seed, counter, b * width)
-                counter += b * width
-                mask = (u >= config.dropout).astype(np.float64).reshape(b, width)
-                mask /= 1.0 - config.dropout
-            v = pr.linear_utilities(prog, xb)
-            cache: dict = {}
-            if prog.has_net:
-                r, cache = pr.net_forward(prog, xb, mask)
-                v = v + r
-            dv, dmu, p = pr.loss_gradients(prog, v, ab, yb)
-            nll_total += float(pr.sample_nll(p, yb).sum())
+                at = start % rows_per_draw
+                if at == 0:
+                    rows = min(rows_per_draw, n - start)
+                    u = prng.uniforms(fit_seed, counter, rows * width)
+                    counter += rows * width
+                    masks = (u >= config.dropout).astype(np.float64).reshape(rows, width)
+                    masks /= 1.0 - config.dropout
+                mask = masks[at:at + b]
+            v, cache = pr.forward(work, xb, mask)
+            dv, dmu, probs[start:stop] = pr.loss_gradients(
+                work, v, avs[start:stop], chs[start:stop], ys[start:stop])
 
-            grads: dict[str, np.ndarray] = {}
-            if train_beta or (train_net and prog.has_net):
-                full = pr.backprop(prog, xb, dv / b, cache,
-                                   config.l2 if train_net else 0.0)
-                if "beta" in tensors:
-                    grads["beta"] = full["beta"]
-                if train_net and prog.has_net:
-                    for k in ("w_in", "w_hidden", "b_hidden", "w_out", "b_out"):
-                        grads[k] = full[k]
+            g = pr.backprop(work, xb, dv / b, cache, l2) if backward else {}
             if fit_mu:
-                grads["mu"] = (dmu / b).sum(axis=0) * (prog.mu_free > 0)
+                g["mu"] = (dmu / b).sum(axis=0) * (work.mu_free > 0)
+            if names:
+                np.concatenate([g[k].ravel() for k in names], out=grad)
 
-            step += 1
             b1p *= config.beta1
             b2p *= config.beta2
-            bc1, bc2 = 1.0 - b1p, 1.0 - b2p
-            for k, g in grads.items():
-                m, v2 = moments[k]
-                m *= config.beta1
-                m += (1.0 - config.beta1) * g
-                v2 *= config.beta2
-                v2 += (1.0 - config.beta2) * g * g
-                tensors[k] -= config.learning_rate * (m / bc1) / (np.sqrt(v2 / bc2) + config.eps)
-            if "mu" in grads:
-                np.maximum(prog.mu, 1.0, out=prog.mu)
+            m1 *= config.beta1
+            m1 += (1.0 - config.beta1) * grad
+            m2 *= config.beta2
+            m2 += (1.0 - config.beta2) * grad * grad
+            flat -= config.learning_rate * (m1 / (1.0 - b1p)) / (np.sqrt(m2 / (1.0 - b2p)) + config.eps)
+            if fit_mu:
+                np.maximum(views["mu"], 1.0, out=views["mu"])
 
-        trace[epoch] = nll_total / n
-        if not np.isfinite(trace[epoch]):
-            for k, a in tensors.items():
-                a[...] = good[k]
-            status = "diverged"
-            epochs_run = epoch + 1
-            break
-        for k, a in tensors.items():
-            good[k][...] = a
+        trace[epoch] = float(pr.sample_nll(probs, chs).sum()) / n
         epochs_run = epoch + 1
+        if not np.isfinite(trace[epoch]):
+            flat[...] = good
+            status = "diverged"
+            break
+        good[...] = flat
 
-    return FitResult(status, epochs_run, step, trace[:epochs_run], "numpy")
+    for k in names:
+        getattr(prog, k)[...] = views[k]
+    steps = epochs_run * -(-n // bs)  # every epoch run completes its batches
+    return FitResult(status, epochs_run, steps, trace[:epochs_run], "numpy")

@@ -20,10 +20,12 @@ _U53 = 1.0 / 9007199254740992.0  # 2**-53
 def mix64(z: np.ndarray) -> np.ndarray:
     """splitmix64 finalizer on uint64 values (arrays or scalars)."""
     with np.errstate(over="ignore"):
-        z = np.uint64(z) if np.isscalar(z) else z.astype(np.uint64)
-        z = (z ^ (z >> np.uint64(30))) * _MIX1
-        z = (z ^ (z >> np.uint64(27))) * _MIX2
-        return z ^ (z >> np.uint64(31))
+        z = np.uint64(z) if np.isscalar(z) else z.astype(np.uint64)  # a copy, mixed in place
+        for shift, mul in ((30, _MIX1), (27, _MIX2)):
+            z ^= z >> np.uint64(shift)
+            z *= mul
+        z ^= z >> np.uint64(31)
+        return z
 
 
 def derive_seed(seed: int, stream: int) -> int:
@@ -36,7 +38,10 @@ def derive_seed(seed: int, stream: int) -> int:
 
 def uniforms(seed: int, start: int, n: int) -> np.ndarray:
     """Draws ``start .. start+n-1`` of the stream, as float64 in [0, 1)."""
-    idx = np.arange(start + 1, start + n + 1, dtype=np.uint64)
+    states = np.arange(start + 1, start + n + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
-        states = np.uint64(seed) + idx * GAMMA
-    return (mix64(states) >> np.uint64(11)).astype(np.float64) * _U53
+        states *= GAMMA
+        states += np.uint64(seed)
+    u = (mix64(states) >> np.uint64(11)).astype(np.float64)
+    u *= _U53
+    return u

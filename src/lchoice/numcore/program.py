@@ -3,18 +3,19 @@
 A ModelProgram is the array-level form of a choice model: linear utility
 terms as index triples, an optional dense representation net, and an
 optional nest assignment.  The functions here are the vectorised numpy
-reference implementation; the fused training kernels reproduce the same
-arithmetic batch by batch.
+reference implementation; the numpy trainer calls them batch by batch.
 
 Linear terms are stored as three parallel int arrays.  Term ``t`` adds
 ``beta[term_param[t]] * x`` to alternative ``term_alt[t]``, where ``x`` is
 ``data[:, term_col[t]]`` or constant 1 when ``term_col[t]`` is -1 (an
-alternative-specific constant).
+alternative-specific constant).  The program compiles them into a selection
+matrix ``sel``, so the linear block is one matmul each way (`linear_inputs`
+gives X_lin): V_lin = X_lin @ reshape(sel @ beta), dbeta = sel.T @ vec(X_lin.T @ dV).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
@@ -39,6 +40,15 @@ class ModelProgram:
     mu: np.ndarray  # (M,) float64 nest scale factors
     mu_free: np.ndarray  # (M,) uint8, 1 where mu is estimated
     use_nests: bool
+    lin_cols: np.ndarray = field(init=False, repr=False)  # (K,) data columns the terms read
+    sel: np.ndarray = field(init=False, repr=False)  # ((K+1)*I, P) term selection matrix
+
+    def __post_init__(self) -> None:
+        cols = self.term_col
+        self.lin_cols = np.flatnonzero(np.bincount(cols[cols >= 0]))  # sorted, distinct
+        k = np.where(cols >= 0, np.searchsorted(self.lin_cols, cols), self.lin_cols.shape[0])
+        self.sel = np.zeros(((self.lin_cols.shape[0] + 1) * self.n_alts, self.n_params))
+        np.add.at(self.sel, (k * self.n_alts + self.term_alt, self.term_param), 1.0)
 
     @property
     def hidden_width(self) -> int:
@@ -63,15 +73,8 @@ class ModelProgram:
         return out
 
     def copy(self) -> "ModelProgram":
-        return ModelProgram(
-            self.n_alts, self.n_params,
-            self.term_param.copy(), self.term_alt.copy(), self.term_col.copy(),
-            self.beta.copy(), self.q_cols.copy(),
-            self.w_in.copy(), self.w_hidden.copy(), self.b_hidden.copy(),
-            self.w_out.copy(), self.b_out.copy(),
-            self.alt_nest.copy(), self.mu.copy(), self.mu_free.copy(),
-            self.use_nests,
-        )
+        return replace(self, **{f.name: getattr(self, f.name).copy() for f in fields(self)
+                                if f.init and isinstance(getattr(self, f.name), np.ndarray)})
 
 
 def empty_net(n_alts: int) -> tuple[np.ndarray, ...]:
@@ -85,15 +88,16 @@ def single_nest(n_alts: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return (np.zeros(n_alts, dtype=np.int64), np.ones(1), np.zeros(1, dtype=np.uint8))
 
 
+def linear_inputs(prog: ModelProgram, data: np.ndarray) -> np.ndarray:
+    """X_lin: the columns the terms read, then a column of ones, (n, K+1)."""
+    xl = np.ones((data.shape[0], prog.lin_cols.shape[0] + 1))
+    xl[:, :-1] = data[:, prog.lin_cols]
+    return xl
+
+
 def linear_utilities(prog: ModelProgram, data: np.ndarray) -> np.ndarray:
     """Sum of beta-weighted terms, (n, I)."""
-    n = data.shape[0]
-    v = np.zeros((n, prog.n_alts))
-    for t in range(prog.term_param.shape[0]):
-        c = prog.term_col[t]
-        x = 1.0 if c < 0 else data[:, c]
-        v[:, prog.term_alt[t]] += prog.beta[prog.term_param[t]] * x
-    return v
+    return linear_inputs(prog, data) @ (prog.sel @ prog.beta).reshape(-1, prog.n_alts)
 
 
 def net_forward(prog: ModelProgram, data: np.ndarray,
@@ -104,69 +108,71 @@ def net_forward(prog: ModelProgram, data: np.ndarray,
     None means eval mode (identity).
     """
     if not prog.has_net:
-        n = data.shape[0]
-        return np.zeros((n, prog.n_alts)), {}
+        return np.zeros((data.shape[0], prog.n_alts)), {}
     q = data[:, prog.q_cols]
-    zs: list[np.ndarray] = []
-    a = q
+    acts, a = [], q  # acts: each layer's ReLU output, before dropout
     for layer in range(prog.depth):
         w = prog.w_in if layer == 0 else prog.w_hidden[layer - 1]
-        z = a @ w + prog.b_hidden[layer]
-        zs.append(z)
-        a = np.maximum(z, 0.0)
+        a = np.maximum(a @ w + prog.b_hidden[layer], 0.0)
+        acts.append(a)
     a_last = a if mask is None else a * mask
     r = a_last @ prog.w_out + prog.b_out
-    cache = {"q": q, "zs": zs, "a_last": a_last, "mask": mask}
-    return r, cache
+    return r, {"q": q, "acts": acts, "a_last": a_last, "mask": mask}
+
+
+def forward(prog: ModelProgram, data: np.ndarray,
+            mask: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
+    """Utilities V = linear + net, (n, I), plus the cache `backprop` needs."""
+    v = linear_utilities(prog, data)
+    if not prog.has_net:
+        return v, {}
+    r, cache = net_forward(prog, data, mask)
+    v += r
+    return v, cache
 
 
 def utilities(prog: ModelProgram, data: np.ndarray,
               mask: np.ndarray | None = None) -> np.ndarray:
-    v = linear_utilities(prog, data)
-    if prog.has_net:
-        r, _ = net_forward(prog, data, mask)
-        v += r
-    return v
+    return forward(prog, data, mask)[0]
 
 
-def _nested_parts(prog: ModelProgram, v: np.ndarray, avail: np.ndarray) -> dict:
-    """Per-nest logsums and probability pieces for the two-level formula."""
+def nested_parts(v: np.ndarray, avail: np.ndarray, alt_nest: np.ndarray,
+                 mu: np.ndarray) -> dict:
+    """Per-nest logsums and probability pieces for the two-level formula.
+
+    Nest sums are matmuls against ``member``, the one-hot alt-to-nest matrix."""
     a = avail > 0
-    mu = prog.mu
-    mu_alt = mu[prog.alt_nest]
-    s_arg = np.where(a, mu_alt[None, :] * v, -np.inf)
-    n, m_count = v.shape[0], mu.shape[0]
-    ln_s = np.full((n, m_count), -np.inf)
-    for m in range(m_count):
-        cols = np.flatnonzero(prog.alt_nest == m)
-        if cols.size == 0:
-            continue
-        block = s_arg[:, cols]
-        c = block.max(axis=1)
-        c_safe = np.where(np.isfinite(c), c, 0.0)
-        with np.errstate(divide="ignore"):
-            ln_s[:, m] = c_safe + np.log(np.exp(block - c_safe[:, None]).sum(axis=1))
+    member = alt_nest[:, None] == np.arange(mu.shape[0])
+    s_arg = np.where(a, mu[alt_nest] * v, -np.inf)
+    c = np.where(member.T, s_arg[:, None, :], -np.inf).max(axis=2)
+    c_safe = np.where(np.isfinite(c), c, 0.0)
+    with np.errstate(divide="ignore"):
+        ln_s = c_safe + np.log(np.exp(s_arg - c_safe[:, alt_nest]) @ member)
     scaled = ln_s / mu[None, :]
     top = scaled.max(axis=1, keepdims=True)
     e = np.exp(scaled - top)
     p_nest = e / e.sum(axis=1, keepdims=True)
-    ln_s_alt = ln_s[:, prog.alt_nest]
-    p_cond = np.where(a, np.exp(np.where(a, s_arg - np.where(np.isfinite(ln_s_alt), ln_s_alt, 0.0), -np.inf)), 0.0)
-    probs = p_nest[:, prog.alt_nest] * p_cond
-    return {"ln_s": ln_s, "p_nest": p_nest, "p_cond": p_cond, "probs": probs}
+    ln_s_alt = ln_s[:, alt_nest]
+    # s_arg is -inf at unavailable alternatives, so their p_cond is exactly 0
+    p_cond = np.exp(s_arg - np.where(np.isfinite(ln_s_alt), ln_s_alt, 0.0))
+    probs = p_nest[:, alt_nest] * p_cond
+    return {"ln_s": ln_s, "p_nest": p_nest, "p_cond": p_cond, "probs": probs,
+            "member": member}
+
+
+def _choice_probabilities(prog: ModelProgram, v: np.ndarray, avail: np.ndarray) -> np.ndarray:
+    if prog.use_nests:
+        return nested_parts(v, avail, prog.alt_nest, prog.mu)["probs"]
+    masked = np.where(avail > 0, v, -np.inf)
+    e = np.exp(masked - masked.max(axis=1, keepdims=True))  # exactly 0 where unavailable
+    return e / e.sum(axis=1, keepdims=True)
 
 
 def probabilities(prog: ModelProgram, v: np.ndarray, avail: np.ndarray) -> np.ndarray:
     """Choice probabilities from utilities, masked by availability."""
-    a = avail > 0
-    if not a.any(axis=1).all():
+    if not (avail > 0).any(axis=1).all():
         raise ValueError("row with no available alternative")
-    if prog.use_nests:
-        return _nested_parts(prog, v, avail)["probs"]
-    masked = np.where(a, v, -np.inf)
-    shifted = masked - masked.max(axis=1, keepdims=True)
-    e = np.exp(shifted) * a
-    return e / e.sum(axis=1, keepdims=True)
+    return _choice_probabilities(prog, v, avail)
 
 
 def sample_nll(probs: np.ndarray, choice: np.ndarray) -> np.ndarray:
@@ -179,8 +185,7 @@ def l2_penalty(prog: ModelProgram, l2: float) -> float:
     """lambda times the squared Frobenius norm of the net weight matrices."""
     if l2 == 0.0 or not prog.has_net:
         return 0.0
-    total = float((prog.w_in ** 2).sum() + (prog.w_hidden ** 2).sum() + (prog.w_out ** 2).sum())
-    return l2 * total
+    return l2 * float((prog.w_in ** 2).sum() + (prog.w_hidden ** 2).sum() + (prog.w_out ** 2).sum())
 
 
 def loss_value(prog: ModelProgram, data: np.ndarray, avail: np.ndarray,
@@ -192,66 +197,62 @@ def loss_value(prog: ModelProgram, data: np.ndarray, avail: np.ndarray,
 
 
 def loss_gradients(prog: ModelProgram, v: np.ndarray, avail: np.ndarray,
-                   choice: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row d(-ln P_chosen)/dV and d/dmu; also returns the probabilities."""
+                   choice: np.ndarray, onehot: np.ndarray | None = None,
+                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per-row d(-ln P_chosen)/dV and d/dmu; also returns the probabilities.
+
+    ``onehot`` is ``choice`` as an (n, I) indicator, when the caller has it.  Rows
+    are not checked for an available alternative: callers check once, at entry.
+    """
     n = v.shape[0]
-    rows = np.arange(n)
-    y = np.zeros_like(v)
-    y[rows, choice] = 1.0
+    if onehot is None:
+        onehot = np.eye(prog.n_alts)[choice]
     if not prog.use_nests:
-        p = probabilities(prog, v, avail)
-        return p - y, np.zeros((n, prog.mu.shape[0])), p
-    parts = _nested_parts(prog, v, avail)
+        p = _choice_probabilities(prog, v, avail)
+        return p - onehot, np.zeros((n, prog.mu.shape[0])), p
+    parts = nested_parts(v, avail, prog.alt_nest, prog.mu)
     p, p_nest, p_cond, ln_s = parts["probs"], parts["p_nest"], parts["p_cond"], parts["ln_s"]
     mu = prog.mu
+    rows = np.arange(n)
     m_star = prog.alt_nest[choice]
     mu_star = mu[m_star]
     in_star = prog.alt_nest[None, :] == m_star[:, None]
-    dv = p + (mu_star[:, None] - 1.0) * p_cond * in_star - mu_star[:, None] * y
+    dv = p + (mu_star[:, None] - 1.0) * p_cond * in_star - mu_star[:, None] * onehot
     # expected utility within each nest, availability already folded into p_cond
-    ebar = np.zeros_like(p_nest)
-    for m in range(mu.shape[0]):
-        cols = prog.alt_nest == m
-        ebar[:, m] = (p_cond[:, cols] * v[:, cols]).sum(axis=1)
+    ebar = (p_cond * v) @ parts["member"]
     with np.errstate(invalid="ignore"):
         base = p_nest * (ebar / mu[None, :] - ln_s / (mu[None, :] ** 2))
-    base = np.where(p_nest > 0.0, base, 0.0)
-    dmu = base
-    v_chosen = v[rows, choice]
-    ln_s_star = ln_s[rows, m_star]
+    dmu = np.where(p_nest > 0.0, base, 0.0)
     ebar_star = ebar[rows, m_star]
-    own = -v_chosen + ebar_star + ln_s_star / mu_star ** 2 - ebar_star / mu_star
-    dmu[rows, m_star] += own
+    dmu[rows, m_star] += (-v[rows, choice] + ebar_star + ln_s[rows, m_star] / mu_star ** 2
+                          - ebar_star / mu_star)
     return dv, dmu, p
 
 
 def backprop(prog: ModelProgram, data: np.ndarray, dv: np.ndarray,
              cache: dict, l2: float = 0.0) -> dict[str, np.ndarray]:
     """Parameter gradients from already-scaled utility gradients ``dv``."""
-    g: dict[str, np.ndarray] = {"beta": np.zeros(prog.n_params)}
-    for t in range(prog.term_param.shape[0]):
-        c = prog.term_col[t]
-        x = 1.0 if c < 0 else data[:, c]
-        g["beta"][prog.term_param[t]] += float((dv[:, prog.term_alt[t]] * x).sum())
+    g = {"beta": prog.sel.T @ (linear_inputs(prog, data).T @ dv).ravel()}
     if prog.has_net:
-        a_last = cache["a_last"]
-        g["w_out"] = a_last.T @ dv + 2.0 * l2 * prog.w_out
+        acts = cache["acts"]
+        g["w_out"] = cache["a_last"].T @ dv
         g["b_out"] = dv.sum(axis=0)
         da = dv @ prog.w_out.T
         if cache["mask"] is not None:
-            da = da * cache["mask"]
-        g["w_hidden"] = np.zeros_like(prog.w_hidden)
-        g["b_hidden"] = np.zeros_like(prog.b_hidden)
-        zs = cache["zs"]
+            da *= cache["mask"]
+        g["w_hidden"] = np.empty_like(prog.w_hidden)
+        g["b_hidden"] = np.empty_like(prog.b_hidden)
         for layer in range(prog.depth - 1, -1, -1):
-            dz = da * (zs[layer] > 0.0)
+            dz = da * (acts[layer] > 0.0)
             g["b_hidden"][layer] = dz.sum(axis=0)
             if layer == 0:
-                g["w_in"] = cache["q"].T @ dz + 2.0 * l2 * prog.w_in
+                g["w_in"] = cache["q"].T @ dz
             else:
-                a_prev = np.maximum(zs[layer - 1], 0.0)
-                g["w_hidden"][layer - 1] = a_prev.T @ dz + 2.0 * l2 * prog.w_hidden[layer - 1]
+                g["w_hidden"][layer - 1] = acts[layer - 1].T @ dz
                 da = dz @ prog.w_hidden[layer - 1].T
+        if l2:
+            for k in ("w_in", "w_hidden", "w_out"):
+                g[k] += 2.0 * l2 * getattr(prog, k)
     return g
 
 
@@ -264,14 +265,9 @@ def gradients(prog: ModelProgram, data: np.ndarray, avail: np.ndarray,
     ``reduction`` "mean" matches the training loss; "sum" gives the gradient
     of the summed negative log-likelihood (no l2), which inference uses.
     """
-    n = data.shape[0]
-    v = linear_utilities(prog, data)
-    cache: dict = {}
-    if prog.has_net:
-        r, cache = net_forward(prog, data, mask)
-        v = v + r
+    v, cache = forward(prog, data, mask)
     dv, dmu, _ = loss_gradients(prog, v, avail, choice)
-    scale = 1.0 / n if reduction == "mean" else 1.0
+    scale = 1.0 / data.shape[0] if reduction == "mean" else 1.0
     use_l2 = l2 if reduction == "mean" else 0.0
     g = backprop(prog, data, dv * scale, cache, use_l2)
     if prog.use_nests:
@@ -289,9 +285,7 @@ def input_gradients(prog: ModelProgram, data: np.ndarray, dv: np.ndarray) -> np.
         return np.zeros((data.shape[0], 0))
     _, cache = net_forward(prog, data, None)
     da = dv @ prog.w_out.T
-    zs = cache["zs"]
     for layer in range(prog.depth - 1, -1, -1):
-        dz = da * (zs[layer] > 0.0)
-        w = prog.w_in if layer == 0 else prog.w_hidden[layer - 1]
-        da = dz @ w.T
+        dz = da * (cache["acts"][layer] > 0.0)
+        da = dz @ (prog.w_in if layer == 0 else prog.w_hidden[layer - 1]).T
     return da

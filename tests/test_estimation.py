@@ -22,7 +22,7 @@ from lchoice import (
     relative_errors,
     t_test,
 )
-from lchoice.dataio import ChoiceDataset
+from lchoice.dataio import ChoiceDataset, DataError
 from lchoice.estimation import build_report
 from lchoice.models import UtilitySpec, UtilityTerm
 from lchoice.numcore import FitResult, TrainConfig
@@ -306,3 +306,39 @@ def test_joint_and_sequential_reach_different_points(binary_data, quick_config):
     fit_sequential(b, train, quick_config, order=BETA_THEN_NET,
                    compute_std_errors=False)
     assert not np.array_equal(a.beta, b.beta)
+
+
+# ------------------------------------------------------------ bad training data
+
+
+def test_empty_training_set_is_a_data_error(binary_data, quick_config):
+    train, _ = binary_data
+    empty = train.subset(np.zeros(0, dtype=np.int64))
+    for fit in (fit_joint, fit_sequential):
+        m = build_model("LMNL", ("1", "2"), pa_utility(), q=("q1", "q2"), net_width=3)
+        with pytest.raises(DataError, match="no rows"):
+            fit(m, empty, quick_config)
+
+
+@pytest.mark.parametrize("column", ["a2", "q1"])
+def test_non_finite_model_column_is_a_data_error(binary_data, quick_config, column):
+    # one linear-term column and one net input; the message names the first bad row
+    train, _ = binary_data
+    values = train.values.copy()
+    values[[7, 12], train.col_index(column)] = [np.nan, np.inf]
+    bad = ChoiceDataset(train.columns, values, train.avail, train.choice, train.alt_labels)
+    for fit in (fit_joint, fit_sequential):
+        m = build_model("LMNL", ("1", "2"), pa_utility(), q=("q1", "q2"), net_width=3)
+        with pytest.raises(DataError, match=f"row 7: non-finite value in column '{column}'"):
+            fit(m, bad, quick_config)
+
+
+def test_non_finite_unused_column_still_fits(binary_data, quick_config):
+    train, _ = binary_data
+    values = train.values.copy()
+    values[3, train.col_index("qc1")] = np.inf
+    odd = ChoiceDataset(train.columns, values, train.avail, train.choice, train.alt_labels)
+    m = build_model("LMNL", ("1", "2"), pa_utility(), q=("q1", "q2"), net_width=3)
+    report = fit_joint(m, odd, quick_config)
+    assert report.status == "ok"
+    assert all(math.isfinite(p.std_error) for p in report.params)
