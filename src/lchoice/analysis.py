@@ -53,11 +53,14 @@ class ModelRecipe:
         return replace(base, seed=seed, **dict(self.train))
 
 
+SPEC_SCENARIOS = ("binary", "correlated", "unobserved", "guevara")
+
+
 @dataclass(frozen=True)
 class DataSpec:
     """Named synthetic scenario regenerated per replication seed."""
 
-    scenario: str = "binary"  # binary | correlated | unobserved | guevara
+    scenario: str = "binary"  # one of SPEC_SCENARIOS
     n_train: int = 1000
     n_test: int = 200
     beta_p: float = -1.0
@@ -173,7 +176,7 @@ def _run_one(task: tuple) -> dict:
                      report.acc_test, report.rho2_test, est, errors)
     if ratio and all(k in est for k in ratio):
         out.ratio_estimate = parameter_ratio(est, *ratio)
-    if need_se and present:
+    if report.covariance is not None and present:  # skipped without std errors
         rejects = [report.parameter(k).reject for k in present]
         out.nonreject_coeffs = all(r is False for r in rejects)
         out.nonreject_each = {k: r is False for k, r in zip(present, rejects)}

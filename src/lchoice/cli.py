@@ -18,7 +18,7 @@ import numpy as np
 import yaml
 
 from . import analysis, synthgen
-from .analysis import DataSpec, ModelRecipe, write_csv_rows
+from .analysis import SPEC_SCENARIOS, DataSpec, ModelRecipe, write_csv_rows
 from .dataio import (ChoiceDataset, DataError, generic_schema, load_csv,
                      optima_schema, preprocess_optima, preprocess_swissmetro,
                      save_truth, split, swissmetro_schema, validate_partition)
@@ -111,12 +111,13 @@ def _parse_model(cfg: dict):
             int(block.get("net_width", 25)), int(block.get("net_depth", 1)), nests)
 
 
-_SCENARIOS = ("binary", "correlated", "unobserved", "guevara", "semi-synthetic")
+# every DataSpec scenario, plus the one `generate` can only write to a file
+_SCENARIOS = SPEC_SCENARIOS + ("semi-synthetic",)
 
 
 def _parse_dataspec(block: dict) -> DataSpec:
     name = block.get("name", "binary")
-    if name not in ("binary", "correlated", "unobserved", "guevara"):
+    if name not in SPEC_SCENARIOS:
         raise ConfigError(f"unknown scenario {name!r}")
     fields = {k: block[k] for k in ("n_train", "n_test", "beta_p", "beta_a",
                                     "beta_b", "beta_qc", "s", "beta_u") if k in block}
@@ -173,12 +174,23 @@ def _ratio_defs(cfg: dict) -> tuple[tuple[str, str, str], ...]:
 # run directories
 
 def _run_dir(base: str, cfg: dict, tag: str) -> Path:
+    """A new folder ``<tag>-<hash8>-<stamp>``, suffixed ``-1``, ``-2``, ... if taken.
+
+    Created exclusively, so two runs in the same second never share one.
+    """
     digest = hashlib.sha256(
         json.dumps(cfg, sort_keys=True, default=str).encode()).hexdigest()[:8]
     stamp = time.strftime("%Y%m%d-%H%M%S")
-    path = Path(base) / f"{tag}-{digest}-{stamp}"
-    path.mkdir(parents=True, exist_ok=True)
-    return path
+    Path(base).mkdir(parents=True, exist_ok=True)
+    name = f"{tag}-{digest}-{stamp}"
+    path, k = Path(base) / name, 0
+    while True:
+        try:
+            path.mkdir()
+            return path
+        except FileExistsError:
+            k += 1
+            path = Path(base) / f"{name}-{k}"
 
 
 def _store_config(run_dir: Path, cfg: dict) -> None:

@@ -3,7 +3,11 @@
 Standard errors come from the observed-information route: a central
 finite-difference Hessian of the summed negative log-likelihood, taken over
 the analytic beta gradient with the net and nest factors held fixed, so the
-linear coefficients are treated as the inferential parameters.
+linear coefficients are treated as the inferential parameters.  Because the
+net is fixed, the Hessian costs one eval-mode net pass over the training set,
+then 2P passes of the linear block and the loss gradient (P coefficients).
+A report computes one probability matrix per dataset and reads both the
+log-likelihood and the accuracy from it.
 """
 
 from __future__ import annotations
@@ -25,21 +29,29 @@ BETA_THEN_NET = "beta_then_net"
 NET_THEN_BETA = "net_then_beta"
 
 
+def _eval_probabilities(model: HybridChoiceModel, ds: ChoiceDataset) -> np.ndarray:
+    """Choice probabilities from one eval-mode forward pass, (n, I)."""
+    prog = model.program(ds.columns)
+    return numcore.probabilities(prog, numcore.utilities(prog, ds.values), ds.avail)
+
+
+def _log_likelihood(p: np.ndarray, ds: ChoiceDataset) -> float:
+    return float(-numcore.sample_nll(p, ds.choice).sum())
+
+
+def _accuracy(p: np.ndarray, ds: ChoiceDataset) -> float:
+    pred = np.where(ds.avail > 0, p, -1.0).argmax(axis=1)
+    return float((pred == ds.choice).mean())
+
+
 def log_likelihood(model: HybridChoiceModel, ds: ChoiceDataset) -> float:
     """Sum over rows of ln P(chosen), eval-mode forward, floored probabilities."""
-    prog = model.program(ds.columns)
-    v = numcore.utilities(prog, ds.values)
-    p = numcore.probabilities(prog, v, ds.avail)
-    return float(-numcore.sample_nll(p, ds.choice).sum())
+    return _log_likelihood(_eval_probabilities(model, ds), ds)
 
 
 def accuracy(model: HybridChoiceModel, ds: ChoiceDataset) -> float:
     """Share of rows whose highest-probability available alternative was chosen."""
-    prog = model.program(ds.columns)
-    v = numcore.utilities(prog, ds.values)
-    p = numcore.probabilities(prog, v, ds.avail)
-    pred = np.where(ds.avail > 0, p, -1.0).argmax(axis=1)
-    return float((pred == ds.choice).mean())
+    return _accuracy(_eval_probabilities(model, ds), ds)
 
 
 def null_log_likelihood(ds: ChoiceDataset) -> float:
@@ -123,7 +135,8 @@ def hessian_std_errors(model: HybridChoiceModel, ds: ChoiceDataset,
     """(std_errors, covariance, warnings) for the linear coefficients.
 
     Central finite differences of the analytic beta gradient of the summed
-    negative log-likelihood; net weights and nest factors stay fixed.  A
+    negative log-likelihood; net weights and nest factors stay fixed, so the
+    net runs once and each of the 2P points reruns only the linear block.  A
     singular Hessian falls back to the pseudo-inverse with a warning.
     """
     prog = model.program(ds.columns)
@@ -131,23 +144,15 @@ def hessian_std_errors(model: HybridChoiceModel, ds: ChoiceDataset,
     if n_params == 0:
         return np.zeros(0), np.zeros((0, 0)), []
     beta0 = prog.beta.copy()
-
-    def grad_at(b: np.ndarray) -> np.ndarray:
-        prog.beta[...] = b
-        g = numcore.gradients(prog, ds.values, ds.avail, ds.choice, reduction="sum")
-        return g["beta"]
-
+    grad_at = numcore.frozen_net_beta_gradient(prog, ds.values, ds.avail, ds.choice)
     hess = np.zeros((n_params, n_params))
-    try:
-        for j in range(n_params):
-            h = step_scale * max(1.0, abs(beta0[j]))
-            bp = beta0.copy()
-            bp[j] += h
-            bm = beta0.copy()
-            bm[j] -= h
-            hess[:, j] = (grad_at(bp) - grad_at(bm)) / (2.0 * h)
-    finally:
-        prog.beta[...] = beta0
+    for j in range(n_params):
+        h = step_scale * max(1.0, abs(beta0[j]))
+        bp = beta0.copy()
+        bp[j] += h
+        bm = beta0.copy()
+        bm[j] -= h
+        hess[:, j] = (grad_at(bp) - grad_at(bm)) / (2.0 * h)
     hess = 0.5 * (hess + hess.T)
     warnings: list[str] = []
     try:
@@ -274,7 +279,13 @@ def build_report(model: HybridChoiceModel, train: ChoiceDataset,
                  fit: FitResult, compute_std_errors: bool = True,
                  references: dict[str, float] | None = None,
                  ratio_defs: tuple[tuple[str, str, str], ...] = ()) -> EstimationReport:
-    ll_train = log_likelihood(model, train)
+    """Fit metrics on train (and test), and std errors unless the fit failed.
+
+    A fit whose status is not "ok" gets no standard errors or t-tests: its
+    parameters are a rollback point, not an optimum.
+    """
+    p_train = _eval_probabilities(model, train)
+    ll_train = _log_likelihood(p_train, train)
     ll0_train = null_log_likelihood(train)
     report = EstimationReport(
         kind=model.kind,
@@ -282,7 +293,7 @@ def build_report(model: HybridChoiceModel, train: ChoiceDataset,
         mu=_nest_rows(model),
         ll_train=ll_train, ll0_train=ll0_train,
         rho2_train=mcfadden_rho2(ll_train, ll0_train),
-        acc_train=accuracy(model, train), n_train=train.n_rows,
+        acc_train=_accuracy(p_train, train), n_train=train.n_rows,
         trace=fit.trace, status=fit.status, backend=fit.backend,
         config={"epochs": config.epochs, "batch_size": config.batch_size,
                 "dropout": config.dropout, "l2": config.l2, "seed": config.seed,
@@ -292,19 +303,28 @@ def build_report(model: HybridChoiceModel, train: ChoiceDataset,
         report.warnings.append(
             f"training loss became non-finite at epoch {fit.epochs_run}; "
             f"parameters rolled back to the last finite epoch")
+    if ll_train <= ll0_train:
+        report.warnings.append(
+            f"training log-likelihood {ll_train:.4f} is not above the null "
+            f"log-likelihood {ll0_train:.4f}; the fit has not converged")
     if test is not None:
-        report.ll_test = log_likelihood(model, test)
+        p_test = _eval_probabilities(model, test)
+        report.ll_test = _log_likelihood(p_test, test)
         report.ll0_test = null_log_likelihood(test)
         report.rho2_test = mcfadden_rho2(report.ll_test, report.ll0_test)
-        report.acc_test = accuracy(model, test)
+        report.acc_test = _accuracy(p_test, test)
         report.n_test = test.n_rows
     refs = references or {}
     se = [None] * model.n_parameters
     if compute_std_errors and model.n_parameters > 0:
-        se_arr, cov, warns = hessian_std_errors(model, train)
-        report.covariance = cov
-        report.warnings.extend(warns)
-        se = [float(s) for s in se_arr]
+        if fit.status != "ok":
+            report.warnings.append(
+                f"standard errors not computed: fit status is {fit.status!r}")
+        else:
+            se_arr, cov, warns = hessian_std_errors(model, train)
+            report.covariance = cov
+            report.warnings.extend(warns)
+            se = [float(s) for s in se_arr]
     for name, est, s in zip(model.param_names, model.beta, se):
         stat = ParamStat(name, float(est), s, reference=refs.get(name, 0.0))
         if s is not None and math.isfinite(s):

@@ -20,6 +20,7 @@ from .program import (
     ModelProgram,
     backprop,
     empty_net,
+    frozen_net_beta_gradient,
     gradients,
     input_gradients,
     linear_utilities,
@@ -37,7 +38,8 @@ __all__ = [
     "IDENTITY", "PROB_FLOOR", "RELU", "AdamState", "DenseLayer", "TrainConfig",
     "adam_step", "cross_entropy", "dense_forward", "dropout_mask",
     "glorot_uniform", "softmax",
-    "ModelProgram", "backprop", "empty_net", "gradients", "input_gradients",
+    "ModelProgram", "backprop", "empty_net", "frozen_net_beta_gradient",
+    "gradients", "input_gradients",
     "linear_utilities", "loss_gradients", "loss_value", "net_forward",
     "probabilities", "sample_nll", "single_nest", "utilities",
 ]

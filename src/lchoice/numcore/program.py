@@ -15,6 +15,7 @@ gives X_lin): V_lin = X_lin @ reshape(sel @ beta), dbeta = sel.T @ vec(X_lin.T @
 
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
@@ -95,9 +96,19 @@ def linear_inputs(prog: ModelProgram, data: np.ndarray) -> np.ndarray:
     return xl
 
 
+def linear_block(prog: ModelProgram, xl: np.ndarray, beta: np.ndarray) -> np.ndarray:
+    """V_lin = X_lin @ reshape(sel @ beta), (n, I), from `linear_inputs`."""
+    return xl @ (prog.sel @ beta).reshape(-1, prog.n_alts)
+
+
+def linear_block_grad(prog: ModelProgram, xl: np.ndarray, dv: np.ndarray) -> np.ndarray:
+    """dbeta = sel.T @ vec(X_lin.T @ dv), (P,): the adjoint of `linear_block`."""
+    return prog.sel.T @ (xl.T @ dv).ravel()
+
+
 def linear_utilities(prog: ModelProgram, data: np.ndarray) -> np.ndarray:
     """Sum of beta-weighted terms, (n, I)."""
-    return linear_inputs(prog, data) @ (prog.sel @ prog.beta).reshape(-1, prog.n_alts)
+    return linear_block(prog, linear_inputs(prog, data), prog.beta)
 
 
 def net_forward(prog: ModelProgram, data: np.ndarray,
@@ -232,7 +243,7 @@ def loss_gradients(prog: ModelProgram, v: np.ndarray, avail: np.ndarray,
 def backprop(prog: ModelProgram, data: np.ndarray, dv: np.ndarray,
              cache: dict, l2: float = 0.0) -> dict[str, np.ndarray]:
     """Parameter gradients from already-scaled utility gradients ``dv``."""
-    g = {"beta": prog.sel.T @ (linear_inputs(prog, data).T @ dv).ravel()}
+    g = {"beta": linear_block_grad(prog, linear_inputs(prog, data), dv)}
     if prog.has_net:
         acts = cache["acts"]
         g["w_out"] = cache["a_last"].T @ dv
@@ -273,6 +284,29 @@ def gradients(prog: ModelProgram, data: np.ndarray, avail: np.ndarray,
     if prog.use_nests:
         g["mu"] = (dmu * scale).sum(axis=0) * (prog.mu_free > 0)
     return g
+
+
+def frozen_net_beta_gradient(prog: ModelProgram, data: np.ndarray, avail: np.ndarray,
+                             choice: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+    """beta -> gradient in beta of the summed NLL, net and nest factors held fixed.
+
+    X_lin, the eval-mode net output and the one-hot choice are built once, so
+    each call costs the linear block, `loss_gradients` and one matmul back.
+    Equals ``gradients(prog, ..., reduction="sum")["beta"]`` at that beta
+    bit for bit: the arithmetic is done in the same order.
+    """
+    xl = linear_inputs(prog, data)
+    v_net = net_forward(prog, data)[0] if prog.has_net else None
+    onehot = np.eye(prog.n_alts)[choice]
+
+    def grad(beta: np.ndarray) -> np.ndarray:
+        v = linear_block(prog, xl, beta)
+        if v_net is not None:
+            v += v_net
+        dv = loss_gradients(prog, v, avail, choice, onehot)[0]
+        return linear_block_grad(prog, xl, dv)
+
+    return grad
 
 
 def input_gradients(prog: ModelProgram, data: np.ndarray, dv: np.ndarray) -> np.ndarray:

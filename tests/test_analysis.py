@@ -31,6 +31,7 @@ from lchoice.analysis import (
     markdown_table,
     write_csv_rows,
 )
+from lchoice import estimation
 from lchoice.numcore import TrainConfig
 from lchoice.numcore.prng import derive_seed
 
@@ -93,6 +94,20 @@ def test_monte_carlo_records_failures_and_excludes_them():
     assert math.isnan(rows["Broken"]["ll_train_mean"])
     assert rows["Logit(X1)"]["replications"] == 2
     assert "excluded" in res.to_markdown()
+
+
+def test_monte_carlo_diverged_rep_takes_no_test_decisions(monkeypatch):
+    real = estimation.fit_program
+
+    def diverging(*args, **kwargs):
+        return replace(real(*args, **kwargs), status="diverged")
+
+    monkeypatch.setattr(estimation, "fit_program", diverging)
+    res = monte_carlo(TINY, (binary_zoo(4)[0],), 1, TINY_CFG, with_tests=True)
+    (rep,) = res.outcomes
+    assert rep.status == "diverged" and res.failures == []
+    assert rep.nonreject_coeffs is None and rep.nonreject_each == {}
+    assert rep.nonreject_ratio is None
 
 
 def test_error_table_skips_pure_net_models():

@@ -5,6 +5,7 @@ import csv
 import pytest
 import yaml
 
+from lchoice import cli
 from lchoice.cli import main
 from lchoice.dataio import load_truth
 
@@ -105,6 +106,15 @@ def test_estimate_run_dir_artifacts(tmp_path, capsys):
     md = (run / "report.md").read_text()
     assert "| beta_p |" in md and "| p_over_a |" in md
     assert "estimate: Logit ll_train=" in capsys.readouterr().out
+
+
+def test_run_dirs_in_the_same_second_do_not_collide(tmp_path, monkeypatch):
+    monkeypatch.setattr(cli.time, "strftime", lambda fmt: "20260101-000000")
+    cfg = logit_config()
+    first = cli._run_dir(str(tmp_path), cfg, "estimate")
+    second = cli._run_dir(str(tmp_path), cfg, "estimate")
+    assert first != second and first.is_dir() and second.is_dir()
+    assert second.name == first.name + "-1"
 
 
 def test_estimate_reproducible_across_runs(tmp_path):

@@ -22,10 +22,11 @@ from lchoice import (
     relative_errors,
     t_test,
 )
+from lchoice import numcore
 from lchoice.dataio import ChoiceDataset, DataError
 from lchoice.estimation import build_report
-from lchoice.models import UtilitySpec, UtilityTerm
-from lchoice.numcore import FitResult, TrainConfig
+from lchoice.models import NestStructure, UtilitySpec, UtilityTerm
+from lchoice.numcore import FitResult, TrainConfig, program
 
 
 def two_alt_dataset():
@@ -186,6 +187,95 @@ def test_singular_hessian_falls_back_to_pseudo_inverse(binary_data):
     assert any("pseudo-inverse" in w for w in warns)
 
 
+def reference_std_errors(model, ds, step_scale=1e-4):
+    """The per-point route: each FD point reruns the full `gradients` pass."""
+    prog = model.program(ds.columns)
+    beta0 = prog.beta.copy()
+    hess = np.zeros((prog.n_params, prog.n_params))
+    for j in range(prog.n_params):
+        h = step_scale * max(1.0, abs(beta0[j]))
+        cols = []
+        for sign in (1.0, -1.0):
+            prog.beta[...] = beta0
+            prog.beta[j] += sign * h
+            cols.append(numcore.gradients(prog, ds.values, ds.avail, ds.choice,
+                                          reduction="sum")["beta"])
+        hess[:, j] = (cols[0] - cols[1]) / (2.0 * h)
+    prog.beta[...] = beta0
+    hess = 0.5 * (hess + hess.T)
+    cov = np.linalg.inv(hess)
+    if not np.all(np.isfinite(cov)):
+        cov = np.linalg.pinv(hess)
+    diag = np.diag(cov).copy()
+    diag[diag <= 0] = np.nan
+    return np.sqrt(diag), cov
+
+
+def three_alt_dataset(n=300, seed=5):
+    rng = np.random.default_rng(seed)
+    values = rng.normal(size=(n, 6))
+    avail = (rng.random((n, 3)) > 0.2).astype(float)
+    avail[avail.sum(axis=1) == 0, 0] = 1.0
+    choice = np.array([rng.choice(np.flatnonzero(a)) for a in avail], dtype=np.int64)
+    return ChoiceDataset(["x1", "x2", "x3", "q1", "q2", "q3"], values, avail, choice,
+                         ("A", "B", "C"))
+
+
+def oracle_case(kind, binary_data):
+    """(model at a trained point, training set) for the Hessian oracle."""
+    train, _ = binary_data
+    config = TrainConfig(epochs=15, batch_size=50, dropout=0.0, seed=3,
+                         learning_rate=0.01)
+    if kind == "Logit":
+        m = build_model("Logit", ("1", "2"), pa_utility(), seed=1)
+    elif kind == "LMNL":
+        m = build_model("LMNL", ("1", "2"), pa_utility(), q=("q1", "c1", "q2", "c2"),
+                        net_width=6, seed=1)
+    elif kind == "DummyLogit":
+        m = build_model("DummyLogit", ("1", "2"), pa_utility(), q=("q1", "q2"), seed=1)
+    else:  # LNL, one free nest factor, some alternatives unavailable
+        train = three_alt_dataset()
+        util = UtilitySpec(terms=(UtilityTerm.of("bx", {"A": "x1", "B": "x2", "C": "x3"}),),
+                           intercepts=("A", "B"))
+        nests = NestStructure((("A", "B"), ("C",)), mu=np.array([1.5, 1.0]),
+                              fixed=(False, True))
+        m = build_model("LNL", ("A", "B", "C"), util, q=("q1", "q2", "q3"),
+                        net_width=5, nests=nests, seed=2)
+    fit_joint(m, train, config, compute_std_errors=False)
+    return m, train
+
+
+@pytest.mark.parametrize("kind", ["Logit", "LMNL", "LNL", "DummyLogit"])
+def test_hessian_matches_per_point_gradients(binary_data, kind):
+    m, train = oracle_case(kind, binary_data)
+    if kind == "LNL":
+        assert m.nests.mu[0] != 1.5 and (train.avail == 0).any()
+    se, cov, _ = hessian_std_errors(m, train)
+    ref_se, ref_cov = reference_std_errors(m, train)
+    assert np.array_equal(cov, ref_cov)
+    assert np.array_equal(se, ref_se, equal_nan=True)
+
+
+def test_report_runs_the_net_once_per_dataset(binary_data, quick_config, monkeypatch):
+    train, test = binary_data
+    m = build_model("LMNL", ("1", "2"), pa_utility(), q=("q1", "c1", "q2", "c2"),
+                    net_width=4, seed=1)
+    calls = []
+    original = program.net_forward
+
+    def counting(prog, data, mask=None):
+        calls.append("train" if data is train.values else
+                     "test" if data is test.values else "other")
+        return original(prog, data, mask)
+
+    monkeypatch.setattr(program, "net_forward", counting)
+    report = build_report(m, train, test, quick_config,
+                          FitResult("ok", 0, 0, np.zeros(0), "eval"))
+    assert all(p.std_error is not None for p in report.params)
+    # train: one pass for the report, one for the Hessian; test: one for the report
+    assert sorted(calls) == ["test", "train", "train"]
+
+
 def test_zero_parameter_model_has_no_std_errors(binary_data):
     train, _ = binary_data
     m = build_model("DNN", ("1", "2"), q=("q1", "q2"), net_width=3, seed=0)
@@ -248,6 +338,35 @@ def test_report_flags_rolled_back_fit(binary_data, quick_config):
                           compute_std_errors=False)
     assert report.status == "diverged"
     assert any("rolled back" in w for w in report.warnings)
+
+
+def test_report_skips_std_errors_of_a_diverged_fit(binary_data, quick_config):
+    train, _ = binary_data
+    m = build_model("Logit", ("1", "2"), pa_utility(), seed=0)
+    bad = FitResult("diverged", 3, 12, np.zeros(3), "numpy")
+    report = build_report(m, train, None, quick_config, bad)
+    assert report.covariance is None
+    assert all(p.std_error is None and p.t_stat is None and p.reject is None
+               for p in report.params)
+    assert any("standard errors not computed" in w and "diverged" in w
+               for w in report.warnings)
+
+
+def test_report_warns_when_fit_is_below_the_null(binary_data, quick_config):
+    train, _ = binary_data
+    m = build_model("Logit", ("1", "2"), pa_utility(), seed=0)
+    m.beta[:] = [0.0, 5.0, -5.0]  # signs opposite to the data-generating ones
+    report = build_report(m, train, None, quick_config,
+                          FitResult("ok", 0, 0, np.zeros(0), "eval"),
+                          compute_std_errors=False)
+    assert report.ll_train < report.ll0_train
+    assert any("not above the null" in w for w in report.warnings)
+    m.beta[:] = 0.0  # every row at equal shares: exactly the null
+    report = build_report(m, train, None, quick_config,
+                          FitResult("ok", 0, 0, np.zeros(0), "eval"),
+                          compute_std_errors=False)
+    assert report.ll_train == report.ll0_train
+    assert any("not above the null" in w for w in report.warnings)
 
 
 def test_report_markdown_and_csv_round_trip(tmp_path, binary_data, quick_config):

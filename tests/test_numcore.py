@@ -218,6 +218,27 @@ def test_gradient_property_random_shapes(seed):
     assert max_rel_error(g, fd) < 1e-4
 
 
+@given(seed=st.integers(0, 10_000), with_net=st.booleans(), with_nests=st.booleans(),
+       log_scale=st.integers(0, 6))
+@settings(max_examples=60, deadline=None)
+def test_probabilities_and_gradients_stay_finite(seed, with_net, with_nests, log_scale):
+    # finite data up to 1e6 in size; every row has an available alternative
+    rng = np.random.default_rng(seed)
+    prog, data, avail, choice = random_instance(rng, with_net, with_nests)
+    data *= 10.0 ** log_scale
+    v = numcore.utilities(prog, data)
+    p = numcore.probabilities(prog, v, avail)
+    dv, dmu, _ = numcore.loss_gradients(prog, v, avail, choice)
+    g_beta = numcore.frozen_net_beta_gradient(prog, data, avail, choice)(prog.beta)
+    for arr in (p, dv, dmu, g_beta):
+        assert np.isfinite(arr).all()
+    # a nested logsum keeps about eps * |mu v| of absolute accuracy
+    tol = 8 * np.finfo(float).eps * max(1.0, float(np.abs(v).max() * prog.mu.max()))
+    assert np.allclose(p.sum(axis=1), 1.0, rtol=0.0, atol=tol)
+    assert (p[avail == 0] == 0.0).all()
+    assert np.array_equal(g_beta, gradients(prog, data, avail, choice, reduction="sum")["beta"])
+
+
 def test_input_gradients_match_finite_differences():
     rng = np.random.default_rng(77)
     prog, data, avail, _ = random_instance(rng, with_net=True, with_nests=False)
