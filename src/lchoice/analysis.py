@@ -159,13 +159,13 @@ class RepOutcome:
 
 
 def _run_one(task: tuple) -> dict:
-    (data, recipe, base_cfg, rep, seed, backend, focus, ratio, with_tests) = task
+    (data, recipe, base_cfg, rep, seed, focus, ratio, with_tests) = task
     train, test, truth = data.make(seed)
     recipe = replace(recipe, alt_labels_hint=tuple(train.alt_labels))
     model = recipe.build(seed)
     cfg = recipe.config(base_cfg, seed)
     need_se = with_tests and model.n_parameters > 0
-    report = fit_joint(model, train, cfg, test=test, backend=backend,
+    report = fit_joint(model, train, cfg, test=test,
                        compute_std_errors=need_se, references=truth)
     est = report.estimates()
     present = [k for k in focus if k in est]
@@ -310,8 +310,7 @@ def monte_carlo(data: DataSpec, recipes: tuple[ModelRecipe, ...],
                 seed: int = 0, seeds: list[int] | None = None,
                 focus: tuple[str, ...] = ("beta_p", "beta_a"),
                 ratio: tuple[str, str] | None = ("beta_p", "beta_a"),
-                with_tests: bool = True, backend: str | None = None,
-                jobs: int = 1) -> MonteCarloResult:
+                with_tests: bool = True, jobs: int = 1) -> MonteCarloResult:
     """Re-generate, re-fit, and aggregate ``replications`` times per model.
 
     A replication that raises is recorded under ``failures`` and excluded
@@ -324,7 +323,7 @@ def monte_carlo(data: DataSpec, recipes: tuple[ModelRecipe, ...],
         seeds = [derive_seed(seed, 100 + r) for r in range(replications)]
     if len(seeds) != replications:
         raise ValueError("need one seed per replication")
-    tasks = [(data, recipe, base_config, rep, seeds[rep], backend, focus, ratio, with_tests)
+    tasks = [(data, recipe, base_config, rep, seeds[rep], focus, ratio, with_tests)
              for recipe in recipes for rep in range(replications)]
     outcomes: list[RepOutcome] = []
     failures: list[dict] = []
@@ -394,7 +393,7 @@ class NeuronScanResult:
 
 
 def _scan_one(task: tuple) -> dict:
-    (data, width, utility, q, rep, seed, base_cfg, backend, alt_labels) = task
+    (data, width, utility, q, rep, seed, base_cfg) = task
     if isinstance(data, DataSpec):
         train, test, _ = data.make(seed)
     else:
@@ -405,8 +404,7 @@ def _scan_one(task: tuple) -> dict:
     else:
         model = build_model("LMNL", labels, utility, q=q, net_width=width, seed=seed)
     cfg = replace(base_cfg, seed=seed)
-    report = fit_joint(model, train, cfg, test=test, backend=backend,
-                       compute_std_errors=False)
+    report = fit_joint(model, train, cfg, test=test, compute_std_errors=False)
     return {"width": width, "rep": rep, "seed": seed,
             "ll_train": report.ll_train, "ll_test": report.ll_test,
             "params": report.estimates()}
@@ -415,7 +413,7 @@ def _scan_one(task: tuple) -> dict:
 def neuron_scan(data, utility: UtilitySpec, q: tuple[str, ...],
                 widths: tuple[int, ...], replications: int = 1,
                 base_config: TrainConfig | None = None, seed: int = 0,
-                backend: str | None = None, jobs: int = 1) -> NeuronScanResult:
+                jobs: int = 1) -> NeuronScanResult:
     """LL and coefficient curves against net width; width 0 is a plain logit.
 
     ``data`` is either a DataSpec (fresh draw per replication) or a fixed
@@ -425,7 +423,7 @@ def neuron_scan(data, utility: UtilitySpec, q: tuple[str, ...],
         raise ValueError("widths must be >= 0")
     base_config = base_config or TrainConfig()
     seeds = [derive_seed(seed, 100 + r) for r in range(replications)]
-    tasks = [(data, w, utility, q, rep, seeds[rep], base_config, backend, None)
+    tasks = [(data, w, utility, q, rep, seeds[rep], base_config)
              for w in widths for rep in range(replications)]
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -473,7 +471,6 @@ def correlation_bias_sweep(s_values: tuple[float, ...], replications: int,
                            recipes: tuple[ModelRecipe, ...] | None = None,
                            base_config: TrainConfig | None = None,
                            seed: int = 0, with_tests: bool = False,
-                           backend: str | None = None,
                            jobs: int = 1) -> CorrelationSweepResult:
     """Relative-error distributions as a net input grows collinear with price."""
     if any(not 0.0 <= s <= 1.0 for s in s_values):
@@ -484,8 +481,7 @@ def correlation_bias_sweep(s_values: tuple[float, ...], replications: int,
     for s in s_values:
         spec = replace(scenario, scenario="correlated", s=s)
         campaigns[s] = monte_carlo(spec, recipes, replications, base_config,
-                                   seed=seed, with_tests=with_tests,
-                                   backend=backend, jobs=jobs)
+                                   seed=seed, with_tests=with_tests, jobs=jobs)
     return CorrelationSweepResult(tuple(s_values), campaigns)
 
 
@@ -636,8 +632,8 @@ class StrategyCompareResult:
 
 
 def strategy_compare(data: DataSpec | None = None, width: int = 100,
-                     base_config: TrainConfig | None = None, seed: int = 0,
-                     backend: str | None = None) -> StrategyCompareResult:
+                     base_config: TrainConfig | None = None,
+                     seed: int = 0) -> StrategyCompareResult:
     """Sequential (either order) versus joint training on one shared dataset."""
     data = data or DataSpec(scenario="binary", beta_p=-2.0, beta_a=1.0,
                             beta_b=0.5, beta_qc=1.0, n_train=10000, n_test=2000)
@@ -651,12 +647,11 @@ def strategy_compare(data: DataSpec | None = None, width: int = 100,
         cfg = replace(base_config, seed=seed)
         if name == "joint":
             reports[name] = fit_joint(model, train, cfg, test=test,
-                                      backend=backend, compute_std_errors=False)
+                                      compute_std_errors=False)
         else:
             order = BETA_THEN_NET if name == "beta_then_net" else NET_THEN_BETA
             reports[name] = fit_sequential(model, train, cfg, order=order,
-                                           test=test, backend=backend,
-                                           compute_std_errors=False)
+                                           test=test, compute_std_errors=False)
     return StrategyCompareResult(reports)
 
 
@@ -723,8 +718,7 @@ def semi_synthetic_study(source: ChoiceDataset | None = None, n: int = 9036,
                          seed: int = 0, width: int = 100,
                          base_config: TrainConfig | None = None,
                          train_fraction: float = 0.8,
-                         cat_span: float = 1.4,
-                         backend: str | None = None) -> SemiSynthResult:
+                         cat_span: float = 1.4) -> SemiSynthResult:
     """Coefficient recovery with strong planted nonlinearities in the truth.
 
     The default category span makes the power-series terms large enough to
@@ -746,7 +740,7 @@ def semi_synthetic_study(source: ChoiceDataset | None = None, n: int = 9036,
         model = recipe.build(seed)
         cfg = recipe.config(base_config, seed)
         reports[recipe.name] = fit_joint(model, train, cfg, test=test,
-                                         backend=backend, compute_std_errors=False)
+                                         compute_std_errors=False)
     return SemiSynthResult(reports, truth, tuple(r.name for r in recipes))
 
 

@@ -25,8 +25,7 @@ from .dataio import (ChoiceDataset, DataError, generic_schema, load_csv,
 from .estimation import build_report, fit_joint, fit_sequential
 from .models import (NestStructure, UtilitySpec, UtilityTerm, build_model,
                      load_model, save_model)
-from .numcore import TrainConfig
-from .numcore.fused_numpy import FitResult
+from .numcore import FitResult, TrainConfig
 
 
 class ConfigError(Exception):
@@ -217,8 +216,7 @@ def cmd_estimate(args) -> int:
 
     if args.eval_only:
         model = load_model(args.eval_only)
-        fit = FitResult(status="ok", epochs_run=0, steps=0,
-                        trace=np.zeros(0), backend="eval")
+        fit = FitResult(status="ok", epochs_run=0, steps=0, trace=np.zeros(0))
         report = build_report(model, train, test, train_cfg, fit,
                               compute_std_errors=report_block.get("std_errors", True),
                               references=references, ratio_defs=ratio_defs)
@@ -234,12 +232,11 @@ def cmd_estimate(args) -> int:
         sequential = cfg.get("sequential")
         if sequential:
             report = fit_sequential(model, train, train_cfg, order=str(sequential),
-                                    test=test, backend=args.backend,
+                                    test=test,
                                     compute_std_errors=report_block.get("std_errors", True),
                                     references=references, ratio_defs=ratio_defs)
         else:
             report = fit_joint(model, train, train_cfg, test=test,
-                               backend=args.backend,
                                compute_std_errors=report_block.get("std_errors", True),
                                references=references, ratio_defs=ratio_defs)
         save_model(model, str(run_dir / "model.json"))
@@ -331,8 +328,7 @@ def cmd_experiment(args) -> int:
         result = analysis.monte_carlo(
             spec, _zoo_from_config(cfg), reps, train_cfg, seed=seed,
             focus=tuple(cfg.get("focus", ("beta_p", "beta_a"))),
-            with_tests=bool(cfg.get("with_tests", True)),
-            backend=args.backend, jobs=args.jobs)
+            with_tests=bool(cfg.get("with_tests", True)), jobs=args.jobs)
     elif kind == "neuron-scan":
         widths = tuple(int(w) for w in cfg.get("widths", (0, 5, 10, 25, 100)))
         if "model" in cfg:
@@ -343,16 +339,14 @@ def cmd_experiment(args) -> int:
             utility, q = _binary_lmnl_parts()
             data = _parse_dataspec(cfg.get("scenario", {}) or {})
         result = analysis.neuron_scan(data, utility, q, widths, reps,
-                                      train_cfg, seed=seed,
-                                      backend=args.backend, jobs=args.jobs)
+                                      train_cfg, seed=seed, jobs=args.jobs)
     elif kind == "correlation-sweep":
         s_values = tuple(float(s) for s in cfg.get("s_values", (0.0, 0.4, 0.8, 1.0)))
         result = analysis.correlation_bias_sweep(
             s_values, reps, scenario=_parse_dataspec(cfg.get("scenario", {"name": "correlated"})),
             recipes=analysis.correlation_zoo(int(cfg.get("width", 25))),
             base_config=train_cfg, seed=seed,
-            with_tests=bool(cfg.get("with_tests", False)),
-            backend=args.backend, jobs=args.jobs)
+            with_tests=bool(cfg.get("with_tests", False)), jobs=args.jobs)
     elif kind in ("sensitivity", "feature-impact"):
         model_file = cfg.get("model_file")
         if not model_file:
@@ -374,8 +368,7 @@ def cmd_experiment(args) -> int:
         if "scenario" in cfg:
             spec = _parse_dataspec(cfg["scenario"])
         result = analysis.strategy_compare(spec, width=int(cfg.get("width", 100)),
-                                           base_config=train_cfg, seed=seed,
-                                           backend=args.backend)
+                                           base_config=train_cfg, seed=seed)
 
     write_csv_rows(str(run_dir / "result.csv"), result.to_csv_rows())
     with open(run_dir / "result.md", "w") as fh:
@@ -397,8 +390,6 @@ def _build_parser() -> argparse.ArgumentParser:
     def common(p):
         p.add_argument("--seed", type=int, default=0, help="base seed for the run")
         p.add_argument("--out-dir", default="runs", help="directory for run outputs")
-        p.add_argument("--backend", choices=("auto", "numba", "numpy"), default=None,
-                       help="numeric backend (default: auto / LCHOICE_BACKEND)")
 
     est = sub.add_parser("estimate", help="fit one model from a YAML config")
     est.add_argument("--config", required=True)

@@ -21,9 +21,7 @@ import numpy as np
 from . import numcore
 from .dataio import ChoiceDataset, DataError
 from .models import HybridChoiceModel
-from .numcore import TrainConfig
-from .numcore.backend import fit_program
-from .numcore.fused_numpy import FitResult
+from .numcore import FitResult, TrainConfig, fit_program
 
 BETA_THEN_NET = "beta_then_net"
 NET_THEN_BETA = "net_then_beta"
@@ -190,7 +188,6 @@ class EstimationReport:
     ratios: dict[str, float] = field(default_factory=dict)
     trace: np.ndarray = field(default_factory=lambda: np.zeros(0))
     status: str = "ok"
-    backend: str = ""
     covariance: np.ndarray | None = None
     warnings: list[str] = field(default_factory=list)
     config: dict = field(default_factory=dict)
@@ -294,7 +291,7 @@ def build_report(model: HybridChoiceModel, train: ChoiceDataset,
         ll_train=ll_train, ll0_train=ll0_train,
         rho2_train=mcfadden_rho2(ll_train, ll0_train),
         acc_train=_accuracy(p_train, train), n_train=train.n_rows,
-        trace=fit.trace, status=fit.status, backend=fit.backend,
+        trace=fit.trace, status=fit.status,
         config={"epochs": config.epochs, "batch_size": config.batch_size,
                 "dropout": config.dropout, "l2": config.l2, "seed": config.seed,
                 "learning_rate": config.learning_rate},
@@ -356,21 +353,20 @@ def _training_program(model: HybridChoiceModel, train: ChoiceDataset) -> numcore
 
 
 def fit_joint(model: HybridChoiceModel, train: ChoiceDataset, config: TrainConfig,
-              test: ChoiceDataset | None = None, backend: str | None = None,
+              test: ChoiceDataset | None = None,
               compute_std_errors: bool = True,
               references: dict[str, float] | None = None,
               ratio_defs: tuple[tuple[str, str, str], ...] = ()) -> EstimationReport:
     """Train every parameter block together, then assemble the report."""
     prog = _training_program(model, train)
-    fit = fit_program(prog, train.values, train.avail, train.choice, config,
-                      backend=backend)
+    fit = fit_program(prog, train.values, train.avail, train.choice, config)
     return build_report(model, train, test, config, fit, compute_std_errors,
                         references, ratio_defs)
 
 
 def fit_sequential(model: HybridChoiceModel, train: ChoiceDataset, config: TrainConfig,
                    order: str = BETA_THEN_NET, test: ChoiceDataset | None = None,
-                   backend: str | None = None, compute_std_errors: bool = True,
+                   compute_std_errors: bool = True,
                    references: dict[str, float] | None = None,
                    ratio_defs: tuple[tuple[str, str, str], ...] = ()) -> EstimationReport:
     """Two-phase fit: one block trained per phase, the other frozen.
@@ -386,20 +382,19 @@ def fit_sequential(model: HybridChoiceModel, train: ChoiceDataset, config: Train
     phases = [(True, False), (False, True)] if order == BETA_THEN_NET else [(False, True), (True, False)]
     traces = []
     steps = 0
-    status, backend_name = "ok", ""
+    status = "ok"
     epochs_total = 0
     for train_beta, train_net in phases:
         fit = fit_program(prog, train.values, train.avail, train.choice, config,
                           train_beta=train_beta, train_net=train_net,
-                          train_mu=True, backend=backend)
+                          train_mu=True)
         traces.append(fit.trace)
         steps += fit.steps
         epochs_total += fit.epochs_run
-        backend_name = fit.backend
         if fit.status != "ok":
             status = fit.status
             break
-    merged = FitResult(status, epochs_total, steps, np.concatenate(traces), backend_name)
+    merged = FitResult(status, epochs_total, steps, np.concatenate(traces))
     report = build_report(model, train, test, config, merged, compute_std_errors,
                           references, ratio_defs)
     report.config["order"] = order

@@ -18,7 +18,8 @@ import numpy as np
 from . import numcore
 from .dataio import ChoiceDataset
 from .numcore import prng
-from .numcore.program import ModelProgram, empty_net, nested_parts, single_nest
+from .numcore.program import (ModelProgram, empty_net, masked_softmax, nested_parts,
+                              single_nest)
 
 KIND_LOGIT = "Logit"
 KIND_DNN = "DNN"
@@ -139,11 +140,11 @@ class RepresentationNet:
             raise ValueError("a representation net needs at least one input column")
         stream = prng.derive_seed(seed, 2)
         offset = 0
-        w_in = numcore.glorot_uniform(n_inputs, width, stream, offset)
+        w_in = prng.glorot_uniform(n_inputs, width, stream, offset)
         offset += n_inputs * width
         w_hidden = np.zeros((depth - 1, width, width))
         for layer in range(depth - 1):
-            w_hidden[layer] = numcore.glorot_uniform(width, width, stream, offset)
+            w_hidden[layer] = prng.glorot_uniform(width, width, stream, offset)
             offset += width * width
         return cls(width, depth, w_in, w_hidden, np.zeros((depth, width)),
                    np.zeros((width, n_alts)), np.zeros(n_alts))
@@ -327,9 +328,26 @@ def systematic_utility(model: HybridChoiceModel, ds: ChoiceDataset) -> np.ndarra
     return numcore.utilities(prog, ds.values)
 
 
+def _utility_rows(v: np.ndarray, avail: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Utilities and availability as float64 rows, all available by default.
+
+    Raises if a row has no available alternative."""
+    v = np.atleast_2d(np.asarray(v, dtype=np.float64))
+    avail = np.ones_like(v) if avail is None else np.atleast_2d(np.asarray(avail, dtype=np.float64))
+    if not (avail > 0).any(axis=1).all():
+        raise ValueError("row with no available alternative")
+    return v, avail
+
+
 def mnl_probabilities(v: np.ndarray, avail: np.ndarray | None = None) -> np.ndarray:
-    """Availability-masked multinomial logit probabilities from utilities."""
-    return numcore.softmax(v, avail)
+    """Availability-masked multinomial logit probabilities from utilities.
+
+    Unavailable alternatives get probability exactly 0.  Raises if a row has
+    no available alternative.
+    """
+    was_1d = np.asarray(v).ndim == 1
+    p = masked_softmax(*_utility_rows(v, avail))
+    return p[0] if was_1d else p
 
 
 def nested_probabilities(v: np.ndarray, nests: NestStructure,
@@ -342,10 +360,7 @@ def nested_probabilities(v: np.ndarray, nests: NestStructure,
     `mnl_probabilities` exactly.
     """
     was_1d = np.asarray(v).ndim == 1
-    v = np.atleast_2d(np.asarray(v, dtype=np.float64))
-    avail = np.ones_like(v) if avail is None else np.atleast_2d(np.asarray(avail, dtype=np.float64))
-    if not (avail > 0).any(axis=1).all():
-        raise ValueError("row with no available alternative")
+    v, avail = _utility_rows(v, avail)
     alt_nest, _ = nests.resolve(alt_labels)
     p = nested_parts(v, avail, alt_nest, nests.mu)["probs"]
     return p[0] if was_1d else p

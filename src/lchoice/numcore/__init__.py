@@ -1,22 +1,7 @@
-"""Numeric core: elementary ops, the flattened model program, fused trainers."""
+"""Numeric core: the flattened model program, its passes, and the trainer."""
 
-from .backend import ENV_VAR, active_backend, fit_program, numba_available
-from .fused_numpy import FitResult
-from .ops import (
-    IDENTITY,
-    PROB_FLOOR,
-    RELU,
-    AdamState,
-    DenseLayer,
-    TrainConfig,
-    adam_step,
-    cross_entropy,
-    dense_forward,
-    dropout_mask,
-    glorot_uniform,
-    softmax,
-)
 from .program import (
+    PROB_FLOOR,
     ModelProgram,
     backprop,
     empty_net,
@@ -32,14 +17,12 @@ from .program import (
     single_nest,
     utilities,
 )
+from .trainer import FitResult, TrainConfig, active_backend, fit_program
 
 __all__ = [
-    "ENV_VAR", "active_backend", "fit_program", "numba_available", "FitResult",
-    "IDENTITY", "PROB_FLOOR", "RELU", "AdamState", "DenseLayer", "TrainConfig",
-    "adam_step", "cross_entropy", "dense_forward", "dropout_mask",
-    "glorot_uniform", "softmax",
-    "ModelProgram", "backprop", "empty_net", "frozen_net_beta_gradient",
+    "PROB_FLOOR", "ModelProgram", "backprop", "empty_net", "frozen_net_beta_gradient",
     "gradients", "input_gradients",
     "linear_utilities", "loss_gradients", "loss_value", "net_forward",
     "probabilities", "sample_nll", "single_nest", "utilities",
+    "FitResult", "TrainConfig", "active_backend", "fit_program",
 ]

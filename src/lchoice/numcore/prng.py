@@ -1,10 +1,9 @@
-"""Counter-based pseudo-random numbers shared by both compute backends.
+"""Counter-based pseudo-random numbers, and the weight draws built on them.
 
 The generator is splitmix64 in counter form: draw ``k`` of a stream seeded
-with ``s`` is ``mix64(s + (k + 1) * GAMMA)``.  Because each draw is addressed
-by its index, the vectorised numpy backend and the scalar loops of the jit
-backend produce bit-identical streams, which keeps fits reproducible across
-backends and makes their agreement testable.
+with ``s`` is ``mix64(s + (k + 1) * GAMMA)``.  Each draw is addressed by its
+index, so any block of a stream can be drawn on its own and equals the same
+slice of a longer draw; `trainer` states how a fit consumes its stream.
 """
 
 from __future__ import annotations
@@ -45,3 +44,10 @@ def uniforms(seed: int, start: int, n: int) -> np.ndarray:
     u = (mix64(states) >> np.uint64(11)).astype(np.float64)
     u *= _U53
     return u
+
+
+def glorot_uniform(d_in: int, d_out: int, seed: int, start: int = 0) -> np.ndarray:
+    """Glorot-uniform weight draw on the package PRNG stream ``seed``."""
+    limit = np.sqrt(6.0 / (d_in + d_out))
+    u = uniforms(seed, start, d_in * d_out)
+    return ((2.0 * u - 1.0) * limit).reshape(d_in, d_out)

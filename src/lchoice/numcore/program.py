@@ -3,7 +3,7 @@
 A ModelProgram is the array-level form of a choice model: linear utility
 terms as index triples, an optional dense representation net, and an
 optional nest assignment.  The functions here are the vectorised numpy
-reference implementation; the numpy trainer calls them batch by batch.
+reference implementation; the trainer calls them batch by batch.
 
 Linear terms are stored as three parallel int arrays.  Term ``t`` adds
 ``beta[term_param[t]] * x`` to alternative ``term_alt[t]``, where ``x`` is
@@ -16,11 +16,11 @@ gives X_lin): V_lin = X_lin @ reshape(sel @ beta), dbeta = sel.T @ vec(X_lin.T @
 from __future__ import annotations
 
 from collections.abc import Callable
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .ops import PROB_FLOOR
+PROB_FLOOR = 1e-12  # floor of a chosen probability inside the log of the NLL
 
 
 @dataclass
@@ -62,20 +62,6 @@ class ModelProgram:
     @property
     def depth(self) -> int:
         return self.b_hidden.shape[0] if self.has_net else 0
-
-    def trainable(self) -> dict[str, np.ndarray]:
-        """Named parameter tensors, the unit Adam operates on."""
-        out = {"beta": self.beta}
-        if self.has_net:
-            out.update(w_in=self.w_in, w_hidden=self.w_hidden,
-                       b_hidden=self.b_hidden, w_out=self.w_out, b_out=self.b_out)
-        if self.use_nests:
-            out["mu"] = self.mu
-        return out
-
-    def copy(self) -> "ModelProgram":
-        return replace(self, **{f.name: getattr(self, f.name).copy() for f in fields(self)
-                                if f.init and isinstance(getattr(self, f.name), np.ndarray)})
 
 
 def empty_net(n_alts: int) -> tuple[np.ndarray, ...]:
@@ -171,12 +157,21 @@ def nested_parts(v: np.ndarray, avail: np.ndarray, alt_nest: np.ndarray,
             "member": member}
 
 
-def _choice_probabilities(prog: ModelProgram, v: np.ndarray, avail: np.ndarray) -> np.ndarray:
-    if prog.use_nests:
-        return nested_parts(v, avail, prog.alt_nest, prog.mu)["probs"]
+def masked_softmax(v: np.ndarray, avail: np.ndarray) -> np.ndarray:
+    """Multinomial logit probabilities over the available alternatives, (n, I).
+
+    The max of each row's available utilities is subtracted before the exp;
+    unavailable alternatives get exactly 0.  Rows are not checked for an
+    available alternative: callers check."""
     masked = np.where(avail > 0, v, -np.inf)
     e = np.exp(masked - masked.max(axis=1, keepdims=True))  # exactly 0 where unavailable
     return e / e.sum(axis=1, keepdims=True)
+
+
+def _choice_probabilities(prog: ModelProgram, v: np.ndarray, avail: np.ndarray) -> np.ndarray:
+    if prog.use_nests:
+        return nested_parts(v, avail, prog.alt_nest, prog.mu)["probs"]
+    return masked_softmax(v, avail)
 
 
 def probabilities(prog: ModelProgram, v: np.ndarray, avail: np.ndarray) -> np.ndarray:

@@ -1,28 +1,65 @@
-"""Mini-batch Adam training loop, vectorised numpy backend.
+"""Mini-batch Adam training of a ModelProgram: the one trainer.
 
 Calls the reference passes of `program` on each batch.  An epoch gathers its
 permuted rows once, so each batch is a contiguous slice.  Every trained
 tensor is a view into one flat vector: Adam, the divergence snapshot and the
 rollback are each one vector operation.
 
-Stream contract, shared with `fused_numba`: one splitmix64 stream supplies,
-per epoch, N permutation keys and then, per batch that trains the net with
-dropout, B*H mask uniforms in sample-major order.  Being counter-addressed,
-the masks of consecutive batches are one contiguous block of the stream, so
-they are drawn together, up to DRAW_CAP per call, without changing a draw.
+Stream contract: the fit draws from one splitmix64 stream (`prng`), seeded
+with ``derive_seed(config.seed, 1)``.  Per epoch it supplies N permutation
+keys and then, per batch that trains the net with dropout, B*H mask uniforms
+in sample-major order.  Each draw is addressed by its index, so a fit is
+reproducible across runs and across the `jobs` setting of the replication
+drivers, and the masks of consecutive batches, being one contiguous block of
+the stream, are drawn together, up to DRAW_CAP per call, without changing a
+draw.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from . import prng
 from . import program as pr
-from .ops import TrainConfig
 
 DRAW_CAP = 65_536  # uniforms per PRNG call; bounds the mask memory of wide nets
+
+
+def active_backend() -> str:
+    """Name of the program that trains a fit; there is one, the numpy trainer."""
+    return "numpy"
+
+
+@dataclass
+class TrainConfig:
+    """Settings for one fit: fixed epoch count, no early stopping."""
+
+    epochs: int = 200
+    batch_size: int = 50
+    dropout: float = 0.2
+    l2: float = 0.0
+    seed: int = 0
+    learning_rate: float = 0.001
+    beta1: float = 0.9
+    beta2: float = 0.999
+    eps: float = 1e-7
+
+    def __post_init__(self) -> None:
+        if self.epochs < 0 or self.batch_size < 1:
+            raise ValueError("epochs must be >= 0 and batch_size >= 1")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError("dropout must be in [0, 1)")
+        if self.l2 < 0.0:
+            raise ValueError("l2 must be non-negative")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
+            raise ValueError("learning_rate must be finite and > 0")
+        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
+            raise ValueError("beta1 and beta2 must be in [0, 1)")
+        if not self.eps > 0.0:
+            raise ValueError("eps must be > 0")
 
 
 @dataclass
@@ -31,14 +68,24 @@ class FitResult:
     epochs_run: int
     steps: int
     trace: np.ndarray  # mean data NLL per epoch, training-mode forward
-    backend: str
 
 
-def fit_numpy(prog: pr.ModelProgram, data: np.ndarray, avail: np.ndarray,
-              choice: np.ndarray, config: TrainConfig,
-              train_beta: bool = True, train_net: bool = True,
-              train_mu: bool = True) -> FitResult:
+def fit_program(prog: pr.ModelProgram, data: np.ndarray, avail: np.ndarray,
+                choice: np.ndarray, config: TrainConfig,
+                train_beta: bool = True, train_net: bool = True,
+                train_mu: bool = True) -> FitResult:
+    """Train the program's flagged parameter blocks in place."""
+    data = np.ascontiguousarray(data, dtype=np.float64)
+    avail = np.ascontiguousarray(avail, dtype=np.float64)
+    choice = np.ascontiguousarray(choice, dtype=np.int64)
     n, bs = data.shape[0], config.batch_size
+    if avail.shape[0] != n or choice.shape[0] != n:
+        raise ValueError("data, avail and choice row counts differ")
+    if not (avail.sum(axis=1) > 0).all():
+        raise ValueError("row with no available alternative")
+    if not (avail[np.arange(n), choice] > 0).all():
+        raise ValueError("chosen alternative marked unavailable")
+
     width = prog.hidden_width
     fit_seed = prng.derive_seed(config.seed, 1)
     counter = 0
@@ -115,4 +162,4 @@ def fit_numpy(prog: pr.ModelProgram, data: np.ndarray, avail: np.ndarray,
     for k in names:
         getattr(prog, k)[...] = views[k]
     steps = epochs_run * -(-n // bs)  # every epoch run completes its batches
-    return FitResult(status, epochs_run, steps, trace[:epochs_run], "numpy")
+    return FitResult(status, epochs_run, steps, trace[:epochs_run])

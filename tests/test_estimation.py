@@ -270,7 +270,7 @@ def test_report_runs_the_net_once_per_dataset(binary_data, quick_config, monkeyp
 
     monkeypatch.setattr(program, "net_forward", counting)
     report = build_report(m, train, test, quick_config,
-                          FitResult("ok", 0, 0, np.zeros(0), "eval"))
+                          FitResult("ok", 0, 0, np.zeros(0)))
     assert all(p.std_error is not None for p in report.params)
     # train: one pass for the report, one for the Hessian; test: one for the report
     assert sorted(calls) == ["test", "train", "train"]
@@ -324,7 +324,7 @@ def test_report_references_shift_rejection(binary_data, quick_config):
     bp = fit.parameter("beta_p")
     assert bp.reject  # clearly nonzero on this scenario
     refit = build_report(m, train, None, quick_config,
-                         FitResult("ok", 0, 0, np.zeros(0), "eval"),
+                         FitResult("ok", 0, 0, np.zeros(0)),
                          references={"beta_p": bp.estimate})
     assert refit.parameter("beta_p").reference == bp.estimate
     assert not refit.parameter("beta_p").reject
@@ -333,7 +333,7 @@ def test_report_references_shift_rejection(binary_data, quick_config):
 def test_report_flags_rolled_back_fit(binary_data, quick_config):
     train, _ = binary_data
     m = build_model("Logit", ("1", "2"), pa_utility(), seed=0)
-    bad = FitResult("diverged", 3, 12, np.zeros(3), "numpy")
+    bad = FitResult("diverged", 3, 12, np.zeros(3))
     report = build_report(m, train, None, quick_config, bad,
                           compute_std_errors=False)
     assert report.status == "diverged"
@@ -343,7 +343,7 @@ def test_report_flags_rolled_back_fit(binary_data, quick_config):
 def test_report_skips_std_errors_of_a_diverged_fit(binary_data, quick_config):
     train, _ = binary_data
     m = build_model("Logit", ("1", "2"), pa_utility(), seed=0)
-    bad = FitResult("diverged", 3, 12, np.zeros(3), "numpy")
+    bad = FitResult("diverged", 3, 12, np.zeros(3))
     report = build_report(m, train, None, quick_config, bad)
     assert report.covariance is None
     assert all(p.std_error is None and p.t_stat is None and p.reject is None
@@ -357,13 +357,13 @@ def test_report_warns_when_fit_is_below_the_null(binary_data, quick_config):
     m = build_model("Logit", ("1", "2"), pa_utility(), seed=0)
     m.beta[:] = [0.0, 5.0, -5.0]  # signs opposite to the data-generating ones
     report = build_report(m, train, None, quick_config,
-                          FitResult("ok", 0, 0, np.zeros(0), "eval"),
+                          FitResult("ok", 0, 0, np.zeros(0)),
                           compute_std_errors=False)
     assert report.ll_train < report.ll0_train
     assert any("not above the null" in w for w in report.warnings)
     m.beta[:] = 0.0  # every row at equal shares: exactly the null
     report = build_report(m, train, None, quick_config,
-                          FitResult("ok", 0, 0, np.zeros(0), "eval"),
+                          FitResult("ok", 0, 0, np.zeros(0)),
                           compute_std_errors=False)
     assert report.ll_train == report.ll0_train
     assert any("not above the null" in w for w in report.warnings)

@@ -64,8 +64,9 @@ def small_utility():
 
 
 def test_mnl_probabilities_hand_value():
+    # e^ln2 / (e^ln2 + e^0) = 2/3
     p = mnl_probabilities(np.array([math.log(2.0), 0.0]))
-    assert np.allclose(p, [2.0 / 3.0, 1.0 / 3.0], atol=1e-12)
+    np.testing.assert_allclose(p, [2.0 / 3.0, 1.0 / 3.0], rtol=0, atol=1e-15)
 
 
 def test_mnl_availability_mask():
@@ -73,9 +74,10 @@ def test_mnl_availability_mask():
     avail = np.array([[1.0, 0.0, 1.0]])
     p = mnl_probabilities(v, avail)
     assert p[0, 1] == 0.0
+    np.testing.assert_allclose(p.sum(), 1.0, rtol=0, atol=1e-15)
     # masked softmax over the two available entries
     z = np.exp([1.0 - 2.0, 0.0])
-    assert np.allclose(p[0, [0, 2]], z / z.sum(), atol=1e-12)
+    np.testing.assert_allclose(p[0, [0, 2]], z / z.sum(), rtol=0, atol=1e-15)
 
 
 def test_nested_probability_frozen_value():

@@ -1,4 +1,4 @@
-"""Unit tests for the numeric core: ops, PRNG, gradients, fused trainers."""
+"""Unit tests for the numeric core: PRNG, softmax and NLL, gradients, the trainer."""
 
 import math
 
@@ -9,14 +9,10 @@ from hypothesis import strategies as st
 
 from fd_util import max_rel_error, numeric_gradients, random_instance
 from lchoice import numcore
-from lchoice.numcore import (AdamState, DenseLayer, TrainConfig, adam_step,
-                             cross_entropy, dense_forward, dropout_mask,
-                             fit_program, glorot_uniform, gradients,
-                             input_gradients, loss_value, net_forward,
-                             numba_available, softmax)
+from lchoice.models import mnl_probabilities
+from lchoice.numcore import (PROB_FLOOR, TrainConfig, fit_program, gradients,
+                             input_gradients, loss_value, net_forward, sample_nll)
 from lchoice.numcore import prng
-from lchoice.numcore.backend import active_backend
-from lchoice.numcore.fused_numpy import fit_numpy
 
 
 # ---------------------------------------------------------------------------
@@ -56,123 +52,93 @@ def test_counter_addressing_property(seed, start, n):
 # ---------------------------------------------------------------------------
 # softmax / cross entropy
 
-def test_softmax_two_thirds_one_third():
-    # e^ln2 / (e^ln2 + e^0) = 2/3
-    p = softmax(np.array([math.log(2.0), 0.0]))
-    np.testing.assert_allclose(p, [2.0 / 3.0, 1.0 / 3.0], rtol=0, atol=1e-15)
-
-
-def test_softmax_masks_unavailable_to_exact_zero():
-    p = softmax(np.array([[5.0, 1.0, 3.0]]), np.array([[1.0, 0.0, 1.0]]))
-    assert p[0, 1] == 0.0
-    np.testing.assert_allclose(p.sum(), 1.0, atol=1e-15)
-    # renormalises over the available pair
-    expect = np.exp([5.0, 3.0]) / np.exp([5.0, 3.0]).sum()
-    np.testing.assert_allclose(p[0, [0, 2]], expect, atol=1e-15)
-
-
 def test_softmax_shift_invariance_and_1d_parity():
     v = np.array([0.3, -1.2, 2.0])
-    np.testing.assert_allclose(softmax(v), softmax(v + 123.4), atol=1e-15)
-    np.testing.assert_array_equal(softmax(v), softmax(v[None, :])[0])
+    np.testing.assert_allclose(mnl_probabilities(v), mnl_probabilities(v + 123.4), atol=1e-15)
+    np.testing.assert_array_equal(mnl_probabilities(v), mnl_probabilities(v[None, :])[0])
 
 
 def test_softmax_rejects_fully_unavailable_row():
     with pytest.raises(ValueError, match="no available"):
-        softmax(np.zeros((1, 3)), np.zeros((1, 3)))
+        mnl_probabilities(np.zeros((1, 3)), np.zeros((1, 3)))
 
 
 def test_cross_entropy_uniform_is_log_n():
+    # the mean per-row NLL is the cross entropy
     p = np.full((4, 3), 1.0 / 3.0)
-    assert cross_entropy(p, np.array([0, 1, 2, 0])) == pytest.approx(math.log(3.0), abs=1e-15)
+    assert sample_nll(p, np.array([0, 1, 2, 0])).mean() == pytest.approx(math.log(3.0), abs=1e-15)
 
 
 def test_cross_entropy_floors_zero_probability():
     p = np.array([[1.0, 0.0]])
-    assert cross_entropy(p, np.array([1])) == pytest.approx(-math.log(1e-12))
+    assert sample_nll(p, np.array([1]))[0] == -math.log(PROB_FLOOR)
 
 
 # ---------------------------------------------------------------------------
-# dropout / init / dense
-
-def test_dropout_rate_zero_is_identity():
-    np.testing.assert_array_equal(dropout_mask((5, 7), 0.0, seed=1), np.ones((5, 7)))
-
-
-def test_dropout_mask_values_and_mean():
-    m = dropout_mask((200, 50), 0.2, seed=9)
-    assert set(np.unique(m)) == {0.0, 1.25}
-    assert m.mean() == pytest.approx(1.0, abs=0.02)
-    np.testing.assert_array_equal(m, dropout_mask((200, 50), 0.2, seed=9))
-
-
-def test_dropout_rate_validation():
-    with pytest.raises(ValueError):
-        dropout_mask((2, 2), 1.0, seed=0)
-    with pytest.raises(ValueError):
-        dropout_mask((2, 2), -0.1, seed=0)
-
+# init
 
 def test_glorot_bounds_and_determinism():
-    w = glorot_uniform(30, 20, seed=4)
+    w = prng.glorot_uniform(30, 20, seed=4)
     limit = math.sqrt(6.0 / 50.0)
     assert w.shape == (30, 20)
     assert np.abs(w).max() <= limit
-    np.testing.assert_array_equal(w, glorot_uniform(30, 20, seed=4))
-
-
-def test_dense_layer_relu_and_validation():
-    layer = DenseLayer(np.array([[1.0], [-1.0]]), np.array([0.5]), "relu")
-    out = dense_forward(layer, np.array([[1.0, 3.0], [3.0, 1.0]]))
-    np.testing.assert_allclose(out, [[0.0], [2.5]])
-    with pytest.raises(ValueError):
-        DenseLayer(np.zeros((2, 3)), np.zeros(2))
-    with pytest.raises(ValueError):
-        DenseLayer(np.zeros((2, 3)), np.zeros(3), "tanh")
+    np.testing.assert_array_equal(w, prng.glorot_uniform(30, 20, seed=4))
 
 
 # ---------------------------------------------------------------------------
 # Adam
 
 def test_train_config_validation():
-    for bad in (dict(epochs=-1), dict(batch_size=0), dict(dropout=1.0), dict(l2=-0.5)):
+    for bad in (dict(epochs=-1), dict(batch_size=0), dict(dropout=1.0), dict(l2=-0.5),
+                dict(learning_rate=-0.01), dict(learning_rate=0.0),
+                dict(learning_rate=float("nan")), dict(learning_rate=float("inf")),
+                dict(beta1=1.0), dict(beta2=1.0), dict(beta1=-0.1),
+                dict(eps=0.0), dict(eps=float("nan"))):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
 
 
+def _logit_instance(seed=3):
+    """Three coefficients over 40 rows and 3 alternatives, no net, no nests."""
+    from lchoice.numcore.program import ModelProgram, empty_net, single_nest
+    rng = np.random.default_rng(seed)
+    n, n_alts = 40, 3
+    prog = ModelProgram(n_alts, 3, np.array([0, 1, 2], dtype=np.int64),
+                        np.array([0, 1, 2], dtype=np.int64), np.array([0, 1, 2], dtype=np.int64),
+                        rng.normal(0, 0.5, 3), np.zeros(0, np.int64), *empty_net(n_alts),
+                        *single_nest(n_alts), False)
+    data = rng.normal(0, 1, (n, 3))
+    return prog, data, np.ones((n, n_alts)), rng.integers(0, n_alts, n).astype(np.int64)
+
+
 def test_adam_first_step_is_learning_rate_sized():
-    params = {"w": np.array([1.0, -2.0])}
-    grads = {"w": np.array([0.3, -0.8])}
-    state = AdamState.for_params(params, TrainConfig(learning_rate=0.01))
-    adam_step(state, params, grads)
-    # bias-corrected first step is lr * g / (|g| + eps) ~ lr * sign(g)
-    np.testing.assert_allclose(params["w"], [1.0 - 0.01, -2.0 + 0.01], atol=1e-5)
+    prog, data, avail, choice = _logit_instance()
+    beta0 = prog.beta.copy()
+    g = gradients(prog, data, avail, choice)["beta"]
+    # one full batch: the bias-corrected first step is lr * g / (|g| + eps) ~ lr * sign(g)
+    fit_program(prog, data, avail, choice, TrainConfig(epochs=1, batch_size=1000,
+                                                       learning_rate=0.01))
+    np.testing.assert_allclose(prog.beta, beta0 - 0.01 * np.sign(g), rtol=0, atol=1e-5)
 
 
 def test_adam_matches_reference_updates():
-    rng = np.random.default_rng(3)
-    p0 = rng.normal(size=4)
-    params = {"w": p0.copy()}
-    state = AdamState.for_params(params, TrainConfig())
-    grads = [rng.normal(size=4) for _ in range(5)]
-
-    lr, b1, b2, eps = 0.001, 0.9, 0.999, 1e-7
-    m = np.zeros(4)
-    v = np.zeros(4)
-    ref = p0.copy()
-    for t, g in enumerate(grads, start=1):
-        adam_step(state, params, {"w": g})
+    # full-batch steps of the trainer against Adam written from the formula
+    prog, data, avail, choice = _logit_instance()
+    beta0 = prog.beta.copy()
+    cfg = TrainConfig(epochs=5, batch_size=1000, learning_rate=0.05)
+    lr, b1, b2, eps = cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps
+    ref = beta0.copy()
+    m = np.zeros(3)
+    v = np.zeros(3)
+    for t in range(1, 6):
+        prog.beta[...] = ref
+        g = gradients(prog, data, avail, choice)["beta"]
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
-        ref -= lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
-    np.testing.assert_allclose(params["w"], ref, atol=1e-14)
-
-
-def test_adam_raises_on_non_finite_gradient():
-    params = {"w": np.zeros(2)}
-    state = AdamState.for_params(params, TrainConfig())
-    with pytest.raises(FloatingPointError, match="w"):
-        adam_step(state, params, {"w": np.array([1.0, np.nan])})
+        ref = ref - lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
+    prog.beta[...] = beta0
+    fit_program(prog, data, avail, choice, cfg)
+    np.testing.assert_allclose(prog.beta, ref, rtol=0, atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -261,7 +227,7 @@ def test_input_gradients_match_finite_differences():
 
 
 # ---------------------------------------------------------------------------
-# fused trainers and backend agreement
+# the trainer
 
 def _featureful_instance(seed=5):
     """Nets, nests, availability holes: every kernel branch exercised."""
@@ -317,15 +283,15 @@ def _pinned_fit(case):
         prog, data, avail, choice = _featureful_instance(seed=5)
         cfg = TrainConfig(epochs=4, batch_size=17, dropout=0.2, l2=1e-4, seed=2,
                           learning_rate=0.01)
-        fit = fit_program(prog, data, avail, choice, cfg, backend="numpy")
+        fit = fit_program(prog, data, avail, choice, cfg)
     elif case == "frozen_net":
         prog, data, avail, choice = _featureful_instance(seed=6)
         cfg = TrainConfig(epochs=4, batch_size=25, dropout=0.2, seed=3, learning_rate=0.01)
-        fit = fit_program(prog, data, avail, choice, cfg, train_net=False, backend="numpy")
+        fit = fit_program(prog, data, avail, choice, cfg, train_net=False)
     else:
         prog, data, avail, choice = _wide_lmnl_instance()
         cfg = TrainConfig(epochs=2, batch_size=50, dropout=0.2, seed=4, learning_rate=0.01)
-        fit = fit_program(prog, data, avail, choice, cfg, backend="numpy")
+        fit = fit_program(prog, data, avail, choice, cfg)
     out = {"trace": fit.trace, "beta": prog.beta, "mu": prog.mu}
     for name in ("w_in", "w_hidden", "b_hidden", "w_out", "b_out"):
         arr = getattr(prog, name)
@@ -378,20 +344,6 @@ def test_trainer_trajectory_is_pinned(case):
         np.testing.assert_allclose(out[name], value, rtol=0, atol=1e-12, err_msg=name)
 
 
-@pytest.mark.skipif(not numba_available(), reason="numba not importable")
-def test_backends_produce_identical_fits():
-    cfg = TrainConfig(epochs=8, batch_size=17, dropout=0.2, l2=1e-4, seed=2)
-    prog_a, data, avail, choice = _featureful_instance()
-    prog_b = prog_a.copy()
-    fit_a = fit_program(prog_a, data, avail, choice, cfg, backend="numpy")
-    fit_b = fit_program(prog_b, data, avail, choice, cfg, backend="numba")
-    assert fit_a.backend == "numpy" and fit_b.backend == "numba"
-    for name, arr in prog_a.trainable().items():
-        np.testing.assert_allclose(arr, prog_b.trainable()[name], atol=1e-12,
-                                   err_msg=name)
-    np.testing.assert_allclose(fit_a.trace, fit_b.trace, atol=1e-12)
-
-
 def test_frozen_zero_net_phase_equals_pure_logit_fit():
     # with the output layer zero-initialised, training only beta of a hybrid
     # model is the same optimisation problem as a plain logit fit
@@ -415,8 +367,8 @@ def test_frozen_zero_net_phase_equals_pure_logit_fit():
                           np.zeros((1, width)), np.zeros((width, n_alts)),
                           np.zeros(n_alts), *single_nest(n_alts), False)
     cfg = TrainConfig(epochs=5, batch_size=30, dropout=0.2, seed=6)
-    fit_numpy(logit, data, avail, choice, cfg)
-    fit_numpy(hybrid, data, avail, choice, cfg, train_net=False)
+    fit_program(logit, data, avail, choice, cfg)
+    fit_program(hybrid, data, avail, choice, cfg, train_net=False)
     np.testing.assert_array_equal(logit.beta, hybrid.beta)
 
 
@@ -424,7 +376,7 @@ def test_mu_stays_clamped_at_one():
     cfg = TrainConfig(epochs=10, batch_size=16, dropout=0.0, seed=1,
                       learning_rate=0.05)
     prog, data, avail, choice = _featureful_instance(seed=9)
-    fit_program(prog, data, avail, choice, cfg, backend="numpy")
+    fit_program(prog, data, avail, choice, cfg)
     assert (prog.mu >= 1.0).all()
 
 
@@ -433,14 +385,14 @@ def test_dropout_zero_training_forward_equals_eval():
     cfg = TrainConfig(epochs=1, batch_size=10_000, dropout=0.0, seed=0)
     prog, data, avail, choice = _featureful_instance(seed=12)
     before = loss_value(prog, data, avail, choice)
-    fit = fit_program(prog, data, avail, choice, cfg, backend="numpy")
+    fit = fit_program(prog, data, avail, choice, cfg)
     assert fit.trace[0] == pytest.approx(before, rel=1e-12)
 
 
 def test_fit_trace_shape_and_improvement():
     cfg = TrainConfig(epochs=40, batch_size=50, dropout=0.0, seed=4)
     prog, data, avail, choice = _featureful_instance(seed=13)
-    fit = fit_program(prog, data, avail, choice, cfg, backend="numpy")
+    fit = fit_program(prog, data, avail, choice, cfg)
     assert fit.status == "ok"
     assert fit.epochs_run == 40 and fit.trace.shape == (40,)
     assert fit.steps == 40 * math.ceil(data.shape[0] / 50)
@@ -456,7 +408,7 @@ def test_divergence_rolls_back_and_reports():
     snapshot = (prog.w_in.copy(), prog.w_out.copy(), prog.beta.copy())
     cfg = TrainConfig(epochs=3, batch_size=1000, dropout=0.0, seed=0)
     with np.errstate(all="ignore"):
-        fit = fit_program(prog, data, avail, choice, cfg, backend="numpy")
+        fit = fit_program(prog, data, avail, choice, cfg)
     assert fit.status == "diverged"
     assert fit.epochs_run <= 3
     np.testing.assert_array_equal(prog.w_in, snapshot[0])
@@ -480,12 +432,23 @@ def test_fit_program_input_validation():
         fit_program(prog, data, holed, choice, cfg)
 
 
-def test_active_backend_resolution(monkeypatch):
-    assert active_backend("numpy") == "numpy"
-    with pytest.raises(ValueError, match="unknown backend"):
-        active_backend("cuda")
-    monkeypatch.setenv("LCHOICE_BACKEND", "numpy")
-    assert active_backend() == "numpy"
-    monkeypatch.setenv("LCHOICE_BACKEND", "nope")
-    with pytest.raises(ValueError):
-        active_backend()
+def test_active_backend_resolution():
+    assert numcore.active_backend() == "numpy"
+
+
+# ---------------------------------------------------------------------------
+# the names the benchmark in perfbench/ reads or wraps
+
+def test_benchmark_contract_names_exist():
+    from lchoice import estimation
+    from lchoice.numcore import program
+    for name in numcore.__all__:
+        assert hasattr(numcore, name), name
+    used = [(numcore, ("active_backend", "gradients", "TrainConfig")),
+            (prng, ("uniforms", "derive_seed")),
+            (program, ("linear_utilities", "net_forward", "loss_gradients", "sample_nll",
+                       "backprop")),
+            (estimation, ("fit_program", "hessian_std_errors", "build_report"))]
+    for owner, names in used:
+        for name in names:
+            assert callable(getattr(owner, name, None)), f"{owner.__name__}.{name}"
