@@ -52,6 +52,21 @@ def test_counter_addressing_property(seed, start, n):
 # ---------------------------------------------------------------------------
 # softmax / cross entropy
 
+def test_softmax_two_thirds_one_third():
+    # e^ln2 / (e^ln2 + e^0) = 2/3
+    p = mnl_probabilities(np.array([math.log(2.0), 0.0]))
+    np.testing.assert_allclose(p, [2.0 / 3.0, 1.0 / 3.0], rtol=0, atol=1e-15)
+
+
+def test_softmax_masks_unavailable_to_exact_zero():
+    p = mnl_probabilities(np.array([[5.0, 1.0, 3.0]]), np.array([[1.0, 0.0, 1.0]]))
+    assert p[0, 1] == 0.0
+    np.testing.assert_allclose(p.sum(), 1.0, atol=1e-15)
+    # renormalises over the available pair
+    expect = np.exp([5.0, 3.0]) / np.exp([5.0, 3.0]).sum()
+    np.testing.assert_allclose(p[0, [0, 2]], expect, atol=1e-15)
+
+
 def test_softmax_shift_invariance_and_1d_parity():
     v = np.array([0.3, -1.2, 2.0])
     np.testing.assert_allclose(mnl_probabilities(v), mnl_probabilities(v + 123.4), atol=1e-15)
