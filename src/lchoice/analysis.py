@@ -2,15 +2,21 @@
 
 Every driver takes explicit seeds and returns tidy records, so a rerun with
 the same configuration reproduces the same tables.  Replications are
-independent and can run across processes via a ``jobs`` argument;
-aggregation always happens in the caller.
+independent; `_run_tasks` is the one runner, in this process or, with
+``jobs`` > 1, across a process pool, and it returns results in task order,
+so ``jobs`` changes no number.  A task that raises yields its exception:
+`monte_carlo` records it as a failure (``"<type>: <message>"``) and leaves
+it out of every aggregate, `neuron_scan` re-raises the first one.
+Aggregation always happens in the caller.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import nullcontext
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -42,15 +48,15 @@ class ModelRecipe:
     net_depth: int = 1
     nests: NestStructure | None = None
     train: tuple[tuple[str, object], ...] = ()  # TrainConfig overrides
-    alt_labels_hint: tuple[str, ...] = ()
 
-    def build(self, seed: int) -> HybridChoiceModel:
-        return build_model(self.kind, self.alt_labels_hint or ("1", "2"),
-                           self.utility, q=self.q, net_width=self.net_width,
-                           net_depth=self.net_depth, nests=self.nests, seed=seed)
-
-    def config(self, base: TrainConfig, seed: int) -> TrainConfig:
-        return replace(base, seed=seed, **dict(self.train))
+    def fit(self, train: ChoiceDataset, test: ChoiceDataset | None, base: TrainConfig,
+            seed: int, **report_args) -> tuple[HybridChoiceModel, EstimationReport]:
+        """Build the model for ``train``'s alternatives and fit it jointly."""
+        model = build_model(self.kind, tuple(train.alt_labels), self.utility, q=self.q,
+                            net_width=self.net_width, net_depth=self.net_depth,
+                            nests=self.nests, seed=seed)
+        config = replace(base, seed=seed, **dict(self.train))
+        return model, fit_joint(model, train, config, test=test, **report_args)
 
 
 SPEC_SCENARIOS = ("binary", "correlated", "unobserved", "guevara")
@@ -95,30 +101,37 @@ def _generic(name: str, col: str) -> UtilityTerm:
     return UtilityTerm.of(name, {"1": f"{col}1", "2": f"{col}2"})
 
 
+QC_COLS = ("q1", "c1", "q2", "c2")  # the binary scenarios' net inputs
+
+
+def binary_pab() -> tuple[UtilityTerm, ...]:
+    """The binary scenarios' generic price and attribute terms beta_p, beta_a, beta_b."""
+    return (_generic("beta_p", "p"), _generic("beta_a", "a"), _generic("beta_b", "b"))
+
+
 def binary_zoo(width: int = 25) -> tuple[ModelRecipe, ...]:
     """The benchmark model set for the two-alternative synthetic study."""
-    pab = (_generic("beta_p", "p"), _generic("beta_a", "a"), _generic("beta_b", "b"))
+    pab = binary_pab()
     all5 = pab + (_generic("beta_q", "q"), _generic("beta_c", "c"))
     cols10 = tuple(f"{b}{alt}" for alt in ("1", "2") for b in ("p", "a", "b", "q", "c"))
-    qc_cols = ("q1", "c1", "q2", "c2")
     return (
         ModelRecipe("Logit(X1)", "Logit", UtilitySpec(all5)),
         ModelRecipe(f"DNN({width},Q)", "DNN", q=cols10, net_width=width),
         ModelRecipe(f"DNN_L({width},X=Q)", "DNN_L", UtilitySpec(all5),
                     q=cols10, net_width=width),
         ModelRecipe(f"LMNL({width},X,Q)", "LMNL", UtilitySpec(pab),
-                    q=qc_cols, net_width=width),
+                    q=QC_COLS, net_width=width),
         ModelRecipe("Logit(Xtrue)", "Logit", UtilitySpec(pab + (_generic("beta_qc", "qc"),))),
     )
 
 
 def correlation_zoo(width: int = 25) -> tuple[ModelRecipe, ...]:
     """L-MNL against the over- and under-specified logit baselines."""
-    pab = (_generic("beta_p", "p"), _generic("beta_a", "a"), _generic("beta_b", "b"))
+    pab = binary_pab()
     all5 = pab + (_generic("beta_q", "q"), _generic("beta_c", "c"))
     return (
-        ModelRecipe(f"LMNL({width},X,Q)", "LMNL", UtilitySpec(pab),
-                    q=("q1", "c1", "q2", "c2"), net_width=width),
+        ModelRecipe(f"LMNL({width},X,Q)", "LMNL", UtilitySpec(pab), q=QC_COLS,
+                    net_width=width),
         ModelRecipe("Logit(X1)", "Logit", UtilitySpec(all5)),
         ModelRecipe("Logit(X2)", "Logit", UtilitySpec(pab)),
     )
@@ -126,7 +139,7 @@ def correlation_zoo(width: int = 25) -> tuple[ModelRecipe, ...]:
 
 def guevara_zoo(width: int = 100) -> tuple[ModelRecipe, ...]:
     """True, hybrid, and endogenous (q omitted) models for the price study."""
-    pab = (_generic("beta_p", "p"), _generic("beta_a", "a"), _generic("beta_b", "b"))
+    pab = binary_pab()
     withq = pab + (_generic("beta_q", "q"),)
     return (
         ModelRecipe("MNL_true", "Logit", UtilitySpec(withq)),
@@ -158,15 +171,28 @@ class RepOutcome:
     nonreject_ratio: bool | None = None
 
 
-def _run_one(task: tuple) -> dict:
+def _run_tasks(fn, tasks: list, jobs: int) -> list:
+    """``fn`` over ``tasks``, results in task order; a task that raised yields its exception.
+
+    With ``jobs`` > 1 every task is submitted to a pool of that many worker
+    processes up front, and the results are collected in order.
+    """
+    results = []
+    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
+        calls = [pool.submit(fn, t).result if pool else partial(fn, t) for t in tasks]
+        for call in calls:
+            try:
+                results.append(call())
+            except Exception as exc:  # noqa: BLE001 - handed to the caller
+                results.append(exc)
+    return results
+
+
+def _run_one(task: tuple) -> RepOutcome:
     (data, recipe, base_cfg, rep, seed, focus, ratio, with_tests) = task
     train, test, truth = data.make(seed)
-    recipe = replace(recipe, alt_labels_hint=tuple(train.alt_labels))
-    model = recipe.build(seed)
-    cfg = recipe.config(base_cfg, seed)
-    need_se = with_tests and model.n_parameters > 0
-    report = fit_joint(model, train, cfg, test=test,
-                       compute_std_errors=need_se, references=truth)
+    model, report = recipe.fit(train, test, base_cfg, seed,
+                               compute_std_errors=with_tests, references=truth)
     est = report.estimates()
     present = [k for k in focus if k in est]
     errors = relative_errors(est, truth,
@@ -185,7 +211,7 @@ def _run_one(task: tuple) -> dict:
             tt = ratio_t_test(est, report.covariance, tuple(model.param_names),
                               ratio[0], ratio[1], ref)
             out.nonreject_ratio = (not tt.reject) if math.isfinite(tt.t_stat) else None
-    return out.__dict__
+    return out
 
 
 @dataclass
@@ -276,18 +302,10 @@ class MonteCarloResult:
         return rows
 
     def to_csv_rows(self) -> list[dict]:
-        rows = []
-        for table, data in [("likelihood", self.ll_table()),
-                            ("errors", self.error_table()),
-                            ("testing", self.testing_table()),
-                            ("ratios", self.ratio_summary())]:
-            for r in data:
-                for k, v in r.items():
-                    if k == "model":
-                        continue
-                    rows.append({"table": table, "model": r["model"],
-                                 "metric": k, "value": v})
-        return rows
+        tables = [("likelihood", self.ll_table()), ("errors", self.error_table()),
+                  ("testing", self.testing_table()), ("ratios", self.ratio_summary())]
+        return long_rows([{"table": table, **r} for table, data in tables for r in data],
+                         ("table", "model"))
 
     def to_markdown(self) -> str:
         parts = [markdown_table(self.ll_table(), title="Fit over replications")]
@@ -325,30 +343,11 @@ def monte_carlo(data: DataSpec, recipes: tuple[ModelRecipe, ...],
         raise ValueError("need one seed per replication")
     tasks = [(data, recipe, base_config, rep, seeds[rep], focus, ratio, with_tests)
              for recipe in recipes for rep in range(replications)]
-    outcomes: list[RepOutcome] = []
-    failures: list[dict] = []
-
-    def _collect(task, result, error):
-        if error is not None:
-            failures.append({"model": task[1].name, "rep": task[3],
-                             "seed": task[4], "error": str(error)})
-        else:
-            outcomes.append(RepOutcome(**result))
-
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            futures = [(t, pool.submit(_run_one, t)) for t in tasks]
-            for t, fut in futures:
-                try:
-                    _collect(t, fut.result(), None)
-                except Exception as exc:  # noqa: BLE001 - recorded, not fatal
-                    _collect(t, None, exc)
-    else:
-        for t in tasks:
-            try:
-                _collect(t, _run_one(t), None)
-            except Exception as exc:  # noqa: BLE001
-                _collect(t, None, exc)
+    results = _run_tasks(_run_one, tasks, jobs)
+    outcomes = [r for r in results if not isinstance(r, Exception)]
+    failures = [{"model": t[1].name, "rep": t[3], "seed": t[4],
+                 "error": f"{type(r).__name__}: {r}"}
+                for t, r in zip(tasks, results) if isinstance(r, Exception)]
     return MonteCarloResult(data, tuple(r.name for r in recipes), outcomes,
                             failures, focus, ratio)
 
@@ -379,14 +378,9 @@ class NeuronScanResult:
         return rows
 
     def to_csv_rows(self) -> list[dict]:
-        rows = []
-        for r in self.records:
-            base = {"width": r["width"], "rep": r["rep"], "seed": r["seed"]}
-            rows.append({**base, "metric": "ll_train", "value": r["ll_train"]})
-            rows.append({**base, "metric": "ll_test", "value": r["ll_test"]})
-            for k, v in r["params"].items():
-                rows.append({**base, "metric": k, "value": v})
-        return rows
+        flat = [{k: v for k, v in r.items() if k != "params"} | r["params"]
+                for r in self.records]
+        return long_rows(flat, ("width", "rep", "seed"))
 
     def to_markdown(self) -> str:
         return markdown_table(self.table(), title="Width scan")
@@ -425,11 +419,10 @@ def neuron_scan(data, utility: UtilitySpec, q: tuple[str, ...],
     seeds = [derive_seed(seed, 100 + r) for r in range(replications)]
     tasks = [(data, w, utility, q, rep, seeds[rep], base_config)
              for w in widths for rep in range(replications)]
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            records = list(pool.map(_scan_one, tasks))
-    else:
-        records = [_scan_one(t) for t in tasks]
+    records = _run_tasks(_scan_one, tasks, jobs)
+    for r in records:
+        if isinstance(r, Exception):
+            raise r
     return NeuronScanResult(tuple(widths), records)
 
 
@@ -456,11 +449,7 @@ class CorrelationSweepResult:
         return float(vals.mean()) if vals.size else math.nan
 
     def to_csv_rows(self) -> list[dict]:
-        rows = []
-        for s in self.s_values:
-            for r in self.campaigns[s].to_csv_rows():
-                rows.append({"s": s, **r})
-        return rows
+        return [{"s": s, **r} for s in self.s_values for r in self.campaigns[s].to_csv_rows()]
 
     def to_markdown(self) -> str:
         return markdown_table(self.table(), title="Relative errors [%] by correlation level")
@@ -620,12 +609,7 @@ class StrategyCompareResult:
         return rows
 
     def to_csv_rows(self) -> list[dict]:
-        rows = []
-        for r in self.table():
-            for k, v in r.items():
-                if k != "strategy":
-                    rows.append({"strategy": r["strategy"], "metric": k, "value": v})
-        return rows
+        return long_rows(self.table(), ("strategy",))
 
     def to_markdown(self) -> str:
         return markdown_table(self.table(), title="Optimization strategies")
@@ -639,19 +623,13 @@ def strategy_compare(data: DataSpec | None = None, width: int = 100,
                             beta_b=0.5, beta_qc=1.0, n_train=10000, n_test=2000)
     base_config = base_config or TrainConfig()
     train, test, _ = data.make(derive_seed(seed, 100))
-    pab = (_generic("beta_p", "p"), _generic("beta_a", "a"), _generic("beta_b", "b"))
+    cfg = replace(base_config, seed=seed)
     reports = {}
-    for name in ("beta_then_net", "net_then_beta", "joint"):
-        model = build_model("LMNL", tuple(train.alt_labels), UtilitySpec(pab),
-                            q=("q1", "c1", "q2", "c2"), net_width=width, seed=seed)
-        cfg = replace(base_config, seed=seed)
-        if name == "joint":
-            reports[name] = fit_joint(model, train, cfg, test=test,
-                                      compute_std_errors=False)
-        else:
-            order = BETA_THEN_NET if name == "beta_then_net" else NET_THEN_BETA
-            reports[name] = fit_sequential(model, train, cfg, order=order,
-                                           test=test, compute_std_errors=False)
+    for name in (BETA_THEN_NET, NET_THEN_BETA, "joint"):
+        model = build_model("LMNL", tuple(train.alt_labels), UtilitySpec(binary_pab()),
+                            q=QC_COLS, net_width=width, seed=seed)
+        fit = fit_joint if name == "joint" else partial(fit_sequential, order=name)
+        reports[name] = fit(model, train, cfg, test=test, compute_std_errors=False)
     return StrategyCompareResult(reports)
 
 
@@ -703,12 +681,7 @@ class SemiSynthResult:
         return rows
 
     def to_csv_rows(self) -> list[dict]:
-        rows = []
-        for r in self.table():
-            for k, v in r.items():
-                if k != "model":
-                    rows.append({"model": r["model"], "metric": k, "value": v})
-        return rows
+        return long_rows(self.table(), ("model",))
 
     def to_markdown(self) -> str:
         return markdown_table(self.table(), title="Recovery under planted nonlinearities")
@@ -734,28 +707,29 @@ def semi_synthetic_study(source: ChoiceDataset | None = None, n: int = 9036,
     train, test = split_ds(ds, train_fraction, seed)
     truth = dict(ds.meta["truth"])
     recipes = semi_synth_zoo(width)
-    reports = {}
-    for recipe in recipes:
-        recipe = replace(recipe, alt_labels_hint=tuple(train.alt_labels))
-        model = recipe.build(seed)
-        cfg = recipe.config(base_config, seed)
-        reports[recipe.name] = fit_joint(model, train, cfg, test=test,
-                                         compute_std_errors=False)
+    reports = {r.name: r.fit(train, test, base_config, seed, compute_std_errors=False)[1]
+               for r in recipes}
     return SemiSynthResult(reports, truth, tuple(r.name for r in recipes))
 
 
 # ---------------------------------------------------------------------------
 # output helpers
 
+def long_rows(rows: list[dict], keys: tuple[str, ...]) -> list[dict]:
+    """One row per (row, other column): the ``keys`` columns, then metric and value."""
+    return [{**{k: r[k] for k in keys}, "metric": m, "value": v}
+            for r in rows for m, v in r.items() if m not in keys]
+
+
+def _union_keys(rows: list[dict]) -> list[str]:
+    return list(dict.fromkeys(k for r in rows for k in r))
+
+
 def markdown_table(rows: list[dict], title: str | None = None) -> str:
     """Pipe table over the union of row keys, 4-significant-digit floats."""
     if not rows:
         return (f"## {title}\n\n(no rows)\n" if title else "(no rows)\n")
-    keys: list[str] = []
-    for r in rows:
-        for k in r:
-            if k not in keys:
-                keys.append(k)
+    keys = _union_keys(rows)
 
     def fmt(v) -> str:
         if v is None:
@@ -778,12 +752,7 @@ def write_csv_rows(path: str, rows: list[dict]) -> None:
     """Tidy CSV with a stable union-of-keys header."""
     import csv
 
-    keys: list[str] = []
-    for r in rows:
-        for k in r:
-            if k not in keys:
-                keys.append(k)
     with open(path, "w", newline="") as fh:
-        writer = csv.DictWriter(fh, fieldnames=keys)
+        writer = csv.DictWriter(fh, fieldnames=_union_keys(rows))
         writer.writeheader()
         writer.writerows(rows)

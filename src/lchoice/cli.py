@@ -12,6 +12,7 @@ import hashlib
 import json
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -19,9 +20,9 @@ import yaml
 
 from . import analysis, synthgen
 from .analysis import SPEC_SCENARIOS, DataSpec, ModelRecipe, write_csv_rows
-from .dataio import (ChoiceDataset, DataError, generic_schema, load_csv,
-                     optima_schema, preprocess_optima, preprocess_swissmetro,
-                     save_truth, split, swissmetro_schema, validate_partition)
+from .dataio import (DataError, generic_schema, load_csv, optima_schema,
+                     preprocess_optima, preprocess_swissmetro, save_truth, split,
+                     swissmetro_schema, validate_partition)
 from .estimation import build_report, fit_joint, fit_sequential
 from .models import (NestStructure, UtilitySpec, UtilityTerm, build_model,
                      load_model, save_model)
@@ -214,12 +215,12 @@ def cmd_estimate(args) -> int:
     run_dir = _run_dir(args.out_dir, cfg, "estimate")
     _store_config(run_dir, cfg)
 
+    report_args = dict(compute_std_errors=report_block.get("std_errors", True),
+                       references=references, ratio_defs=ratio_defs)
     if args.eval_only:
         model = load_model(args.eval_only)
         fit = FitResult(status="ok", epochs_run=0, steps=0, trace=np.zeros(0))
-        report = build_report(model, train, test, train_cfg, fit,
-                              compute_std_errors=report_block.get("std_errors", True),
-                              references=references, ratio_defs=ratio_defs)
+        report = build_report(model, train, test, train_cfg, fit, **report_args)
     else:
         model = build_model(kind, labels, utility, q=q, net_width=width,
                             net_depth=depth, nests=nests, seed=seed)
@@ -230,15 +231,8 @@ def cmd_estimate(args) -> int:
             for msg in check.advisories:
                 print(f"advisory: {msg}", file=sys.stderr)
         sequential = cfg.get("sequential")
-        if sequential:
-            report = fit_sequential(model, train, train_cfg, order=str(sequential),
-                                    test=test,
-                                    compute_std_errors=report_block.get("std_errors", True),
-                                    references=references, ratio_defs=ratio_defs)
-        else:
-            report = fit_joint(model, train, train_cfg, test=test,
-                               compute_std_errors=report_block.get("std_errors", True),
-                               references=references, ratio_defs=ratio_defs)
+        fit_model = partial(fit_sequential, order=str(sequential)) if sequential else fit_joint
+        report = fit_model(model, train, train_cfg, test=test, **report_args)
         save_model(model, str(run_dir / "model.json"))
 
     report.to_csv(str(run_dir / "report.csv"))
@@ -298,13 +292,6 @@ def _zoo_from_config(cfg: dict) -> tuple[ModelRecipe, ...]:
     raise ConfigError(f"unknown zoo {zoo!r}")
 
 
-def _binary_lmnl_parts() -> tuple[UtilitySpec, tuple[str, ...]]:
-    pab = (UtilityTerm.of("beta_p", {"1": "p1", "2": "p2"}),
-           UtilityTerm.of("beta_a", {"1": "a1", "2": "a2"}),
-           UtilityTerm.of("beta_b", {"1": "b1", "2": "b2"}))
-    return UtilitySpec(pab), ("q1", "c1", "q2", "c2")
-
-
 def cmd_experiment(args) -> int:
     cfg = _load_config(args.config)
     cfg.setdefault("seed", args.seed)
@@ -336,7 +323,7 @@ def cmd_experiment(args) -> int:
             train, test = _load_dataset(cfg, seed, args.ga_cost_adjust)
             data = (train, test)
         else:
-            utility, q = _binary_lmnl_parts()
+            utility, q = UtilitySpec(analysis.binary_pab()), analysis.QC_COLS
             data = _parse_dataspec(cfg.get("scenario", {}) or {})
         result = analysis.neuron_scan(data, utility, q, widths, reps,
                                       train_cfg, seed=seed, jobs=args.jobs)

@@ -171,7 +171,11 @@ def load_csv(path: str, schema: CsvSchema, validate: bool = True) -> ChoiceDatas
         if schema.avail_columns is not None:
             for k, name in enumerate(schema.avail_columns):
                 avail[i, k] = 1.0 if parse(row[col_pos[name]], i, name) > 0 else 0.0
-        raw_choice = parse(row[col_pos[schema.choice_column]], i, schema.choice_column)
+        cell = row[col_pos[schema.choice_column]]
+        raw_choice = parse(cell, i, schema.choice_column)
+        if not (raw_choice.is_integer() and abs(raw_choice) < 2.0 ** 62):  # int64 after the shift
+            raise DataError(f"{path}: row {i + 2}, column {schema.choice_column!r}: "
+                            f"choice code {cell.strip()!r} is not a valid integer code")
         choice[i] = int(raw_choice) - schema.choice_base
 
     ds = ChoiceDataset(feat_cols, values, avail, choice, list(schema.alt_labels))
@@ -187,6 +191,8 @@ def split(ds: ChoiceDataset, train_fraction: float, seed: int) -> tuple[ChoiceDa
     n = ds.n_rows
     target = train_fraction * n
     n_train = int(round(target)) if abs(target - round(target)) < 1e-6 else int(np.ceil(target))
+    if not 0 < n_train < n:
+        raise ValueError(f"train_fraction {train_fraction} of {n} rows leaves an empty part")
     keys = prng.uniforms(prng.derive_seed(seed, 7), 0, n)
     perm = np.argsort(keys)
     return ds.subset(perm[:n_train]), ds.subset(perm[n_train:])

@@ -20,17 +20,15 @@ import numpy as np
 
 from . import numcore
 from .dataio import ChoiceDataset, DataError
-from .models import HybridChoiceModel
+from .models import HybridChoiceModel, predict_probabilities
 from .numcore import FitResult, TrainConfig, fit_program
 
 BETA_THEN_NET = "beta_then_net"
 NET_THEN_BETA = "net_then_beta"
-
-
-def _eval_probabilities(model: HybridChoiceModel, ds: ChoiceDataset) -> np.ndarray:
-    """Choice probabilities from one eval-mode forward pass, (n, I)."""
-    prog = model.program(ds.columns)
-    return numcore.probabilities(prog, numcore.utilities(prog, ds.values), ds.avail)
+# (train beta, train net) per phase of each sequential order
+_PHASES = {BETA_THEN_NET: ((True, False), (False, True)),
+           NET_THEN_BETA: ((False, True), (True, False))}
+HESSIAN_STEP = 1e-4  # finite-difference step, relative to max(1, |beta_j|)
 
 
 def _log_likelihood(p: np.ndarray, ds: ChoiceDataset) -> float:
@@ -44,12 +42,12 @@ def _accuracy(p: np.ndarray, ds: ChoiceDataset) -> float:
 
 def log_likelihood(model: HybridChoiceModel, ds: ChoiceDataset) -> float:
     """Sum over rows of ln P(chosen), eval-mode forward, floored probabilities."""
-    return _log_likelihood(_eval_probabilities(model, ds), ds)
+    return _log_likelihood(predict_probabilities(model, ds), ds)
 
 
 def accuracy(model: HybridChoiceModel, ds: ChoiceDataset) -> float:
     """Share of rows whose highest-probability available alternative was chosen."""
-    return _accuracy(_eval_probabilities(model, ds), ds)
+    return _accuracy(predict_probabilities(model, ds), ds)
 
 
 def null_log_likelihood(ds: ChoiceDataset) -> float:
@@ -128,8 +126,8 @@ def ratio_t_test(estimates: dict[str, float], cov: np.ndarray,
     return t_test(bn / bd, se, reference, critical)
 
 
-def hessian_std_errors(model: HybridChoiceModel, ds: ChoiceDataset,
-                       step_scale: float = 1e-4) -> tuple[np.ndarray, np.ndarray, list[str]]:
+def hessian_std_errors(model: HybridChoiceModel,
+                       ds: ChoiceDataset) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """(std_errors, covariance, warnings) for the linear coefficients.
 
     Central finite differences of the analytic beta gradient of the summed
@@ -145,7 +143,7 @@ def hessian_std_errors(model: HybridChoiceModel, ds: ChoiceDataset,
     grad_at = numcore.frozen_net_beta_gradient(prog, ds.values, ds.avail, ds.choice)
     hess = np.zeros((n_params, n_params))
     for j in range(n_params):
-        h = step_scale * max(1.0, abs(beta0[j]))
+        h = HESSIAN_STEP * max(1.0, abs(beta0[j]))
         bp = beta0.copy()
         bp[j] += h
         bm = beta0.copy()
@@ -281,7 +279,7 @@ def build_report(model: HybridChoiceModel, train: ChoiceDataset,
     A fit whose status is not "ok" gets no standard errors or t-tests: its
     parameters are a rollback point, not an optimum.
     """
-    p_train = _eval_probabilities(model, train)
+    p_train = predict_probabilities(model, train)
     ll_train = _log_likelihood(p_train, train)
     ll0_train = null_log_likelihood(train)
     report = EstimationReport(
@@ -305,7 +303,7 @@ def build_report(model: HybridChoiceModel, train: ChoiceDataset,
             f"training log-likelihood {ll_train:.4f} is not above the null "
             f"log-likelihood {ll0_train:.4f}; the fit has not converged")
     if test is not None:
-        p_test = _eval_probabilities(model, test)
+        p_test = predict_probabilities(model, test)
         report.ll_test = _log_likelihood(p_test, test)
         report.ll0_test = null_log_likelihood(test)
         report.rho2_test = mcfadden_rho2(report.ll_test, report.ll0_test)
@@ -352,16 +350,30 @@ def _training_program(model: HybridChoiceModel, train: ChoiceDataset) -> numcore
     return prog
 
 
+def _fit_phases(model: HybridChoiceModel, train: ChoiceDataset, config: TrainConfig,
+                phases: tuple[tuple[bool, bool], ...], test: ChoiceDataset | None,
+                *report_args) -> EstimationReport:
+    """Train the (beta, net) blocks each phase flags, stopping at a diverged phase."""
+    prog = _training_program(model, train)
+    fits = []
+    for train_beta, train_net in phases:
+        fits.append(fit_program(prog, train.values, train.avail, train.choice, config,
+                                train_beta=train_beta, train_net=train_net))
+        if fits[-1].status != "ok":
+            break
+    merged = FitResult(fits[-1].status, sum(f.epochs_run for f in fits),
+                       sum(f.steps for f in fits), np.concatenate([f.trace for f in fits]))
+    return build_report(model, train, test, config, merged, *report_args)
+
+
 def fit_joint(model: HybridChoiceModel, train: ChoiceDataset, config: TrainConfig,
               test: ChoiceDataset | None = None,
               compute_std_errors: bool = True,
               references: dict[str, float] | None = None,
               ratio_defs: tuple[tuple[str, str, str], ...] = ()) -> EstimationReport:
     """Train every parameter block together, then assemble the report."""
-    prog = _training_program(model, train)
-    fit = fit_program(prog, train.values, train.avail, train.choice, config)
-    return build_report(model, train, test, config, fit, compute_std_errors,
-                        references, ratio_defs)
+    return _fit_phases(model, train, config, ((True, True),), test,
+                       compute_std_errors, references, ratio_defs)
 
 
 def fit_sequential(model: HybridChoiceModel, train: ChoiceDataset, config: TrainConfig,
@@ -376,26 +388,9 @@ def fit_sequential(model: HybridChoiceModel, train: ChoiceDataset, config: Train
     fit), then the net is trained around the frozen coefficients.
     ``net_then_beta`` is the reverse.  Nest factors train in both phases.
     """
-    if order not in (BETA_THEN_NET, NET_THEN_BETA):
+    if order not in _PHASES:
         raise ValueError(f"unknown order {order!r}")
-    prog = _training_program(model, train)
-    phases = [(True, False), (False, True)] if order == BETA_THEN_NET else [(False, True), (True, False)]
-    traces = []
-    steps = 0
-    status = "ok"
-    epochs_total = 0
-    for train_beta, train_net in phases:
-        fit = fit_program(prog, train.values, train.avail, train.choice, config,
-                          train_beta=train_beta, train_net=train_net,
-                          train_mu=True)
-        traces.append(fit.trace)
-        steps += fit.steps
-        epochs_total += fit.epochs_run
-        if fit.status != "ok":
-            status = fit.status
-            break
-    merged = FitResult(status, epochs_total, steps, np.concatenate(traces))
-    report = build_report(model, train, test, config, merged, compute_std_errors,
-                          references, ratio_defs)
+    report = _fit_phases(model, train, config, _PHASES[order], test,
+                         compute_std_errors, references, ratio_defs)
     report.config["order"] = order
     return report

@@ -149,9 +149,6 @@ class RepresentationNet:
         return cls(width, depth, w_in, w_hidden, np.zeros((depth, width)),
                    np.zeros((width, n_alts)), np.zeros(n_alts))
 
-    def weight_count(self) -> int:
-        return int(self.w_in.size + self.w_hidden.size + self.w_out.size)
-
 
 def _label(a: str | int, alt_labels: tuple[str, ...]) -> str:
     return alt_labels[a] if isinstance(a, int) else a
@@ -183,9 +180,6 @@ class HybridChoiceModel:
     @property
     def n_parameters(self) -> int:
         return int(self.beta.shape[0])
-
-    def net_weight_count(self) -> int:
-        return self.net.weight_count() if self.net is not None else 0
 
     def clone(self) -> "HybridChoiceModel":
         other = load_model_dict(save_model_dict(self))

@@ -18,6 +18,7 @@ draw.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -48,6 +49,10 @@ class TrainConfig:
     eps: float = 1e-7
 
     def __post_init__(self) -> None:
+        for name in ("epochs", "batch_size", "seed"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
         if not 0.0 <= self.dropout < 1.0:
@@ -72,9 +77,8 @@ class FitResult:
 
 def fit_program(prog: pr.ModelProgram, data: np.ndarray, avail: np.ndarray,
                 choice: np.ndarray, config: TrainConfig,
-                train_beta: bool = True, train_net: bool = True,
-                train_mu: bool = True) -> FitResult:
-    """Train the program's flagged parameter blocks in place."""
+                train_beta: bool = True, train_net: bool = True) -> FitResult:
+    """Train the program's flagged blocks in place; free nest factors always train."""
     data = np.ascontiguousarray(data, dtype=np.float64)
     avail = np.ascontiguousarray(avail, dtype=np.float64)
     choice = np.ascontiguousarray(choice, dtype=np.int64)
@@ -97,7 +101,7 @@ def fit_program(prog: pr.ModelProgram, data: np.ndarray, avail: np.ndarray,
     names = ["beta"] if train_beta and prog.n_params > 0 else []
     if train_net and prog.has_net:
         names += ["w_in", "w_hidden", "b_hidden", "w_out", "b_out"]
-    fit_mu = train_mu and prog.use_nests and bool((prog.mu_free > 0).any())
+    fit_mu = prog.use_nests and bool((prog.mu_free > 0).any())
     names += ["mu"] if fit_mu else []
     tensors = [getattr(prog, k) for k in names]
     flat = np.concatenate([a.ravel() for a in tensors] + [np.zeros(0)])

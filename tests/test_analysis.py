@@ -87,13 +87,47 @@ def test_monte_carlo_records_failures_and_excludes_them():
     res = monte_carlo(TINY, (good, bad), 2, TINY_CFG, with_tests=False)
     assert len(res.failures) == 2
     assert all(f["model"] == "Broken" for f in res.failures)
-    assert all("ghost" in f["error"] for f in res.failures)
+    assert all(f["error"].startswith("ValueError: ") and "ghost" in f["error"]
+               for f in res.failures)
     assert res.per_model("Broken") == []
     rows = {r["model"]: r for r in res.ll_table()}
     assert rows["Broken"]["failed"] == 2 and rows["Broken"]["replications"] == 0
     assert math.isnan(rows["Broken"]["ll_train_mean"])
     assert rows["Logit(X1)"]["replications"] == 2
     assert "excluded" in res.to_markdown()
+
+
+def test_monte_carlo_worker_processes_match_serial_run():
+    bad = ModelRecipe("Broken", "Logit",
+                      UtilitySpec((UtilityTerm.of("b", {"1": "ghost"}),)))
+    recipes = (binary_zoo(4)[0], bad, binary_zoo(4)[3])
+    serial = monte_carlo(TINY, recipes, 2, TINY_CFG, seed=5)
+    pooled = monte_carlo(TINY, recipes, 2, TINY_CFG, seed=5, jobs=2)
+    assert [(o.model, o.rep) for o in serial.outcomes] == [
+        ("Logit(X1)", 0), ("Logit(X1)", 1), ("LMNL(4,X,Q)", 0), ("LMNL(4,X,Q)", 1)]
+    assert pooled.outcomes == serial.outcomes
+    assert pooled.failures == serial.failures and len(serial.failures) == 2
+
+
+def test_recipe_fit_goes_through_the_analysis_module_names(monkeypatch):
+    # the benchmark times these two by patching the analysis module's names
+    from lchoice import analysis
+    calls = []
+
+    def spy(name):
+        real = getattr(analysis, name)
+
+        def call(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return call
+
+    for name in ("build_model", "fit_joint"):
+        monkeypatch.setattr(analysis, name, spy(name))
+    train, test, _ = TINY.make(1)
+    model, report = binary_zoo(4)[3].fit(train, test, TINY_CFG, 7, compute_std_errors=False)
+    assert calls == ["build_model", "fit_joint"]
+    assert model.alt_labels == tuple(train.alt_labels) and report.n_test == test.n_rows
 
 
 def test_monte_carlo_diverged_rep_takes_no_test_decisions(monkeypatch):
@@ -163,6 +197,19 @@ def test_neuron_scan_width_zero_matches_plain_logit():
     assert rec0["params"] == report.estimates()
     rec3 = [r for r in scan.records if r["width"] == 3][0]
     assert math.isfinite(rec3["ll_test"])
+
+
+def test_neuron_scan_worker_processes_match_serial_run():
+    kwargs = dict(widths=(0, 2), replications=2, base_config=TINY_CFG, seed=3)
+    serial = neuron_scan(TINY, pa_spec(), ("q1", "q2"), **kwargs)
+    pooled = neuron_scan(TINY, pa_spec(), ("q1", "q2"), jobs=2, **kwargs)
+    assert [(r["width"], r["rep"]) for r in serial.records] == [(0, 0), (0, 1), (2, 0), (2, 1)]
+    assert pooled.records == serial.records
+
+
+def test_neuron_scan_reraises_a_failed_fit():
+    with pytest.raises(ValueError, match="ghost"):
+        neuron_scan(TINY, pa_spec(), ("ghost",), widths=(2,), base_config=TINY_CFG, jobs=2)
 
 
 def test_neuron_scan_rejects_negative_width():

@@ -183,6 +183,14 @@ def test_negative_learning_rate_is_a_config_error(tmp_path, capsys):
     assert "bad train block: learning_rate" in capsys.readouterr().err
 
 
+def test_fractional_epochs_is_a_config_error(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.yaml",
+                       logit_config(train={"epochs": 2.5, "batch_size": 40}))
+    assert main(["estimate", "--config", cfg,
+                 "--out-dir", str(tmp_path / "runs")]) == 2
+    assert "bad train block: epochs must be an integer" in capsys.readouterr().err
+
+
 def test_overlapping_partition_rejected(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.yaml",
                        lmnl_config(q=("p1", "q1", "q2")))

@@ -141,6 +141,15 @@ def test_load_csv_located_errors(tmp_path):
         load_csv(str(short_row), schema)
 
 
+@pytest.mark.parametrize("code", ["nan", "inf", "1e30", "1.7"])
+@pytest.mark.parametrize("validate", [True, False])
+def test_load_csv_rejects_non_integer_choice_code(tmp_path, code, validate):
+    path = tmp_path / "codes.csv"
+    path.write_text(f"x1,AV_1,AV_2,CHOICE\n1.0,1,1,0\n2.0,1,1,{code}\n")
+    with pytest.raises(DataError, match=f"row 3, column 'CHOICE': choice code '{code}'"):
+        load_csv(str(path), generic_schema(("1", "2")), validate=validate)
+
+
 def test_load_csv_can_defer_validation(tmp_path):
     path = tmp_path / "raw.csv"
     path.write_text("x1,AV_1,AV_2,CHOICE\n1.0,1,1,-1\n2.0,1,1,0\n")
@@ -182,6 +191,15 @@ def test_split_deterministic_and_seed_sensitive():
     b1, _ = split(ds, 0.5, seed=10)
     assert np.array_equal(a1.values, a2.values)
     assert not np.array_equal(a1.values, b1.values)
+
+
+def test_split_rejects_an_empty_part():
+    ds = gen_binary(BinaryScenario(n_train=50, n_test=0, seed=1))
+    for f in (0.99, 1e-9):
+        with pytest.raises(ValueError, match="empty part"):
+            split(ds, f, seed=0)
+    train, test = split(ds, 0.98, seed=0)
+    assert train.n_rows == 49 and test.n_rows == 1
 
 
 def test_split_validates_fraction():

@@ -108,9 +108,13 @@ def test_train_config_validation():
                 dict(learning_rate=-0.01), dict(learning_rate=0.0),
                 dict(learning_rate=float("nan")), dict(learning_rate=float("inf")),
                 dict(beta1=1.0), dict(beta2=1.0), dict(beta1=-0.1),
-                dict(eps=0.0), dict(eps=float("nan"))):
+                dict(eps=0.0), dict(eps=float("nan")),
+                dict(epochs=2.5), dict(epochs=True), dict(batch_size=50.0),
+                dict(batch_size="50"), dict(seed=1.5), dict(seed=None)):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
+    ok = TrainConfig(epochs=np.int64(3), batch_size=np.int32(10), seed=np.uint64(7))
+    assert ok.epochs == 3 and ok.batch_size == 10 and ok.seed == 7
 
 
 def _logit_instance(seed=3):
@@ -455,7 +459,7 @@ def test_active_backend_resolution():
 # the names the benchmark in perfbench/ reads or wraps
 
 def test_benchmark_contract_names_exist():
-    from lchoice import estimation
+    from lchoice import analysis, dataio, estimation, models, synthgen
     from lchoice.numcore import program
     for name in numcore.__all__:
         assert hasattr(numcore, name), name
@@ -463,7 +467,14 @@ def test_benchmark_contract_names_exist():
             (prng, ("uniforms", "derive_seed")),
             (program, ("linear_utilities", "net_forward", "loss_gradients", "sample_nll",
                        "backprop")),
-            (estimation, ("fit_program", "hessian_std_errors", "build_report"))]
+            (estimation, ("fit_program", "fit_joint", "build_report", "hessian_std_errors")),
+            (analysis, ("fit_joint", "build_model", "monte_carlo")),
+            (models, ("predict_probabilities",)),
+            (dataio, ("load_csv", "split")),
+            (synthgen, ("gen_semi_synthetic",))]
     for owner, names in used:
         for name in names:
             assert callable(getattr(owner, name, None)), f"{owner.__name__}.{name}"
+    # the benchmark wraps class attributes through the class __dict__
+    for cls, name in ((analysis.DataSpec, "make"), (models.HybridChoiceModel, "program")):
+        assert callable(cls.__dict__.get(name)), f"{cls.__name__}.{name}"
