@@ -21,7 +21,7 @@ from functools import partial
 import numpy as np
 
 from . import synthgen
-from .dataio import ChoiceDataset
+from .dataio import ChoiceDataset, split
 from .estimation import (BETA_THEN_NET, NET_THEN_BETA, EstimationReport,
                          fit_joint, fit_sequential, parameter_ratio,
                          ratio_t_test, relative_errors)
@@ -76,24 +76,26 @@ class DataSpec:
     s: float = 0.0
     beta_u: float = 1.0
 
-    def make(self, seed: int) -> tuple[ChoiceDataset, ChoiceDataset, dict]:
+    def dataset(self, seed: int) -> ChoiceDataset:
+        """All n_train + n_test rows of the scenario at ``seed``, truth in its meta."""
         if self.scenario == "guevara":
-            ds = synthgen.gen_guevara(self.n_train + self.n_test, seed)
-            idx = np.arange(ds.n_rows)
-            train, test = ds.subset(idx[:self.n_train]), ds.subset(idx[self.n_train:])
-            return train, test, dict(ds.meta["truth"])
+            return synthgen.gen_guevara(self.n_train + self.n_test, seed)
         sc = BinaryScenario(self.beta_p, self.beta_a, self.beta_b, self.beta_qc,
                             self.n_train, self.n_test, seed)
         if self.scenario == "binary":
-            ds = synthgen.gen_binary(sc)
-        elif self.scenario == "correlated":
-            ds = synthgen.gen_correlated(sc, self.s)
-        elif self.scenario == "unobserved":
-            ds = synthgen.gen_with_unobserved(sc, self.beta_u)
-        else:
-            raise ValueError(f"unknown scenario {self.scenario!r}")
-        train, test = sc.split(ds)
-        return train, test, dict(ds.meta["truth"])
+            return synthgen.gen_binary(sc)
+        if self.scenario == "correlated":
+            return synthgen.gen_correlated(sc, self.s)
+        if self.scenario == "unobserved":
+            return synthgen.gen_with_unobserved(sc, self.beta_u)
+        raise ValueError(f"unknown scenario {self.scenario!r}")
+
+    def make(self, seed: int) -> tuple[ChoiceDataset, ChoiceDataset, dict]:
+        """(train, test, truth): the first n_train rows train, the rest test."""
+        ds = self.dataset(seed)
+        rows = np.arange(ds.n_rows)
+        return (ds.subset(rows[:self.n_train]), ds.subset(rows[self.n_train:]),
+                dict(ds.meta["truth"]))
 
 
 def _generic(name: str, col: str) -> UtilityTerm:
@@ -413,6 +415,8 @@ def neuron_scan(data, utility: UtilitySpec, q: tuple[str, ...],
     ``data`` is either a DataSpec (fresh draw per replication) or a fixed
     (train, test) pair, in which case only initialisation/training seeds vary.
     """
+    if replications < 1:
+        raise ValueError("replications must be >= 1")
     if any(w < 0 for w in widths):
         raise ValueError("widths must be >= 0")
     base_config = base_config or TrainConfig()
@@ -574,8 +578,7 @@ def feature_impact(model: HybridChoiceModel, ds: ChoiceDataset) -> FeatureImpact
     pred = np.argmax(np.where(ds.avail > 0, probs, -1.0), axis=1)
     dv = np.zeros((ds.n_rows, n_alts))
     dv[np.arange(ds.n_rows), pred] = 1.0
-    prog = model.program(ds.columns)
-    grads = input_gradients(prog, ds.values, dv)  # (n, n_q)
+    grads = input_gradients(model.program_for(ds), ds.values, dv)  # (n, n_q)
     impact = np.zeros((n_alts, len(qcols)))
     counts = np.zeros(n_alts, dtype=np.int64)
     for i in range(n_alts):
@@ -687,24 +690,19 @@ class SemiSynthResult:
         return markdown_table(self.table(), title="Recovery under planted nonlinearities")
 
 
-def semi_synthetic_study(source: ChoiceDataset | None = None, n: int = 9036,
-                         seed: int = 0, width: int = 100,
-                         base_config: TrainConfig | None = None,
-                         train_fraction: float = 0.8,
-                         cat_span: float = 1.4) -> SemiSynthResult:
+def semi_synthetic_study(n: int = 9036, seed: int = 0, width: int = 100,
+                         base_config: TrainConfig | None = None) -> SemiSynthResult:
     """Coefficient recovery with strong planted nonlinearities in the truth.
 
-    The default category span makes the power-series terms large enough to
-    visibly bias the linear-only fits, which is the regime the study is
-    meant to probe; spans near 1 leave the distortion too mild to separate
-    the hybrid from the plain logit.
+    Categories span [0, 1.4] (see `gen_semi_synthetic`), which makes the
+    power-series terms large enough to visibly bias the linear-only fits, the
+    regime the study is meant to probe; spans near 1 leave the distortion
+    too mild to separate the hybrid from the plain logit.  80% of the rows
+    train, the rest test.
     """
-    from .dataio import split as split_ds
-
     base_config = base_config or TrainConfig()
-    ds = synthgen.gen_semi_synthetic(source, n=n, seed=derive_seed(seed, 100),
-                                     cat_span=cat_span)
-    train, test = split_ds(ds, train_fraction, seed)
+    ds = synthgen.gen_semi_synthetic(n=n, seed=derive_seed(seed, 100), cat_span=1.4)
+    train, test = split(ds, 0.8, seed)
     truth = dict(ds.meta["truth"])
     recipes = semi_synth_zoo(width)
     reports = {r.name: r.fit(train, test, base_config, seed, compute_std_errors=False)[1]

@@ -19,6 +19,7 @@ from .numcore import prng
 
 SWISSMETRO_SCALED = ("TRAIN_TT", "SM_TT", "CAR_TT", "TRAIN_CO", "SM_CO", "CAR_CO",
                      "TRAIN_HE", "SM_HE")
+CORR_ADVISORY = 0.8  # |corr| between an X and a Q column above which a fit is warned
 
 
 class DataError(ValueError):
@@ -29,7 +30,7 @@ class DataError(ValueError):
 class ChoiceDataset:
     columns: list[str]
     values: np.ndarray  # (n, D) float64
-    avail: np.ndarray  # (n, I) float64 of 0/1
+    avail: np.ndarray  # (n, I) float64, each entry 0 or 1
     choice: np.ndarray  # (n,) int64, -1 marks a missing response
     alt_labels: list[str]
     meta: dict = field(default_factory=dict)
@@ -45,6 +46,11 @@ class ChoiceDataset:
         n = self.values.shape[0]
         if self.avail.shape != (n, len(self.alt_labels)) or self.choice.shape != (n,):
             raise DataError("avail/choice shapes do not match")
+        bad = (self.avail != 0.0) & (self.avail != 1.0)  # NaN too
+        if bad.any():
+            row, alt = np.argwhere(bad)[0]
+            raise DataError(f"row {row}, alternative {self.alt_labels[alt]!r}: "
+                            f"availability {float(self.avail[row, alt])!r} is not 0 or 1")
 
     @property
     def n_rows(self) -> int:
@@ -151,9 +157,9 @@ def load_csv(path: str, schema: CsvSchema, validate: bool = True) -> ChoiceDatas
     feat_cols = [h for h in header if h not in special]
     col_pos = {h: j for j, h in enumerate(header)}
 
-    n = len(raw_rows)
+    n, n_alts = len(raw_rows), len(schema.alt_labels)
     values = np.empty((n, len(feat_cols)))
-    avail = np.ones((n, len(schema.alt_labels)))
+    avail = np.ones((n, n_alts))
     choice = np.empty(n, dtype=np.int64)
 
     def parse(cell: str, i: int, name: str) -> float:
@@ -177,6 +183,9 @@ def load_csv(path: str, schema: CsvSchema, validate: bool = True) -> ChoiceDatas
             raise DataError(f"{path}: row {i + 2}, column {schema.choice_column!r}: "
                             f"choice code {cell.strip()!r} is not a valid integer code")
         choice[i] = int(raw_choice) - schema.choice_base
+        if validate and not 0 <= choice[i] < n_alts:
+            raise DataError(f"{path}: row {i + 2}, column {schema.choice_column!r}: "
+                            f"choice code {cell.strip()!r} is out of range")
 
     ds = ChoiceDataset(feat_cols, values, avail, choice, list(schema.alt_labels))
     if validate:
@@ -225,11 +234,11 @@ class PartitionReport:
 
 
 def validate_partition(ds: ChoiceDataset, x_columns: tuple[str, ...],
-                       q_columns: tuple[str, ...], threshold: float = 0.8) -> PartitionReport:
+                       q_columns: tuple[str, ...]) -> PartitionReport:
     """Check the interpretability split of columns into linear X and net Q.
 
     Overlap or unknown columns are errors; an absolute correlation above
-    ``threshold`` between an X column and a Q column is an advisory, since a
+    CORR_ADVISORY between an X column and a Q column is an advisory, since a
     nearly collinear net input can proxy for the linear term and bias it.
     """
     errors: list[str] = []
@@ -249,9 +258,9 @@ def validate_partition(ds: ChoiceDataset, x_columns: tuple[str, ...],
         for xc in x_columns:
             for qc in q_columns:
                 r = corr[pos[xc], pos[qc]]
-                if abs(r) > threshold:
+                if abs(r) > CORR_ADVISORY:
                     advisories.append(f"|corr({xc}, {qc})| = {abs(r):.2f} exceeds "
-                                      f"{threshold}; the net input can proxy for the "
+                                      f"{CORR_ADVISORY}; the net input can proxy for the "
                                       f"linear term and bias its coefficient")
     return PartitionReport(not errors, errors, advisories)
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -29,6 +29,7 @@ NET_THEN_BETA = "net_then_beta"
 _PHASES = {BETA_THEN_NET: ((True, False), (False, True)),
            NET_THEN_BETA: ((False, True), (True, False))}
 HESSIAN_STEP = 1e-4  # finite-difference step, relative to max(1, |beta_j|)
+T_CRITICAL = 1.96  # two-sided 5% critical value of the standard normal
 
 
 def _log_likelihood(p: np.ndarray, ds: ChoiceDataset) -> float:
@@ -79,14 +80,13 @@ class TTestResult:
     reject: bool
 
 
-def t_test(estimate: float, std_error: float, reference: float = 0.0,
-           critical: float = 1.96) -> TTestResult:
+def t_test(estimate: float, std_error: float, reference: float = 0.0) -> TTestResult:
     """Two-sided asymptotic t-test of H0: parameter equals ``reference``."""
     if std_error <= 0 or not math.isfinite(std_error):
         return TTestResult(math.nan, math.nan, False)
     t = (estimate - reference) / std_error
     p = math.erfc(abs(t) / math.sqrt(2.0))
-    return TTestResult(t, p, abs(t) > critical)
+    return TTestResult(t, p, abs(t) > T_CRITICAL)
 
 
 def relative_errors(estimates: dict[str, float], truth: dict[str, float],
@@ -113,7 +113,7 @@ def parameter_ratio(estimates: dict[str, float], numerator: str, denominator: st
 
 def ratio_t_test(estimates: dict[str, float], cov: np.ndarray,
                  param_names: tuple[str, ...], numerator: str, denominator: str,
-                 reference: float, critical: float = 1.96) -> TTestResult:
+                 reference: float) -> TTestResult:
     """Delta-method test of H0: beta_num/beta_den equals ``reference``."""
     i = param_names.index(numerator)
     j = param_names.index(denominator)
@@ -123,7 +123,7 @@ def ratio_t_test(estimates: dict[str, float], cov: np.ndarray,
     grad[j] = -bn / bd ** 2
     var = float(grad @ cov @ grad)
     se = math.sqrt(var) if var > 0 else math.nan
-    return t_test(bn / bd, se, reference, critical)
+    return t_test(bn / bd, se, reference)
 
 
 def hessian_std_errors(model: HybridChoiceModel,
@@ -135,7 +135,7 @@ def hessian_std_errors(model: HybridChoiceModel,
     net runs once and each of the 2P points reruns only the linear block.  A
     singular Hessian falls back to the pseudo-inverse with a warning.
     """
-    prog = model.program(ds.columns)
+    prog = model.program_for(ds)
     n_params = prog.n_params
     if n_params == 0:
         return np.zeros(0), np.zeros((0, 0)), []
@@ -290,9 +290,7 @@ def build_report(model: HybridChoiceModel, train: ChoiceDataset,
         rho2_train=mcfadden_rho2(ll_train, ll0_train),
         acc_train=_accuracy(p_train, train), n_train=train.n_rows,
         trace=fit.trace, status=fit.status,
-        config={"epochs": config.epochs, "batch_size": config.batch_size,
-                "dropout": config.dropout, "l2": config.l2, "seed": config.seed,
-                "learning_rate": config.learning_rate},
+        config=asdict(config),
     )
     if fit.status != "ok":
         report.warnings.append(
@@ -332,29 +330,26 @@ def build_report(model: HybridChoiceModel, train: ChoiceDataset,
     return report
 
 
-def _training_program(model: HybridChoiceModel, train: ChoiceDataset) -> numcore.ModelProgram:
-    """Compile the model for ``train`` after checking the data it will read.
+def _training_program(model: HybridChoiceModel, train: ChoiceDataset,
+                      test: ChoiceDataset | None) -> numcore.ModelProgram:
+    """The model's program for ``train``, once both datasets passed its door.
 
-    Raises DataError on an empty set, on a bad choice, or on a non-finite
-    value in a column the program reads; other columns may hold anything.
+    Raises DataError on an empty training set, on a bad choice, or on what
+    `HybridChoiceModel.program_for` rejects, before any training starts.
     """
     if train.n_rows == 0:
         raise DataError("training set has no rows")
-    train.validate_choices()
-    prog = model.program(train.columns)
-    cols = np.concatenate([prog.lin_cols, prog.q_cols])
-    bad = ~np.isfinite(train.values[:, cols])
-    if bad.any():
-        row, j = np.argwhere(bad)[0]
-        raise DataError(f"row {row}: non-finite value in column {train.columns[cols[j]]!r}")
-    return prog
+    for ds in (train,) if test is None else (train, test):
+        ds.validate_choices()
+        model.program_for(ds)
+    return model.program(train.columns)
 
 
 def _fit_phases(model: HybridChoiceModel, train: ChoiceDataset, config: TrainConfig,
                 phases: tuple[tuple[bool, bool], ...], test: ChoiceDataset | None,
                 *report_args) -> EstimationReport:
     """Train the (beta, net) blocks each phase flags, stopping at a diverged phase."""
-    prog = _training_program(model, train)
+    prog = _training_program(model, train, test)
     fits = []
     for train_beta, train_net in phases:
         fits.append(fit_program(prog, train.values, train.avail, train.choice, config,

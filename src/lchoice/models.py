@@ -15,11 +15,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import numcore
-from .dataio import ChoiceDataset
+from .dataio import ChoiceDataset, DataError
 from .numcore import prng
-from .numcore.program import (ModelProgram, empty_net, masked_softmax, nested_parts,
-                              single_nest)
+from .numcore.program import (ModelProgram, empty_net, forward, masked_softmax,
+                              nested_parts, probabilities, single_nest)
 
 KIND_LOGIT = "Logit"
 KIND_DNN = "DNN"
@@ -192,6 +191,25 @@ class HybridChoiceModel:
             self._programs[key] = _compile(self, columns)
         return self._programs[key]
 
+    def program_for(self, ds: ChoiceDataset) -> ModelProgram:
+        """The program for ``ds``, after checking the data it will read.
+
+        Every read of a dataset by a model goes through here.  Raises
+        DataError when the dataset's alternatives are not the model's, in the
+        same order, or on a non-finite value in a column the program reads;
+        other columns may hold anything.
+        """
+        if tuple(ds.alt_labels) != tuple(self.alt_labels):
+            raise DataError(f"dataset alternatives {list(ds.alt_labels)} do not match "
+                            f"the model's {list(self.alt_labels)}")
+        prog = self.program(ds.columns)
+        cols = np.concatenate([prog.lin_cols, prog.q_cols])
+        bad = ~np.isfinite(ds.values[:, cols])
+        if bad.any():
+            row, j = np.argwhere(bad)[0]
+            raise DataError(f"row {row}: non-finite value in column {ds.columns[cols[j]]!r}")
+        return prog
+
 
 def _compile(model: HybridChoiceModel, columns: list[str]) -> ModelProgram:
     col_pos = {c: j for j, c in enumerate(columns)}
@@ -318,8 +336,7 @@ def build_model(kind: str, alt_labels: tuple[str, ...],
 
 def systematic_utility(model: HybridChoiceModel, ds: ChoiceDataset) -> np.ndarray:
     """Eval-mode utilities V = linear + net, (n, I)."""
-    prog = model.program(ds.columns)
-    return numcore.utilities(prog, ds.values)
+    return forward(model.program_for(ds), ds.values)[0]
 
 
 def _utility_rows(v: np.ndarray, avail: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
@@ -361,9 +378,8 @@ def nested_probabilities(v: np.ndarray, nests: NestStructure,
 
 
 def predict_probabilities(model: HybridChoiceModel, ds: ChoiceDataset) -> np.ndarray:
-    prog = model.program(ds.columns)
-    v = numcore.utilities(prog, ds.values)
-    return numcore.probabilities(prog, v, ds.avail)
+    prog = model.program_for(ds)
+    return probabilities(prog, forward(prog, ds.values)[0], ds.avail)
 
 
 def save_model_dict(model: HybridChoiceModel) -> dict:

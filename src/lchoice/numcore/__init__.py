@@ -15,7 +15,6 @@ from .program import (
     probabilities,
     sample_nll,
     single_nest,
-    utilities,
 )
 from .trainer import FitResult, TrainConfig, active_backend, fit_program
 
@@ -23,6 +22,6 @@ __all__ = [
     "PROB_FLOOR", "ModelProgram", "backprop", "empty_net", "frozen_net_beta_gradient",
     "gradients", "input_gradients",
     "linear_utilities", "loss_gradients", "loss_value", "net_forward",
-    "probabilities", "sample_nll", "single_nest", "utilities",
+    "probabilities", "sample_nll", "single_nest",
     "FitResult", "TrainConfig", "active_backend", "fit_program",
 ]

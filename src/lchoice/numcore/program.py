@@ -128,11 +128,6 @@ def forward(prog: ModelProgram, data: np.ndarray,
     return v, cache
 
 
-def utilities(prog: ModelProgram, data: np.ndarray,
-              mask: np.ndarray | None = None) -> np.ndarray:
-    return forward(prog, data, mask)[0]
-
-
 def nested_parts(v: np.ndarray, avail: np.ndarray, alt_nest: np.ndarray,
                  mu: np.ndarray) -> dict:
     """Per-nest logsums and probability pieces for the two-level formula.
@@ -168,17 +163,13 @@ def masked_softmax(v: np.ndarray, avail: np.ndarray) -> np.ndarray:
     return e / e.sum(axis=1, keepdims=True)
 
 
-def _choice_probabilities(prog: ModelProgram, v: np.ndarray, avail: np.ndarray) -> np.ndarray:
-    if prog.use_nests:
-        return nested_parts(v, avail, prog.alt_nest, prog.mu)["probs"]
-    return masked_softmax(v, avail)
-
-
 def probabilities(prog: ModelProgram, v: np.ndarray, avail: np.ndarray) -> np.ndarray:
     """Choice probabilities from utilities, masked by availability."""
     if not (avail > 0).any(axis=1).all():
         raise ValueError("row with no available alternative")
-    return _choice_probabilities(prog, v, avail)
+    if prog.use_nests:
+        return nested_parts(v, avail, prog.alt_nest, prog.mu)["probs"]
+    return masked_softmax(v, avail)
 
 
 def sample_nll(probs: np.ndarray, choice: np.ndarray) -> np.ndarray:
@@ -197,8 +188,7 @@ def l2_penalty(prog: ModelProgram, l2: float) -> float:
 def loss_value(prog: ModelProgram, data: np.ndarray, avail: np.ndarray,
                choice: np.ndarray, l2: float = 0.0,
                mask: np.ndarray | None = None) -> float:
-    v = utilities(prog, data, mask)
-    p = probabilities(prog, v, avail)
+    p = probabilities(prog, forward(prog, data, mask)[0], avail)
     return float(sample_nll(p, choice).mean()) + l2_penalty(prog, l2)
 
 
@@ -214,7 +204,7 @@ def loss_gradients(prog: ModelProgram, v: np.ndarray, avail: np.ndarray,
     if onehot is None:
         onehot = np.eye(prog.n_alts)[choice]
     if not prog.use_nests:
-        p = _choice_probabilities(prog, v, avail)
+        p = masked_softmax(v, avail)
         return p - onehot, np.zeros((n, prog.mu.shape[0])), p
     parts = nested_parts(v, avail, prog.alt_nest, prog.mu)
     p, p_nest, p_cond, ln_s = parts["probs"], parts["p_nest"], parts["p_cond"], parts["ln_s"]

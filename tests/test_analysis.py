@@ -182,6 +182,17 @@ def test_ratio_summary_quartiles():
     assert row["ratio_q1"] == 2.0 and row["ratio_q3"] == 4.0
 
 
+def test_dataspec_make_splits_its_dataset():
+    spec = DataSpec("unobserved", n_train=30, n_test=10, beta_u=2.0)
+    ds = spec.dataset(4)
+    train, test, truth = spec.make(4)
+    assert (train.n_rows, test.n_rows) == (30, 10)
+    assert np.array_equal(np.vstack([train.values, test.values]), ds.values)
+    assert truth == ds.meta["truth"] and truth["beta_u"] == 2.0
+    with pytest.raises(ValueError, match="unknown scenario"):
+        DataSpec("trinary").dataset(0)
+
+
 # ------------------------------------------------------------- neuron scan
 
 
@@ -210,6 +221,11 @@ def test_neuron_scan_worker_processes_match_serial_run():
 def test_neuron_scan_reraises_a_failed_fit():
     with pytest.raises(ValueError, match="ghost"):
         neuron_scan(TINY, pa_spec(), ("ghost",), widths=(2,), base_config=TINY_CFG, jobs=2)
+
+
+def test_neuron_scan_rejects_zero_replications():
+    with pytest.raises(ValueError, match="replications must be >= 1"):
+        neuron_scan(TINY, pa_spec(), ("q1", "q2"), widths=(0,), replications=0)
 
 
 def test_neuron_scan_rejects_negative_width():

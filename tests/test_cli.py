@@ -2,12 +2,13 @@
 
 import csv
 
+import numpy as np
 import pytest
 import yaml
 
-from lchoice import cli
+from lchoice import DataSpec, cli
 from lchoice.cli import main
-from lchoice.dataio import load_truth
+from lchoice.dataio import SWISSMETRO_SCALED, generic_schema, load_csv, load_truth
 
 
 def write_config(path, cfg):
@@ -78,6 +79,22 @@ def test_generate_is_reproducible(tmp_path):
         assert main(["generate", "guevara", "--n", "40",
                      "--out-dir", str(out), "--seed", "7"]) == 0
     assert (a / "guevara.csv").read_bytes() == (b / "guevara.csv").read_bytes()
+
+
+def test_generate_writes_the_dataspec_dataset(tmp_path):
+    out = tmp_path / "data"
+    assert main(["generate", "correlated", "--n", "30", "--n-test", "10", "--s", "0.5",
+                 "--beta-p", "-2", "--out-dir", str(out), "--seed", "5"]) == 0
+    written = load_csv(str(out / "correlated.csv"), generic_schema(("1", "2")))
+    want = DataSpec("correlated", 30, 10, beta_p=-2.0, s=0.5).dataset(5)
+    assert written.columns == want.columns
+    assert np.array_equal(written.values, want.values)
+    assert np.array_equal(written.choice, want.choice)
+    assert load_truth(str(out / "correlated.truth.txt")) == want.meta["truth"]
+    # guevara has no test block: it writes --n rows, whatever --n-test says
+    assert main(["generate", "guevara", "--n", "40", "--n-test", "10",
+                 "--out-dir", str(out)]) == 0
+    assert len((out / "guevara.csv").read_text().splitlines()) == 1 + 40
 
 
 def test_generate_semi_synthetic(tmp_path):
@@ -155,6 +172,51 @@ def test_estimate_advisory_on_collinear_net_input(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.yaml", cfg_dict)
     assert main(["estimate", "--config", cfg, "--out-dir", str(tmp_path / "runs")]) == 0
     assert "advisory:" in capsys.readouterr().err
+
+
+def test_estimate_on_a_swissmetro_file_drops_missing_responses(tmp_path):
+    # CHOICE 0 is the survey's missing-response code: preprocessing drops the row
+    header = ["TRAIN_AV", "SM_AV", "CAR_AV", "CHOICE", "GA"] + list(SWISSMETRO_SCALED)
+    rows = [[1, 1, 1, 0 if i == 5 else 1 + i % 3, i % 2]
+            + [50 + 10 * ((i * 7 + k) % 9) for k in range(len(SWISSMETRO_SCALED))]
+            for i in range(12)]
+    data = tmp_path / "sm.dat"
+    data.write_text("\n".join("\t".join(str(v) for v in r) for r in [header] + rows) + "\n")
+    alts = ["Train", "SM", "Car"]
+    cfg_dict = logit_config()
+    cfg_dict["model"] = {
+        "kind": "Logit", "alternatives": alts, "intercepts": ["Train", "SM"],
+        "terms": [{"param": "beta_tt", "entries": {a: f"{a.upper()}_TT" for a in alts}},
+                  {"param": "beta_co", "entries": {a: f"{a.upper()}_CO" for a in alts}}]}
+    cfg_dict["dataset"] = {"path": str(data), "format": "swissmetro"}
+    cfg = write_config(tmp_path / "cfg.yaml", cfg_dict)
+    out = tmp_path / "runs"
+    assert main(["estimate", "--config", cfg, "--out-dir", str(out)]) == 0
+    assert read_metric(only_run_dir(out) / "report.csv", "n_train") == 11
+
+
+def test_estimate_generic_csv_with_split_and_nests(tmp_path):
+    data = tmp_path / "data"
+    assert main(["generate", "semi-synthetic", "--n", "120", "--out-dir", str(data)]) == 0
+    alts = ["Train", "SM", "Car"]
+    cfg = write_config(tmp_path / "cfg.yaml", {
+        "model": {"kind": "LNL", "alternatives": alts, "intercepts": ["Train", "SM"],
+                  "terms": [{"param": "beta_tt", "entries": {a: f"TT_{a}" for a in alts}}],
+                  "q": ["AGE", "INCOME"], "net_width": 3,
+                  "nests": {"groups": [["Train", "SM"], ["Car"]], "mu": [1.5, 1.0]}},
+        "dataset": {"path": str(data / "semi-synthetic.csv"), "format": "generic",
+                    "alternatives": alts, "split": 0.75, "split_seed": 2},
+        "sequential": "net_then_beta",
+        "train": {"epochs": 3, "batch_size": 30},
+    })
+    out = tmp_path / "runs"
+    assert main(["estimate", "--config", cfg, "--out-dir", str(out)]) == 0
+    report = only_run_dir(out) / "report.csv"
+    assert read_metric(report, "n_train") == 90 and read_metric(report, "n_test") == 30
+    with open(report, newline="") as fh:
+        nests = [(r["name"], r["std_error"]) for r in csv.DictReader(fh)
+                 if r["section"] == "nest_factor"]
+    assert nests == [("Train+SM", "free"), ("Car", "fixed")]
 
 
 # ----------------------------------------------------------- config errors

@@ -1,5 +1,7 @@
 """Dataset container, CSV IO, splits, and the canonical preprocessors."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -51,6 +53,15 @@ def test_col_lookup_error():
     with pytest.raises(DataError, match="no column named 'zz'"):
         ds.col("zz")
     assert np.array_equal(ds.col("x2"), [-2.0, 3.0, 0.125])
+
+
+@pytest.mark.parametrize("entry", [2.0, -1.0, 0.5, np.nan])
+def test_availability_entries_must_be_0_or_1(entry):
+    # 2.0 used to count twice in the null log-likelihood; -1 passed one check and failed another
+    avail = np.ones((3, 2))
+    avail[1, 1] = entry
+    with pytest.raises(DataError, match=f"row 1, alternative '2': availability {entry!r}"):
+        ChoiceDataset(["x"], np.zeros((3, 1)), avail, np.zeros(3, np.int64), ["1", "2"])
 
 
 def test_validate_choices_locates_bad_rows():
@@ -139,6 +150,12 @@ def test_load_csv_located_errors(tmp_path):
     short_row.write_text("x1,AV_1,AV_2,CHOICE\n1.0,1,0\n")
     with pytest.raises(DataError, match="row 2: expected 4 fields, got 3"):
         load_csv(str(short_row), schema)
+
+    out_of_range = tmp_path / "range.csv"
+    out_of_range.write_text("x1,AV_1,AV_2,CHOICE\n1.0,1,1,0\n2.0,1,1,7\n")
+    want = f"{out_of_range}: row 3, column 'CHOICE': choice code '7' is out of range"
+    with pytest.raises(DataError, match=re.escape(want)):
+        load_csv(str(out_of_range), schema)
 
 
 @pytest.mark.parametrize("code", ["nan", "inf", "1e30", "1.7"])

@@ -1,6 +1,7 @@
 """Likelihood metrics, statistical tests, std errors, and fit drivers."""
 
 import csv
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 
 from lchoice import (
     BETA_THEN_NET,
+    DataSpec,
     NET_THEN_BETA,
     accuracy,
     build_model,
@@ -18,11 +20,12 @@ from lchoice import (
     mcfadden_rho2,
     null_log_likelihood,
     parameter_ratio,
+    predict_probabilities,
     ratio_t_test,
     relative_errors,
     t_test,
 )
-from lchoice import numcore
+from lchoice import estimation, numcore
 from lchoice.dataio import ChoiceDataset, DataError
 from lchoice.estimation import build_report
 from lchoice.models import NestStructure, UtilitySpec, UtilityTerm
@@ -315,6 +318,7 @@ def test_report_metric_identities(binary_data, quick_config):
         report.parameter("beta_zz")
     assert report.trace.shape == (quick_config.epochs,)
     assert report.config["seed"] == quick_config.seed
+    assert report.config == dataclasses.asdict(quick_config)  # every setting, Adam's too
 
 
 def test_report_references_shift_rejection(binary_data, quick_config):
@@ -461,3 +465,34 @@ def test_non_finite_unused_column_still_fits(binary_data, quick_config):
     report = fit_joint(m, odd, quick_config)
     assert report.status == "ok"
     assert all(math.isfinite(p.std_error) for p in report.params)
+
+
+# ------------------------------------------------------ the model's data door
+
+
+@pytest.mark.parametrize("labels", [("2", "1"), ("1", "2", "3")])
+def test_alternatives_that_disagree_fail_at_the_door(quick_config, labels):
+    # reversed labels would fit and flip the sign of beta_p; a third one broke numpy
+    train, test, _ = DataSpec().make(0)
+    m = build_model("Logit", labels, pa_utility())
+    want = r"dataset alternatives \['1', '2'\] do not match the model's"
+    for fit in (fit_joint, fit_sequential):
+        with pytest.raises(DataError, match=want):
+            fit(m, train, quick_config, test=test)
+    with pytest.raises(DataError, match=want):
+        predict_probabilities(m, train)
+
+
+def test_non_finite_test_data_fail_before_training(binary_data, quick_config, monkeypatch):
+    train, test = binary_data
+    values = test.values.copy()
+    values[4, test.col_index("q1")] = np.nan
+    bad = ChoiceDataset(test.columns, values, test.avail, test.choice, test.alt_labels)
+
+    def no_training(*args, **kwargs):
+        raise AssertionError("training started")
+
+    monkeypatch.setattr(estimation, "fit_program", no_training)
+    m = build_model("LMNL", ("1", "2"), pa_utility(), q=("q1", "q2"), net_width=3)
+    with pytest.raises(DataError, match="row 4: non-finite value in column 'q1'"):
+        fit_joint(m, train, quick_config, test=bad)

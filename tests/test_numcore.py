@@ -13,6 +13,7 @@ from lchoice.models import mnl_probabilities
 from lchoice.numcore import (PROB_FLOOR, TrainConfig, fit_program, gradients,
                              input_gradients, loss_value, net_forward, sample_nll)
 from lchoice.numcore import prng
+from lchoice.numcore.program import forward
 
 
 # ---------------------------------------------------------------------------
@@ -211,7 +212,7 @@ def test_probabilities_and_gradients_stay_finite(seed, with_net, with_nests, log
     rng = np.random.default_rng(seed)
     prog, data, avail, choice = random_instance(rng, with_net, with_nests)
     data *= 10.0 ** log_scale
-    v = numcore.utilities(prog, data)
+    v = forward(prog, data)[0]
     p = numcore.probabilities(prog, v, avail)
     dv, dmu, _ = numcore.loss_gradients(prog, v, avail, choice)
     g_beta = numcore.frozen_net_beta_gradient(prog, data, avail, choice)(prog.beta)
