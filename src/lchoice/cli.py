@@ -118,8 +118,11 @@ def _parse_dataspec(block: dict) -> DataSpec:
     name = block.get("name", "binary")
     if name not in SPEC_SCENARIOS:
         raise ConfigError(f"unknown scenario {name!r}")
-    given = {f.name: block[f.name] for f in fields(DataSpec) if f.name in block}
-    return DataSpec(**given | {"scenario": name})
+    given = {k: v for k, v in block.items() if k != "name"}
+    unknown = set(given) - {f.name for f in fields(DataSpec) if f.name != "scenario"}
+    if unknown:
+        raise ConfigError(f"unknown scenario options: {sorted(unknown)}")
+    return DataSpec(**given, scenario=name)
 
 
 def _load_dataset(cfg: dict, seed: int, ga_cost_adjust: bool):

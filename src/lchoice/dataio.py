@@ -186,11 +186,11 @@ def load_csv(path: str, schema: CsvSchema, validate: bool = True) -> ChoiceDatas
         if validate and not 0 <= choice[i] < n_alts:
             raise DataError(f"{path}: row {i + 2}, column {schema.choice_column!r}: "
                             f"choice code {cell.strip()!r} is out of range")
+        if validate and avail[i, choice[i]] == 0.0:  # also catches a row with none available
+            raise DataError(f"{path}: row {i + 2}, column {schema.choice_column!r}: "
+                            f"chosen alternative {schema.alt_labels[choice[i]]!r} is unavailable")
 
-    ds = ChoiceDataset(feat_cols, values, avail, choice, list(schema.alt_labels))
-    if validate:
-        ds.validate_choices()
-    return ds
+    return ChoiceDataset(feat_cols, values, avail, choice, list(schema.alt_labels))
 
 
 def split(ds: ChoiceDataset, train_fraction: float, seed: int) -> tuple[ChoiceDataset, ChoiceDataset]:

@@ -41,14 +41,20 @@ def _accuracy(p: np.ndarray, ds: ChoiceDataset) -> float:
     return float((pred == ds.choice).mean())
 
 
+def _scored_probabilities(model: HybridChoiceModel, ds: ChoiceDataset) -> np.ndarray:
+    """Eval-mode probabilities of a dataset whose choices passed `validate_choices`."""
+    ds.validate_choices()
+    return predict_probabilities(model, ds)
+
+
 def log_likelihood(model: HybridChoiceModel, ds: ChoiceDataset) -> float:
     """Sum over rows of ln P(chosen), eval-mode forward, floored probabilities."""
-    return _log_likelihood(predict_probabilities(model, ds), ds)
+    return _log_likelihood(_scored_probabilities(model, ds), ds)
 
 
 def accuracy(model: HybridChoiceModel, ds: ChoiceDataset) -> float:
     """Share of rows whose highest-probability available alternative was chosen."""
-    return _accuracy(predict_probabilities(model, ds), ds)
+    return _accuracy(_scored_probabilities(model, ds), ds)
 
 
 def null_log_likelihood(ds: ChoiceDataset) -> float:
@@ -133,8 +139,10 @@ def hessian_std_errors(model: HybridChoiceModel,
     Central finite differences of the analytic beta gradient of the summed
     negative log-likelihood; net weights and nest factors stay fixed, so the
     net runs once and each of the 2P points reruns only the linear block.  A
-    singular Hessian falls back to the pseudo-inverse with a warning.
+    singular Hessian falls back to the pseudo-inverse with a warning.  Raises
+    DataError on a bad choice.
     """
+    ds.validate_choices()
     prog = model.program_for(ds)
     n_params = prog.n_params
     if n_params == 0:
@@ -277,9 +285,10 @@ def build_report(model: HybridChoiceModel, train: ChoiceDataset,
     """Fit metrics on train (and test), and std errors unless the fit failed.
 
     A fit whose status is not "ok" gets no standard errors or t-tests: its
-    parameters are a rollback point, not an optimum.
+    parameters are a rollback point, not an optimum.  Raises DataError on a
+    bad choice in either dataset.
     """
-    p_train = predict_probabilities(model, train)
+    p_train = _scored_probabilities(model, train)
     ll_train = _log_likelihood(p_train, train)
     ll0_train = null_log_likelihood(train)
     report = EstimationReport(
@@ -301,7 +310,7 @@ def build_report(model: HybridChoiceModel, train: ChoiceDataset,
             f"training log-likelihood {ll_train:.4f} is not above the null "
             f"log-likelihood {ll0_train:.4f}; the fit has not converged")
     if test is not None:
-        p_test = predict_probabilities(model, test)
+        p_test = _scored_probabilities(model, test)
         report.ll_test = _log_likelihood(p_test, test)
         report.ll0_test = null_log_likelihood(test)
         report.rho2_test = mcfadden_rho2(report.ll_test, report.ll0_test)

@@ -18,7 +18,7 @@ import numpy as np
 from .dataio import ChoiceDataset, DataError
 from .numcore import prng
 from .numcore.program import (ModelProgram, empty_net, forward, masked_softmax,
-                              nested_parts, probabilities, single_nest)
+                              nest_layout, nested_parts, probabilities, single_nest)
 
 KIND_LOGIT = "Logit"
 KIND_DNN = "DNN"
@@ -87,6 +87,9 @@ class NestStructure:
     fixed: tuple[bool, ...] | None = None
 
     def __post_init__(self) -> None:
+        empty = [m for m, g in enumerate(self.groups) if not g]
+        if empty:
+            raise ValueError(f"nest {empty[0]} has no alternatives")
         if self.mu is None:
             self.mu = np.ones(len(self.groups))
         self.mu = np.asarray(self.mu, dtype=np.float64).copy()
@@ -373,7 +376,7 @@ def nested_probabilities(v: np.ndarray, nests: NestStructure,
     was_1d = np.asarray(v).ndim == 1
     v, avail = _utility_rows(v, avail)
     alt_nest, _ = nests.resolve(alt_labels)
-    p = nested_parts(v, avail, alt_nest, nests.mu)["probs"]
+    p = nested_parts(v, avail, nest_layout(alt_nest, nests.mu.shape[0]), nests.mu)["probs"]
     return p[0] if was_1d else p
 
 

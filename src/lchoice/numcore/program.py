@@ -11,16 +11,35 @@ Linear terms are stored as three parallel int arrays.  Term ``t`` adds
 alternative-specific constant).  The program compiles them into a selection
 matrix ``sel``, so the linear block is one matmul each way (`linear_inputs`
 gives X_lin): V_lin = X_lin @ reshape(sel @ beta), dbeta = sel.T @ vec(X_lin.T @ dV).
+
+The nest assignment is compiled once too, into a `NestLayout`: the one-hot
+alternative-to-nest matrix ``member``, the same-nest matrix and the
+alternatives in nest order.  Nested quantities move between alternatives and
+nests by products with ``member`` and its transpose, and the chosen nest's
+terms are read by products with the one-hot choice.  Each nest's logsum is
+shifted by the max over its own members, one ``np.maximum.reduceat`` over
+the nest-ordered columns: a shift by the row max would underflow a nest that
+sits far below it.  An unavailable alternative enters the logsums at
+UNAVAILABLE, not -inf, so every logsum is finite and no shift is -inf.
 """
 
 from __future__ import annotations
 
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 PROB_FLOOR = 1e-12  # floor of a chosen probability inside the log of the NLL
+UNAVAILABLE = -1e300  # mu * V of an unavailable alternative inside the nested logsums
+
+
+class NestLayout(NamedTuple):
+    member: np.ndarray  # (I, M) one-hot alternative-to-nest matrix
+    same_nest: np.ndarray  # (I, I) member @ member.T, 1 where two alternatives share a nest
+    order: np.ndarray  # (I,) alternatives sorted by nest, stably
+    start: np.ndarray  # (M,) position in `order` of each nest's first alternative
 
 
 @dataclass
@@ -43,6 +62,7 @@ class ModelProgram:
     use_nests: bool
     lin_cols: np.ndarray = field(init=False, repr=False)  # (K,) data columns the terms read
     sel: np.ndarray = field(init=False, repr=False)  # ((K+1)*I, P) term selection matrix
+    layout: NestLayout = field(init=False, repr=False)  # compiled from alt_nest
 
     def __post_init__(self) -> None:
         cols = self.term_col
@@ -50,6 +70,7 @@ class ModelProgram:
         k = np.where(cols >= 0, np.searchsorted(self.lin_cols, cols), self.lin_cols.shape[0])
         self.sel = np.zeros(((self.lin_cols.shape[0] + 1) * self.n_alts, self.n_params))
         np.add.at(self.sel, (k * self.n_alts + self.term_alt, self.term_param), 1.0)
+        self.layout = nest_layout(self.alt_nest, self.mu.shape[0])
 
     @property
     def hidden_width(self) -> int:
@@ -128,28 +149,33 @@ def forward(prog: ModelProgram, data: np.ndarray,
     return v, cache
 
 
-def nested_parts(v: np.ndarray, avail: np.ndarray, alt_nest: np.ndarray,
-                 mu: np.ndarray) -> dict:
-    """Per-nest logsums and probability pieces for the two-level formula.
+def nest_layout(alt_nest: np.ndarray, n_nests: int) -> NestLayout:
+    """Compile an alternative-to-nest assignment; `reduceat` needs every nest non-empty."""
+    if (np.bincount(alt_nest, minlength=n_nests) == 0).any():
+        raise ValueError("every nest needs at least one alternative")
+    member = (alt_nest[:, None] == np.arange(n_nests)).astype(np.float64)
+    order = np.argsort(alt_nest, kind="stable")
+    return NestLayout(member, member @ member.T, order,
+                      np.searchsorted(alt_nest[order], np.arange(n_nests)))
 
-    Nest sums are matmuls against ``member``, the one-hot alt-to-nest matrix."""
-    a = avail > 0
-    member = alt_nest[:, None] == np.arange(mu.shape[0])
-    s_arg = np.where(a, mu[alt_nest] * v, -np.inf)
-    c = np.where(member.T, s_arg[:, None, :], -np.inf).max(axis=2)
-    c_safe = np.where(np.isfinite(c), c, 0.0)
-    with np.errstate(divide="ignore"):
-        ln_s = c_safe + np.log(np.exp(s_arg - c_safe[:, alt_nest]) @ member)
-    scaled = ln_s / mu[None, :]
-    top = scaled.max(axis=1, keepdims=True)
-    e = np.exp(scaled - top)
+
+def nested_parts(v: np.ndarray, avail: np.ndarray, layout: NestLayout,
+                 mu: np.ndarray) -> dict:
+    """Per-nest logsums over mu (``scaled``) and probability pieces of the two-level formula.
+
+    ``probs`` is exactly 0 at an unavailable alternative: through ``p_cond`` in a
+    nest with an available member, through ``p_nest`` in a nest without one."""
+    member, member_t = layout.member, layout.member.T
+    mu_alt = member @ mu
+    s_arg = np.where(avail > 0, mu_alt * v, UNAVAILABLE)
+    c = np.maximum.reduceat(s_arg.take(layout.order, axis=1), layout.start, axis=1)
+    ln_s = c + np.log(np.exp(s_arg - c @ member_t) @ member)
+    scaled = ln_s / mu
+    e = np.exp(scaled - scaled.max(axis=1, keepdims=True))
     p_nest = e / e.sum(axis=1, keepdims=True)
-    ln_s_alt = ln_s[:, alt_nest]
-    # s_arg is -inf at unavailable alternatives, so their p_cond is exactly 0
-    p_cond = np.exp(s_arg - np.where(np.isfinite(ln_s_alt), ln_s_alt, 0.0))
-    probs = p_nest[:, alt_nest] * p_cond
-    return {"ln_s": ln_s, "p_nest": p_nest, "p_cond": p_cond, "probs": probs,
-            "member": member}
+    p_cond = np.exp(s_arg - ln_s @ member_t)
+    return {"scaled": scaled, "p_nest": p_nest, "p_cond": p_cond,
+            "probs": (p_nest @ member_t) * p_cond, "mu_alt": mu_alt}
 
 
 def masked_softmax(v: np.ndarray, avail: np.ndarray) -> np.ndarray:
@@ -168,7 +194,7 @@ def probabilities(prog: ModelProgram, v: np.ndarray, avail: np.ndarray) -> np.nd
     if not (avail > 0).any(axis=1).all():
         raise ValueError("row with no available alternative")
     if prog.use_nests:
-        return nested_parts(v, avail, prog.alt_nest, prog.mu)["probs"]
+        return nested_parts(v, avail, prog.layout, prog.mu)["probs"]
     return masked_softmax(v, avail)
 
 
@@ -206,22 +232,16 @@ def loss_gradients(prog: ModelProgram, v: np.ndarray, avail: np.ndarray,
     if not prog.use_nests:
         p = masked_softmax(v, avail)
         return p - onehot, np.zeros((n, prog.mu.shape[0])), p
-    parts = nested_parts(v, avail, prog.alt_nest, prog.mu)
-    p, p_nest, p_cond, ln_s = parts["probs"], parts["p_nest"], parts["p_cond"], parts["ln_s"]
-    mu = prog.mu
-    rows = np.arange(n)
-    m_star = prog.alt_nest[choice]
-    mu_star = mu[m_star]
-    in_star = prog.alt_nest[None, :] == m_star[:, None]
-    dv = p + (mu_star[:, None] - 1.0) * p_cond * in_star - mu_star[:, None] * onehot
+    lay = prog.layout
+    parts = nested_parts(v, avail, lay, prog.mu)
+    p, p_nest, p_cond, mu_alt = (parts[k] for k in ("probs", "p_nest", "p_cond", "mu_alt"))
+    # the chosen nest's terms through the one-hot choice (mu is constant within a nest)
+    dv = p + p_cond * (onehot @ (lay.same_nest * (mu_alt - 1.0))) - onehot * mu_alt
+    nest_star = onehot @ lay.member
     # expected utility within each nest, availability already folded into p_cond
-    ebar = (p_cond * v) @ parts["member"]
-    with np.errstate(invalid="ignore"):
-        base = p_nest * (ebar / mu[None, :] - ln_s / (mu[None, :] ** 2))
-    dmu = np.where(p_nest > 0.0, base, 0.0)
-    ebar_star = ebar[rows, m_star]
-    dmu[rows, m_star] += (-v[rows, choice] + ebar_star + ln_s[rows, m_star] / mu_star ** 2
-                          - ebar_star / mu_star)
+    ebar = (p_cond * v) @ lay.member
+    g = (ebar - parts["scaled"]) / prog.mu
+    dmu = (p_nest - nest_star) * g + nest_star * ebar - (onehot * v) @ lay.member
     return dv, dmu, p
 
 

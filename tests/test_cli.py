@@ -291,6 +291,18 @@ def test_unknown_scenario_name(tmp_path, capsys):
     assert "unknown scenario" in capsys.readouterr().err
 
 
+def test_unknown_scenario_option(tmp_path, capsys):
+    # a misspelt key once ran silently with the default 1,000 training rows
+    with pytest.raises(cli.ConfigError, match=r"unknown scenario options: \['n_trian'\]"):
+        cli._parse_dataspec({"name": "binary", "n_trian": 50})
+    cfg_dict = logit_config()
+    cfg_dict["dataset"]["scenario"]["n_tset"] = 10
+    cfg = write_config(tmp_path / "cfg.yaml", cfg_dict)
+    assert main(["estimate", "--config", cfg,
+                 "--out-dir", str(tmp_path / "runs")]) == 2
+    assert "n_tset" in capsys.readouterr().err
+
+
 def test_sensitivity_requires_model_file(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.yaml",
                        {"scenario": {"name": "binary", "n_train": 40, "n_test": 10},

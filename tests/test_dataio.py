@@ -157,6 +157,18 @@ def test_load_csv_located_errors(tmp_path):
     with pytest.raises(DataError, match=re.escape(want)):
         load_csv(str(out_of_range), schema)
 
+    unavailable = tmp_path / "unavailable.csv"
+    unavailable.write_text("x1,AV_1,AV_2,CHOICE\n1.0,1,1,0\n2.0,0,1,0\n")
+    want = f"{unavailable}: row 3, column 'CHOICE': chosen alternative '1' is unavailable"
+    with pytest.raises(DataError, match=re.escape(want)):
+        load_csv(str(unavailable), schema)
+
+    none_open = tmp_path / "none_open.csv"
+    none_open.write_text("x1,AV_1,AV_2,CHOICE\n1.0,1,1,0\n2.0,1,1,1\n3.0,0,0,1\n")
+    want = f"{none_open}: row 4, column 'CHOICE': chosen alternative '2' is unavailable"
+    with pytest.raises(DataError, match=re.escape(want)):
+        load_csv(str(none_open), schema)
+
 
 @pytest.mark.parametrize("code", ["nan", "inf", "1e30", "1.7"])
 @pytest.mark.parametrize("validate", [True, False])

@@ -26,7 +26,7 @@ from lchoice import (
     t_test,
 )
 from lchoice import estimation, numcore
-from lchoice.dataio import ChoiceDataset, DataError
+from lchoice.dataio import ChoiceDataset, DataError, generic_schema, load_csv
 from lchoice.estimation import build_report
 from lchoice.models import NestStructure, UtilitySpec, UtilityTerm
 from lchoice.numcore import FitResult, TrainConfig, program
@@ -76,6 +76,23 @@ def test_accuracy_hand_value():
     # row 0 predicted 0 (correct), row 1 predicted 1 (wrong),
     # row 2 masked argmax is 1 (correct)
     assert accuracy(m, ds) == pytest.approx(2.0 / 3.0, abs=1e-15)
+
+
+def test_scorers_reject_a_bad_choice_code(tmp_path, quick_config):
+    # a missing response kept raw by load_csv(..., validate=False) is coded -1;
+    # scoring it as the last alternative once gave log_likelihood = -1.117
+    path = tmp_path / "missing.csv"
+    path.write_text("x1,x2,AV_1,AV_2,CHOICE\n2.0,0.0,1,1,0\n0.0,3.0,1,1,-1\n")
+    ds = load_csv(str(path), generic_schema(("1", "2")), validate=False)
+    m = unit_beta_model()
+    fit = FitResult("ok", 0, 0, np.zeros(0))
+    for score in (lambda: log_likelihood(m, ds), lambda: accuracy(m, ds),
+                  lambda: hessian_std_errors(m, ds),
+                  lambda: build_report(m, ds, None, quick_config, fit, compute_std_errors=False),
+                  lambda: build_report(m, two_alt_dataset(), ds, quick_config, fit,
+                                       compute_std_errors=False)):
+        with pytest.raises(DataError, match="row 1: choice index out of range"):
+            score()
 
 
 def test_null_log_likelihood_counts_available_alternatives():

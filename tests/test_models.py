@@ -152,6 +152,8 @@ def test_nest_structure_validation():
         NestStructure((("a",),)).resolve(("a", "b"))
     with pytest.raises(ValueError, match="unknown alternative"):
         NestStructure((("a", "zzz"),)).resolve(("a", "b"))
+    with pytest.raises(ValueError, match="nest 1 has no alternatives"):
+        NestStructure((("1", "2"), ()))
 
 
 def test_singleton_nests_are_pinned_by_default():

@@ -192,6 +192,61 @@ def test_l2_penalty_adds_exactly():
     assert with_l2 == pytest.approx(base + 0.3 * ssq, rel=1e-12)
 
 
+def _nested_row_reference(v, avail, alt_nest, mu, chosen):
+    """d(-ln P_chosen)/dV, d/dmu and P of one row, by loops over the two-level
+    formula, each logsum shifted by its own nest's max."""
+    alts, nests = range(len(v)), range(len(mu))
+    members = [[j for j in alts if alt_nest[j] == m and avail[j] > 0] for m in nests]
+    ln_s, ebar, cond = [-math.inf] * len(mu), [0.0] * len(mu), [0.0] * len(v)
+    for m in nests:
+        if members[m]:
+            c = max(mu[m] * v[j] for j in members[m])
+            ln_s[m] = c + math.log(sum(math.exp(mu[m] * v[j] - c) for j in members[m]))
+            for j in members[m]:
+                cond[j] = math.exp(mu[m] * v[j] - ln_s[m])
+            ebar[m] = sum(cond[j] * v[j] for j in members[m])
+    incl = [ln_s[m] / mu[m] for m in nests]
+    top = max(incl)
+    p_nest = [math.exp(x - top) / sum(math.exp(y - top) for y in incl) for x in incl]
+    p = [p_nest[alt_nest[j]] * cond[j] for j in alts]
+    star = alt_nest[chosen]
+    dv = [p[j] + (mu[star] - 1.0) * cond[j] * (alt_nest[j] == star) - mu[star] * (j == chosen)
+          for j in alts]
+    dmu = [p_nest[m] * (ebar[m] / mu[m] - ln_s[m] / mu[m] ** 2) if members[m] else 0.0
+           for m in nests]
+    dmu[star] += -v[chosen] + ebar[star] - ebar[star] / mu[star] + ln_s[star] / mu[star] ** 2
+    return dv, dmu, p
+
+
+@pytest.mark.parametrize("case", ["survey_layout", "nest_unavailable", "far_below_at_1e6"])
+def test_nested_loss_gradients_match_per_row_formula(case):
+    from lchoice.numcore.program import ModelProgram, empty_net
+    rng = np.random.default_rng(11)
+    n, alt_nest, mu = 40, np.array([0, 1, 0]), np.array([1.7, 1.0])  # the survey's layout
+    v = rng.normal(0.0, 2.0, (n, 3))
+    avail = np.ones((n, 3))
+    avail[rng.random((n, 3)) < 0.2] = 0.0
+    if case == "nest_unavailable":
+        avail[::3, 1] = 0.0  # nest 1 holds alternative 1 alone
+        avail[1::3, [0, 2]] = 0.0
+    if case == "far_below_at_1e6":
+        v = 1e6 + 50.0 * v
+        v[::2, [0, 2]] -= 900.0  # exp(-900) underflows under one shift by the row max
+    avail[avail.sum(axis=1) == 0, 1] = 1.0
+    choice = np.array([rng.choice(np.flatnonzero(a > 0)) for a in avail])
+    choice[::4] = np.where(avail[::4, 1] > 0, 1, choice[::4])
+    prog = ModelProgram(3, 0, *np.zeros((3, 0), dtype=np.int64), np.zeros(0),
+                        np.zeros(0, dtype=np.int64), *empty_net(3), alt_nest, mu,
+                        np.array([1, 0], dtype=np.uint8), True)
+    got = numcore.loss_gradients(prog, v, avail, choice)
+    want = [np.array(w) for w in zip(*(_nested_row_reference(v[i], avail[i], alt_nest, mu,
+                                                            choice[i]) for i in range(n)))]
+    # relative to each value; dmu relative to the size of the logsum terms it cancels
+    for name, g, w, size in zip(("dv", "dmu", "p"), got, want, (0.0, np.abs(v).max(), 0.0)):
+        assert np.isfinite(g).all(), name
+        assert (np.abs(g - w) <= 1e-12 * np.maximum(np.abs(w), size)).all(), name
+
+
 @given(seed=st.integers(0, 10_000))
 @example(seed=356)  # beta gradient of ~-2e-17, all finite-difference rounding
 @settings(max_examples=20, deadline=None)
