@@ -28,7 +28,7 @@ from .estimation import (BETA_THEN_NET, NET_THEN_BETA, EstimationReport,
 from .models import (HybridChoiceModel, NestStructure, UtilitySpec,
                      UtilityTerm, build_model, predict_probabilities)
 from .numcore import TrainConfig
-from .numcore.prng import derive_seed
+from .numcore.prng import StreamId, derive_seed
 from .numcore.program import input_gradients
 from .synthgen import BinaryScenario
 
@@ -340,7 +340,7 @@ def monte_carlo(data: DataSpec, recipes: tuple[ModelRecipe, ...],
         raise ValueError("replications must be >= 1")
     base_config = base_config or TrainConfig()
     if seeds is None:
-        seeds = [derive_seed(seed, 100 + r) for r in range(replications)]
+        seeds = [derive_seed(seed, StreamId.REPLICATION + r) for r in range(replications)]
     if len(seeds) != replications:
         raise ValueError("need one seed per replication")
     tasks = [(data, recipe, base_config, rep, seeds[rep], focus, ratio, with_tests)
@@ -420,7 +420,7 @@ def neuron_scan(data, utility: UtilitySpec, q: tuple[str, ...],
     if any(w < 0 for w in widths):
         raise ValueError("widths must be >= 0")
     base_config = base_config or TrainConfig()
-    seeds = [derive_seed(seed, 100 + r) for r in range(replications)]
+    seeds = [derive_seed(seed, StreamId.REPLICATION + r) for r in range(replications)]
     tasks = [(data, w, utility, q, rep, seeds[rep], base_config)
              for w in widths for rep in range(replications)]
     records = _run_tasks(_scan_one, tasks, jobs)
@@ -625,7 +625,7 @@ def strategy_compare(data: DataSpec | None = None, width: int = 100,
     data = data or DataSpec(scenario="binary", beta_p=-2.0, beta_a=1.0,
                             beta_b=0.5, beta_qc=1.0, n_train=10000, n_test=2000)
     base_config = base_config or TrainConfig()
-    train, test, _ = data.make(derive_seed(seed, 100))
+    train, test, _ = data.make(derive_seed(seed, StreamId.REPLICATION))
     cfg = replace(base_config, seed=seed)
     reports = {}
     for name in (BETA_THEN_NET, NET_THEN_BETA, "joint"):
@@ -701,7 +701,7 @@ def semi_synthetic_study(n: int = 9036, seed: int = 0, width: int = 100,
     train, the rest test.
     """
     base_config = base_config or TrainConfig()
-    ds = synthgen.gen_semi_synthetic(n=n, seed=derive_seed(seed, 100), cat_span=1.4)
+    ds = synthgen.gen_semi_synthetic(n=n, seed=derive_seed(seed, StreamId.REPLICATION), cat_span=1.4)
     train, test = split(ds, 0.8, seed)
     truth = dict(ds.meta["truth"])
     recipes = semi_synth_zoo(width)

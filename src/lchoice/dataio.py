@@ -146,6 +146,9 @@ def load_csv(path: str, schema: CsvSchema, validate: bool = True) -> ChoiceDatas
         reader = csv.reader(fh, delimiter=delim)
         header = [h.strip() for h in next(reader)]
         raw_rows = [r for r in reader if any(cell.strip() for cell in r)]
+    for j, name in enumerate(header):
+        if name in header[:j]:
+            raise DataError(f"{path}: duplicate column {name!r}")
     if schema.choice_column not in header:
         raise DataError(f"{path}: missing choice column {schema.choice_column!r}")
     special = {schema.choice_column}
@@ -202,8 +205,7 @@ def split(ds: ChoiceDataset, train_fraction: float, seed: int) -> tuple[ChoiceDa
     n_train = int(round(target)) if abs(target - round(target)) < 1e-6 else int(np.ceil(target))
     if not 0 < n_train < n:
         raise ValueError(f"train_fraction {train_fraction} of {n} rows leaves an empty part")
-    keys = prng.uniforms(prng.derive_seed(seed, 7), 0, n)
-    perm = np.argsort(keys)
+    perm = np.argsort(prng.Stream(seed, prng.StreamId.SPLIT).draw(n))
     return ds.subset(perm[:n_train]), ds.subset(perm[n_train:])
 
 

@@ -343,12 +343,12 @@ def _training_program(model: HybridChoiceModel, train: ChoiceDataset,
                       test: ChoiceDataset | None) -> numcore.ModelProgram:
     """The model's program for ``train``, once both datasets passed its door.
 
-    Raises DataError on an empty training set, on a bad choice, or on what
-    `HybridChoiceModel.program_for` rejects, before any training starts.
+    Raises DataError on an empty training or test set, on a bad choice, or on
+    what `HybridChoiceModel.program_for` rejects, before any training starts.
     """
-    if train.n_rows == 0:
-        raise DataError("training set has no rows")
-    for ds in (train,) if test is None else (train, test):
+    for name, ds in zip(("training", "test"), (train,) if test is None else (train, test)):
+        if ds.n_rows == 0:
+            raise DataError(f"{name} set has no rows")
         ds.validate_choices()
         model.program_for(ds)
     return model.program(train.columns)

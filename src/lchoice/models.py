@@ -10,7 +10,6 @@ marginal-utility reading; `build_model` enforces that per kind.
 from __future__ import annotations
 
 import json
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -140,14 +139,10 @@ class RepresentationNet:
             raise ValueError("net width and depth must be >= 1")
         if n_inputs < 1:
             raise ValueError("a representation net needs at least one input column")
-        stream = prng.derive_seed(seed, 2)
-        offset = 0
-        w_in = prng.glorot_uniform(n_inputs, width, stream, offset)
-        offset += n_inputs * width
-        w_hidden = np.zeros((depth - 1, width, width))
-        for layer in range(depth - 1):
-            w_hidden[layer] = prng.glorot_uniform(width, width, stream, offset)
-            offset += width * width
+        stream = prng.Stream(seed, prng.StreamId.NET_INIT)
+        w_in = stream.glorot(n_inputs, width)
+        hidden = [stream.glorot(width, width) for _ in range(depth - 1)]
+        w_hidden = np.array(hidden).reshape(depth - 1, width, width)
         return cls(width, depth, w_in, w_hidden, np.zeros((depth, width)),
                    np.zeros((width, n_alts)), np.zeros(n_alts))
 
@@ -317,15 +312,12 @@ def build_model(kind: str, alt_labels: tuple[str, ...],
         partition = FeaturePartition(x=x_cols, q=q)
 
     param_names = utility.parameter_names(alt_labels)
-    # coefficients start at small seeded uniform values, like any other layer;
-    # intercepts are biases and start at zero
+    # coefficients start like a Glorot layer with one output; intercepts are
+    # biases and start at zero
     beta = np.zeros(len(param_names))
     n_asc = len(utility.intercepts)
     n_coef = len(param_names) - n_asc
-    if n_coef > 0:
-        lim = math.sqrt(6.0 / (n_coef + 1))
-        draws = prng.uniforms(prng.derive_seed(seed, 3), 0, n_coef)
-        beta[n_asc:] = (2.0 * draws - 1.0) * lim
+    beta[n_asc:] = prng.Stream(seed, prng.StreamId.BETA_INIT).glorot(n_coef, 1).ravel()
     net = None
     if kind in (KIND_DNN, KIND_DNN_L, KIND_LMNL, KIND_LNL):
         net = RepresentationNet.init(len(q), net_width, len(alt_labels), net_depth, seed)

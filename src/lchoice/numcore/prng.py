@@ -1,12 +1,19 @@
-"""Counter-based pseudo-random numbers, and the weight draws built on them.
+"""Counter-based pseudo-random numbers, the stream table, and the stream reader.
 
 The generator is splitmix64 in counter form: draw ``k`` of a stream seeded
 with ``s`` is ``mix64(s + (k + 1) * GAMMA)``.  Each draw is addressed by its
 index, so any block of a stream can be drawn on its own and equals the same
-slice of a longer draw; `trainer` states how a fit consumes its stream.
+slice of a longer draw.
+
+Every use of a user seed has its own stream, ``derive_seed(seed, id)``, with
+an id from `StreamId`, the one table of them: changing an id changes every
+output drawn from it.  `Stream` reads one stream in order, so no caller keeps
+a draw counter; `trainer` states how a fit consumes its stream.
 """
 
 from __future__ import annotations
+
+from enum import IntEnum
 
 import numpy as np
 
@@ -14,6 +21,19 @@ GAMMA = np.uint64(0x9E3779B97F4A7C15)
 _MIX1 = np.uint64(0xBF58476D1CE4E5B9)
 _MIX2 = np.uint64(0x94D049BB133111EB)
 _U53 = 1.0 / 9007199254740992.0  # 2**-53
+
+
+class StreamId(IntEnum):
+    FIT = 1  # trainer: per-epoch permutation keys, then dropout masks
+    NET_INIT = 2  # representation-net weights, layer by layer
+    BETA_INIT = 3  # starting linear coefficients
+    SPLIT = 7  # row-shuffle keys of `dataio.split`
+    BINARY = 10  # binary-scenario variables, then the choice draws
+    UNOBSERVED = 11  # the unobserved utility term
+    GUEVARA = 12  # the endogenous-price scenario
+    ATTRIBUTE_TABLE = 13  # the sampled stand-in attribute table
+    SEMI_SYNTH_NOISE = 14  # Gumbel noise of the semi-synthetic choices
+    REPLICATION = 100  # + r: the seed of replication r; a one-off study uses r = 0
 
 
 def mix64(z: np.ndarray) -> np.ndarray:
@@ -46,8 +66,25 @@ def uniforms(seed: int, start: int, n: int) -> np.ndarray:
     return u
 
 
-def glorot_uniform(d_in: int, d_out: int, seed: int, start: int = 0) -> np.ndarray:
-    """Glorot-uniform weight draw on the package PRNG stream ``seed``."""
-    limit = np.sqrt(6.0 / (d_in + d_out))
-    u = uniforms(seed, start, d_in * d_out)
-    return ((2.0 * u - 1.0) * limit).reshape(d_in, d_out)
+class Stream:
+    """Sequential reader of stream ``stream`` of a user seed: each call takes the next draws."""
+
+    def __init__(self, seed: int, stream: int):
+        self.seed, self.count = derive_seed(seed, stream), 0
+
+    def draw(self, n: int) -> np.ndarray:
+        """The next ``n`` uniforms in [0, 1)."""
+        self.count += n
+        return uniforms(self.seed, self.count - n, n)
+
+    def uniform(self, n: int, low: float, high: float) -> np.ndarray:
+        return low + (high - low) * self.draw(n)
+
+    def gumbel(self, n: int) -> np.ndarray:
+        u = np.clip(self.draw(n), 1e-300, 1.0 - 1e-16)
+        return -np.log(-np.log(u))
+
+    def glorot(self, d_in: int, d_out: int) -> np.ndarray:
+        """Glorot-uniform (d_in, d_out) weights from the next d_in * d_out draws."""
+        limit = np.sqrt(6.0 / (d_in + d_out))
+        return ((2.0 * self.draw(d_in * d_out) - 1.0) * limit).reshape(d_in, d_out)

@@ -171,22 +171,24 @@ def nested_parts(v: np.ndarray, avail: np.ndarray, layout: NestLayout,
     c = np.maximum.reduceat(s_arg.take(layout.order, axis=1), layout.start, axis=1)
     ln_s = c + np.log(np.exp(s_arg - c @ member_t) @ member)
     scaled = ln_s / mu
-    e = np.exp(scaled - scaled.max(axis=1, keepdims=True))
-    p_nest = e / e.sum(axis=1, keepdims=True)
+    p_nest = softmax(scaled)
     p_cond = np.exp(s_arg - ln_s @ member_t)
     return {"scaled": scaled, "p_nest": p_nest, "p_cond": p_cond,
             "probs": (p_nest @ member_t) * p_cond, "mu_alt": mu_alt}
 
 
+def softmax(z: np.ndarray) -> np.ndarray:
+    """Row-wise exp-normalise, each row shifted by its max before the exp."""
+    e = np.exp(z - z.max(axis=1, keepdims=True))
+    return e / e.sum(axis=1, keepdims=True)
+
+
 def masked_softmax(v: np.ndarray, avail: np.ndarray) -> np.ndarray:
     """Multinomial logit probabilities over the available alternatives, (n, I).
 
-    The max of each row's available utilities is subtracted before the exp;
-    unavailable alternatives get exactly 0.  Rows are not checked for an
-    available alternative: callers check."""
-    masked = np.where(avail > 0, v, -np.inf)
-    e = np.exp(masked - masked.max(axis=1, keepdims=True))  # exactly 0 where unavailable
-    return e / e.sum(axis=1, keepdims=True)
+    Exactly 0 where unavailable.  Rows are not checked for an available
+    alternative: callers check."""
+    return softmax(np.where(avail > 0, v, -np.inf))
 
 
 def probabilities(prog: ModelProgram, v: np.ndarray, avail: np.ndarray) -> np.ndarray:
@@ -274,21 +276,23 @@ def backprop(prog: ModelProgram, data: np.ndarray, dv: np.ndarray,
 
 def gradients(prog: ModelProgram, data: np.ndarray, avail: np.ndarray,
               choice: np.ndarray, l2: float = 0.0,
-              mask: np.ndarray | None = None,
-              reduction: str = "mean") -> dict[str, np.ndarray]:
-    """Gradients of the loss (CE + l2 penalty) for every parameter tensor.
+              mask: np.ndarray | None = None, reduction: str = "mean",
+              onehot: np.ndarray | None = None) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """(gradient of the loss for every parameter tensor, probabilities of this pass).
 
-    ``reduction`` "mean" matches the training loss; "sum" gives the gradient
-    of the summed negative log-likelihood (no l2), which inference uses.
+    ``reduction`` "mean" is the training loss, mean CE plus the l2 penalty, and
+    each trainer step is this call; "sum" is the summed negative log-likelihood
+    (no l2), which inference uses.  ``onehot`` goes to `loss_gradients`.
     """
     v, cache = forward(prog, data, mask)
-    dv, dmu, _ = loss_gradients(prog, v, avail, choice)
-    scale = 1.0 / data.shape[0] if reduction == "mean" else 1.0
-    use_l2 = l2 if reduction == "mean" else 0.0
-    g = backprop(prog, data, dv * scale, cache, use_l2)
+    dv, dmu, p = loss_gradients(prog, v, avail, choice, onehot)
+    scale, l2 = (data.shape[0], l2) if reduction == "mean" else (1, 0.0)
+    dv /= scale
+    g = backprop(prog, data, dv, cache, l2)
     if prog.use_nests:
-        g["mu"] = (dmu * scale).sum(axis=0) * (prog.mu_free > 0)
-    return g
+        dmu /= scale
+        g["mu"] = dmu.sum(axis=0) * (prog.mu_free > 0)
+    return g, p
 
 
 def frozen_net_beta_gradient(prog: ModelProgram, data: np.ndarray, avail: np.ndarray,
@@ -297,7 +301,7 @@ def frozen_net_beta_gradient(prog: ModelProgram, data: np.ndarray, avail: np.nda
 
     X_lin, the eval-mode net output and the one-hot choice are built once, so
     each call costs the linear block, `loss_gradients` and one matmul back.
-    Equals ``gradients(prog, ..., reduction="sum")["beta"]`` at that beta
+    Equals ``gradients(prog, ..., reduction="sum")[0]["beta"]`` at that beta
     bit for bit: the arithmetic is done in the same order.
     """
     xl = linear_inputs(prog, data)

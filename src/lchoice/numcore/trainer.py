@@ -1,18 +1,17 @@
 """Mini-batch Adam training of a ModelProgram: the one trainer.
 
-Calls the reference passes of `program` on each batch.  An epoch gathers its
-permuted rows once, so each batch is a contiguous slice.  Every trained
-tensor is a view into one flat vector: Adam, the divergence snapshot and the
-rollback are each one vector operation.
+Each step is one `program.gradients` call, the gradient the finite-difference
+tests check.  An epoch gathers its permuted rows once, so each batch is a
+contiguous slice.  Every trained tensor is a view into one flat vector: Adam,
+the divergence snapshot and the rollback are each one vector operation.
 
-Stream contract: the fit draws from one splitmix64 stream (`prng`), seeded
-with ``derive_seed(config.seed, 1)``.  Per epoch it supplies N permutation
-keys and then, per batch that trains the net with dropout, B*H mask uniforms
-in sample-major order.  Each draw is addressed by its index, so a fit is
-reproducible across runs and across the `jobs` setting of the replication
-drivers, and the masks of consecutive batches, being one contiguous block of
-the stream, are drawn together, up to DRAW_CAP per call, without changing a
-draw.
+Stream contract: the fit reads stream ``StreamId.FIT`` of ``config.seed``
+(`prng`) in order.  Per epoch it takes N permutation keys and then, per batch
+that trains the net with dropout, B*H mask uniforms in sample-major order.
+Each draw is addressed by its index, so a fit is reproducible across runs and
+across the `jobs` setting of the replication drivers, and the masks of
+consecutive batches, being one contiguous block of the stream, are drawn
+together, up to DRAW_CAP per call, without changing a draw.
 """
 
 from __future__ import annotations
@@ -91,12 +90,10 @@ def fit_program(prog: pr.ModelProgram, data: np.ndarray, avail: np.ndarray,
         raise ValueError("chosen alternative marked unavailable")
 
     width = prog.hidden_width
-    fit_seed = prng.derive_seed(config.seed, 1)
-    counter = 0
+    stream = prng.Stream(config.seed, prng.StreamId.FIT)
     dropout_on = config.dropout > 0.0 and train_net and prog.has_net
     rows_per_draw = bs * max(1, DRAW_CAP // (bs * width)) if dropout_on else n
     l2 = config.l2 if train_net else 0.0
-    backward = train_beta or (train_net and prog.has_net)
 
     names = ["beta"] if train_beta and prog.n_params > 0 else []
     if train_net and prog.has_net:
@@ -118,30 +115,20 @@ def fit_program(prog: pr.ModelProgram, data: np.ndarray, avail: np.ndarray,
     status, epochs_run = "ok", 0
 
     for epoch in range(config.epochs):
-        perm = np.argsort(prng.uniforms(fit_seed, counter, n))
-        counter += n
+        perm = np.argsort(stream.draw(n))
         xs, avs, chs, ys = data[perm], avail[perm], choice[perm], onehot[perm]
         for start in range(0, n, bs):
-            stop = min(start + bs, n)
-            b = stop - start
-            xb = xs[start:stop]
+            b = slice(start, start + bs)  # the last batch stops at n
             mask = None
             if dropout_on:
                 at = start % rows_per_draw
                 if at == 0:
                     rows = min(rows_per_draw, n - start)
-                    u = prng.uniforms(fit_seed, counter, rows * width)
-                    counter += rows * width
+                    u = stream.draw(rows * width)
                     masks = (u >= config.dropout).astype(np.float64).reshape(rows, width)
                     masks /= 1.0 - config.dropout
-                mask = masks[at:at + b]
-            v, cache = pr.forward(work, xb, mask)
-            dv, dmu, probs[start:stop] = pr.loss_gradients(
-                work, v, avs[start:stop], chs[start:stop], ys[start:stop])
-
-            g = pr.backprop(work, xb, dv / b, cache, l2) if backward else {}
-            if fit_mu:
-                g["mu"] = (dmu / b).sum(axis=0) * (work.mu_free > 0)
+                mask = masks[at:at + bs]
+            g, probs[b] = pr.gradients(work, xs[b], avs[b], chs[b], l2, mask, onehot=ys[b])
             if names:
                 np.concatenate([g[k].ravel() for k in names], out=grad)
 

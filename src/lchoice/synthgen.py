@@ -43,33 +43,10 @@ class BinaryScenario:
         return {"beta_p": self.beta_p, "beta_a": self.beta_a,
                 "beta_b": self.beta_b, "beta_qc": self.beta_qc}
 
-    def split(self, ds: ChoiceDataset) -> tuple[ChoiceDataset, ChoiceDataset]:
-        """First n_train rows train, the rest test (rows are already iid)."""
-        idx = np.arange(ds.n_rows)
-        return ds.subset(idx[:self.n_train]), ds.subset(idx[self.n_train:])
-
-
-class _Stream:
-    """Sequential view over one counter-based uniform stream."""
-
-    def __init__(self, seed: int, stream: int):
-        self.seed = prng.derive_seed(seed, stream)
-        self.count = 0
-
-    def uniform(self, n: int, low: float = 0.0, high: float = 1.0) -> np.ndarray:
-        u = prng.uniforms(self.seed, self.count, n)
-        self.count += n
-        return low + (high - low) * u
-
-    def gumbel(self, n: int) -> np.ndarray:
-        u = self.uniform(n)
-        u = np.clip(u, 1e-300, 1.0 - 1e-16)
-        return -np.log(-np.log(u))
-
 
 def _binary_variables(sc: BinaryScenario) -> dict[str, np.ndarray]:
     """Raw per-alternative variables, drawn in a fixed order."""
-    rng = _Stream(sc.seed, 10)
+    rng = prng.Stream(sc.seed, prng.StreamId.BINARY)
     n = sc.n_total
     out: dict[str, np.ndarray] = {}
     for alt in ("1", "2"):
@@ -88,7 +65,7 @@ def _binary_variables(sc: BinaryScenario) -> dict[str, np.ndarray]:
         out[f"b{alt}"] = b
         out[f"c{alt}"] = c
         out[f"q{alt}"] = 2.0 * h + k + eps_q
-    out["_choice_u"] = rng.uniform(n)
+    out["_choice_u"] = rng.draw(n)
     return out
 
 
@@ -152,7 +129,7 @@ def gen_with_unobserved(sc: BinaryScenario, beta_u: float = 1.0) -> ChoiceDatase
     model faces irreducible unexplained variation.
     """
     var = _binary_variables(sc)
-    rng = _Stream(sc.seed, 11)
+    rng = prng.Stream(sc.seed, prng.StreamId.UNOBSERVED)
     u1 = rng.uniform(sc.n_total, -1, 1)
     u2 = rng.uniform(sc.n_total, -1, 1)
     return _binary_dataset(sc, var, extra_v=(beta_u * u1, beta_u * u2),
@@ -167,7 +144,7 @@ def gen_guevara(n: int = 1000, seed: int = 0) -> ChoiceDataset:
     logit that omits q suffers classic omitted-variable bias on the price
     coefficient.  All draws are U([-2, 2]); V = -2*p + a + b + q.
     """
-    rng = _Stream(seed, 12)
+    rng = prng.Stream(seed, prng.StreamId.GUEVARA)
     truth = {"beta_p": -2.0, "beta_a": 1.0, "beta_b": 1.0, "beta_q": 1.0}
     names: list[str] = []
     cols: list[np.ndarray] = []
@@ -183,7 +160,7 @@ def gen_guevara(n: int = 1000, seed: int = 0) -> ChoiceDataset:
         v[:, i] = -2.0 * p + a + b + q
         names += [f"p{alt}", f"a{alt}", f"b{alt}", f"q{alt}"]
         cols += [p, a, b, q]
-    u = rng.uniform(n)
+    u = rng.draw(n)
     p1 = 1.0 / (1.0 + np.exp(-(v[:, 0] - v[:, 1])))
     choice = np.where(u < p1, 0, 1).astype(np.int64)
     meta = {"scenario": "guevara", "seed": seed, "truth": truth}
@@ -202,7 +179,7 @@ def sample_attribute_table(n: int, seed: int) -> ChoiceDataset:
     preprocessing produces; category codes span the canonical ranges.  Used
     by `gen_semi_synthetic` when no real attribute table is supplied.
     """
-    rng = _Stream(seed, 13)
+    rng = prng.Stream(seed, prng.StreamId.ATTRIBUTE_TABLE)
     cols = {
         "TT_Train": rng.uniform(n, 0.6, 3.0),
         "TT_SM": rng.uniform(n, 0.3, 1.6),
@@ -268,7 +245,7 @@ def gen_semi_synthetic(source: ChoiceDataset | None = None, n: int = 9036,
     v[:, 0] += dest ** 3 * age - np.sqrt(age) * origin
     v[:, 1] += dest * age + 3.0 * income ** 5 * purpose ** 2
     v[:, 2] += 5.0 * age * income ** 5 + 2.0 * origin ** 2 * income ** 5
-    rng = _Stream(seed, 14)
+    rng = prng.Stream(seed, prng.StreamId.SEMI_SYNTH_NOISE)
     g = np.stack([rng.gumbel(rows) for _ in range(3)], axis=1)
     choice = (v + g).argmax(axis=1).astype(np.int64)
     names = ["TT_Train", "TT_SM", "TT_Car", "TC_Train", "TC_SM", "TC_Car",

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
 
-from lchoice import BinaryScenario, gen_binary
+from lchoice import DataSpec
 from lchoice.numcore import TrainConfig
 
 
 @pytest.fixture(scope="session")
 def binary_data():
     """Small fixed train/test pair shared by the cheaper fitting tests."""
-    sc = BinaryScenario(n_train=400, n_test=100, seed=11)
-    return sc.split(gen_binary(sc))
+    train, test, _ = DataSpec(n_train=400, n_test=100).make(11)
+    return train, test
 
 
 @pytest.fixture()

@@ -120,7 +120,7 @@ def test_criterion_01_gradient_oracle():
         with_nests = i % 2 == 1  # half plain softmax-CE, half nested loss
         with_net = (i // 2) % 2 == 1
         prog, data, avail, choice = random_instance(rng, with_net, with_nests)
-        g = gradients(prog, data, avail, choice)
+        g, _ = gradients(prog, data, avail, choice)
         fd = numeric_gradients(prog, data, avail, choice)
         assert max_rel_error(g, fd) < 1e-4
 
@@ -206,7 +206,7 @@ def test_criterion_04_trainer_matches_reference_optimizer():
 
     def grad(b):
         prog.beta[:] = b
-        return gradients(prog, ds.values, ds.avail, ds.choice)["beta"]
+        return gradients(prog, ds.values, ds.avail, ds.choice)[0]["beta"]
 
     res = scipy.optimize.minimize(nll, np.zeros(5), jac=grad, method="BFGS",
                                   options={"gtol": 1e-10, "maxiter": 500})
@@ -215,8 +215,7 @@ def test_criterion_04_trainer_matches_reference_optimizer():
 
 def test_criterion_05_fit_quality_identity():
     """Reported rho^2 equals 1 - LL/LL0 recomputed from scratch."""
-    sc = BinaryScenario(n_train=400, n_test=100, seed=11)
-    train, test = sc.split(gen_binary(sc))
+    train, test, _ = DataSpec(n_train=400, n_test=100).make(11)
     model = build_model("Logit", ("1", "2"), utility=five_param_utility(), seed=2)
     report = fit_joint(model, train, TrainConfig(epochs=8, seed=2), test=test,
                        compute_std_errors=False)

@@ -131,6 +131,11 @@ def test_load_csv_located_errors(tmp_path):
     with pytest.raises(DataError, match="empty file"):
         load_csv(str(empty), schema)
 
+    duplicate = tmp_path / "duplicate.csv"
+    duplicate.write_text("x1,AV_1,x1,AV_2,CHOICE\n1.0,1,2.0,1,0\n")
+    with pytest.raises(DataError, match=re.escape(f"{duplicate}: duplicate column 'x1'")):
+        load_csv(str(duplicate), schema)
+
     no_choice = tmp_path / "nochoice.csv"
     no_choice.write_text("x1,AV_1,AV_2\n1.0,1,1\n")
     with pytest.raises(DataError, match="missing choice column"):

@@ -219,7 +219,7 @@ def reference_std_errors(model, ds, step_scale=1e-4):
             prog.beta[...] = beta0
             prog.beta[j] += sign * h
             cols.append(numcore.gradients(prog, ds.values, ds.avail, ds.choice,
-                                          reduction="sum")["beta"])
+                                          reduction="sum")[0]["beta"])
         hess[:, j] = (cols[0] - cols[1]) / (2.0 * h)
     prog.beta[...] = beta0
     hess = 0.5 * (hess + hess.T)
@@ -451,13 +451,22 @@ def test_joint_and_sequential_reach_different_points(binary_data, quick_config):
 # ------------------------------------------------------------ bad training data
 
 
-def test_empty_training_set_is_a_data_error(binary_data, quick_config):
-    train, _ = binary_data
+def test_empty_training_set_is_a_data_error(binary_data, quick_config, monkeypatch):
+    # an empty training or test set fails before any training starts
+    train, test = binary_data
     empty = train.subset(np.zeros(0, dtype=np.int64))
+
+    def never(*args, **kwargs):
+        raise AssertionError("fit_program reached")
+
+    monkeypatch.setattr(estimation, "fit_program", never)
     for fit in (fit_joint, fit_sequential):
-        m = build_model("LMNL", ("1", "2"), pa_utility(), q=("q1", "q2"), net_width=3)
-        with pytest.raises(DataError, match="no rows"):
-            fit(m, empty, quick_config)
+        for data, held_out, want in ((empty, None, "training set has no rows"),
+                                     (empty, test, "training set has no rows"),
+                                     (train, empty, "test set has no rows")):
+            m = build_model("LMNL", ("1", "2"), pa_utility(), q=("q1", "q2"), net_width=3)
+            with pytest.raises(DataError, match=want):
+                fit(m, data, quick_config, test=held_out)
 
 
 @pytest.mark.parametrize("column", ["a2", "q1"])

@@ -1,6 +1,8 @@
 """Unit tests for the numeric core: PRNG, softmax and NLL, gradients, the trainer."""
 
+import ast
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -23,6 +25,11 @@ def test_uniforms_are_counter_addressed():
     whole = prng.uniforms(42, 0, 10)
     tail = prng.uniforms(42, 5, 5)
     np.testing.assert_array_equal(whole[5:], tail)
+    # the sequential reader takes consecutive blocks of its derived stream
+    reader = prng.Stream(42, prng.StreamId.SPLIT)
+    head = reader.draw(3)
+    np.testing.assert_array_equal(np.concatenate([head, reader.draw(4)]),
+                                  prng.uniforms(prng.derive_seed(42, 7), 0, 7))
 
 
 def test_uniforms_range_and_determinism():
@@ -90,15 +97,60 @@ def test_cross_entropy_floors_zero_probability():
     assert sample_nll(p, np.array([1]))[0] == -math.log(PROB_FLOOR)
 
 
+def test_stream_ids_are_pinned():
+    # every dataset, initialisation and fit is drawn from these streams, and
+    # perfbench replays the fit stream by its value
+    ids = {name: int(s) for name, s in prng.StreamId.__members__.items()}  # aliases too
+    assert ids == {
+        "FIT": 1, "NET_INIT": 2, "BETA_INIT": 3, "SPLIT": 7, "BINARY": 10,
+        "UNOBSERVED": 11, "GUEVARA": 12, "ATTRIBUTE_TABLE": 13,
+        "SEMI_SYNTH_NOISE": 14, "REPLICATION": 100}
+    assert len(set(ids.values())) == len(ids)
+
+
+def _stream_id_offences(source):
+    """(line, what) of each literal stream id or np.random use in Python source."""
+    found = []
+    tree = ast.parse(source)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "attr", getattr(node.func, "id", None))
+            if name in ("derive_seed", "Stream"):
+                ids = node.args[1:2] + [k.value for k in node.keywords if k.arg == "stream"]
+                if any(isinstance(c, ast.Constant) and isinstance(c.value, int)
+                       for arg in ids for c in ast.walk(arg)):
+                    found.append((node.lineno, f"literal stream id in {name}()"))
+        elif (isinstance(node, ast.Attribute) and node.attr == "random"
+              and isinstance(node.value, ast.Name) and node.value.id in ("np", "numpy")):
+            found.append((node.lineno, "np.random"))
+        elif isinstance(node, ast.ImportFrom) and (node.module or "").startswith("numpy.random"):
+            found.append((node.lineno, "numpy.random import"))
+    return found
+
+
+def test_stream_ids_come_from_the_table():
+    # a lint over the package: stream ids are named in prng.StreamId, and all
+    # randomness is the package's counter-based stream
+    root = Path(prng.__file__).resolve().parents[1]
+    offences = [f"{path.relative_to(root)}:{line}: {what}"
+                for path in sorted(root.rglob("*.py")) if path.name != "prng.py"
+                for line, what in _stream_id_offences(path.read_text())]
+    assert offences == []
+    bad = ("derive_seed(s, 100 + r)\nprng.Stream(s, stream=7)\n"
+           "rng = np.random.default_rng(0)\nfrom numpy.random import default_rng\n"
+           "derive_seed(s, StreamId.REPLICATION + r)\nStream(s, StreamId.FIT).draw(3)\n")
+    assert sorted(line for line, _ in _stream_id_offences(bad)) == [1, 2, 3, 4]
+
+
 # ---------------------------------------------------------------------------
 # init
 
 def test_glorot_bounds_and_determinism():
-    w = prng.glorot_uniform(30, 20, seed=4)
+    w = prng.Stream(4, prng.StreamId.NET_INIT).glorot(30, 20)
     limit = math.sqrt(6.0 / 50.0)
     assert w.shape == (30, 20)
     assert np.abs(w).max() <= limit
-    np.testing.assert_array_equal(w, prng.glorot_uniform(30, 20, seed=4))
+    np.testing.assert_array_equal(w, prng.Stream(4, prng.StreamId.NET_INIT).glorot(30, 20))
 
 
 # ---------------------------------------------------------------------------
@@ -134,7 +186,7 @@ def _logit_instance(seed=3):
 def test_adam_first_step_is_learning_rate_sized():
     prog, data, avail, choice = _logit_instance()
     beta0 = prog.beta.copy()
-    g = gradients(prog, data, avail, choice)["beta"]
+    g = gradients(prog, data, avail, choice)[0]["beta"]
     # one full batch: the bias-corrected first step is lr * g / (|g| + eps) ~ lr * sign(g)
     fit_program(prog, data, avail, choice, TrainConfig(epochs=1, batch_size=1000,
                                                        learning_rate=0.01))
@@ -152,7 +204,7 @@ def test_adam_matches_reference_updates():
     v = np.zeros(3)
     for t in range(1, 6):
         prog.beta[...] = ref
-        g = gradients(prog, data, avail, choice)["beta"]
+        g = gradients(prog, data, avail, choice)[0]["beta"]
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         ref = ref - lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
@@ -170,7 +222,7 @@ def test_gradients_match_finite_differences(with_net, with_nests):
     rng = np.random.default_rng(100 + 2 * with_net + with_nests)
     for _ in range(4):
         prog, data, avail, choice = random_instance(rng, with_net, with_nests)
-        g = gradients(prog, data, avail, choice)
+        g, _ = gradients(prog, data, avail, choice)
         fd = numeric_gradients(prog, data, avail, choice)
         assert max_rel_error(g, fd) < 1e-4
 
@@ -178,7 +230,7 @@ def test_gradients_match_finite_differences(with_net, with_nests):
 def test_l2_gradient_matches_finite_differences():
     rng = np.random.default_rng(55)
     prog, data, avail, choice = random_instance(rng, with_net=True, with_nests=False)
-    g = gradients(prog, data, avail, choice, l2=0.05)
+    g, _ = gradients(prog, data, avail, choice, l2=0.05)
     fd = numeric_gradients(prog, data, avail, choice, l2=0.05)
     assert max_rel_error(g, fd) < 1e-4
 
@@ -254,7 +306,7 @@ def test_gradient_property_random_shapes(seed):
     rng = np.random.default_rng(seed)
     prog, data, avail, choice = random_instance(
         rng, with_net=bool(rng.integers(2)), with_nests=bool(rng.integers(2)))
-    g = gradients(prog, data, avail, choice)
+    g, _ = gradients(prog, data, avail, choice)
     fd = numeric_gradients(prog, data, avail, choice)
     assert max_rel_error(g, fd) < 1e-4
 
@@ -277,7 +329,7 @@ def test_probabilities_and_gradients_stay_finite(seed, with_net, with_nests, log
     tol = 8 * np.finfo(float).eps * max(1.0, float(np.abs(v).max() * prog.mu.max()))
     assert np.allclose(p.sum(axis=1), 1.0, rtol=0.0, atol=tol)
     assert (p[avail == 0] == 0.0).all()
-    assert np.array_equal(g_beta, gradients(prog, data, avail, choice, reduction="sum")["beta"])
+    assert np.array_equal(g_beta, gradients(prog, data, avail, choice, reduction="sum")[0]["beta"])
 
 
 def test_input_gradients_match_finite_differences():
@@ -417,6 +469,25 @@ def test_trainer_trajectory_is_pinned(case):
     assert steps == want_steps
     for name, value in want.items():
         np.testing.assert_allclose(out[name], value, rtol=0, atol=1e-12, err_msg=name)
+
+
+def test_trainer_steps_through_gradients(monkeypatch):
+    # every step trains on the gradient the finite-difference tests check
+    from lchoice.numcore import program
+    calls = []
+    real = program.gradients
+
+    def spy(*args, **kwargs):
+        calls.append(args[1].shape[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(program, "gradients", spy)
+    prog, data, avail, choice = _featureful_instance(seed=5)
+    cfg = TrainConfig(epochs=3, batch_size=17, dropout=0.2, seed=2)
+    fit = fit_program(prog, data, avail, choice, cfg)
+    assert prog.use_nests and fit.status == "ok"
+    assert len(calls) == fit.steps
+    assert sum(calls) == fit.epochs_run * data.shape[0]
 
 
 def test_frozen_zero_net_phase_equals_pure_logit_fit():

@@ -7,6 +7,7 @@ import pytest
 
 from lchoice import (
     BinaryScenario,
+    DataSpec,
     gen_binary,
     gen_correlated,
     gen_guevara,
@@ -15,8 +16,7 @@ from lchoice import (
     sample_attribute_table,
 )
 from lchoice.dataio import ChoiceDataset
-from lchoice.numcore.prng import derive_seed, uniforms
-from lchoice.synthgen import _Stream
+from lchoice.numcore.prng import Stream, derive_seed, uniforms
 
 
 def test_binary_deterministic_per_seed():
@@ -45,9 +45,8 @@ def test_binary_columns_and_ranges():
 
 
 def test_scenario_split_row_layout():
-    sc = BinaryScenario(n_train=120, n_test=30, seed=9)
-    ds = gen_binary(sc)
-    train, test = sc.split(ds)
+    ds = gen_binary(BinaryScenario(n_train=120, n_test=30, seed=9))
+    train, test, _ = DataSpec(n_train=120, n_test=30).make(9)
     assert train.n_rows == 120 and test.n_rows == 30
     assert np.array_equal(train.values, ds.values[:120])
     assert np.array_equal(test.values, ds.values[120:])
@@ -99,7 +98,7 @@ def test_guevara_price_is_endogenous():
 
 
 def test_stream_gumbel_moments():
-    g = _Stream(7, 99).gumbel(30_000)
+    g = Stream(7, 99).gumbel(30_000)
     assert abs(g.mean() - 0.5772) < 0.03  # Euler-Mascheroni location
     assert abs(g.std() - math.pi / math.sqrt(6.0)) < 0.03
 
