@@ -132,15 +132,16 @@ def ratio_t_test(estimates: dict[str, float], cov: np.ndarray,
     return t_test(bn / bd, se, reference)
 
 
-def hessian_std_errors(model: HybridChoiceModel,
-                       ds: ChoiceDataset) -> tuple[np.ndarray, np.ndarray, list[str]]:
+def hessian_std_errors(model: HybridChoiceModel, ds: ChoiceDataset, *,
+                       _inputs: tuple | None = None) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """(std_errors, covariance, warnings) for the linear coefficients.
 
     Central finite differences of the analytic beta gradient of the summed
     negative log-likelihood; net weights and nest factors stay fixed, so the
     net runs once and each of the 2P points reruns only the linear block.  A
     singular Hessian falls back to the pseudo-inverse with a warning.  Raises
-    DataError on a bad choice.
+    DataError on a bad choice.  ``_inputs`` is `numcore.eval_inputs` of ``ds``
+    when `build_report` has already run that pass.
     """
     ds.validate_choices()
     prog = model.program_for(ds)
@@ -148,7 +149,9 @@ def hessian_std_errors(model: HybridChoiceModel,
     if n_params == 0:
         return np.zeros(0), np.zeros((0, 0)), []
     beta0 = prog.beta.copy()
-    grad_at = numcore.frozen_net_beta_gradient(prog, ds.values, ds.avail, ds.choice)
+    xl, v_net = _inputs or numcore.eval_inputs(prog, ds.values)
+    grad_at = numcore.frozen_net_beta_gradient(prog, xl, v_net, ds.avail,
+                                               np.eye(prog.n_alts)[ds.choice])
     hess = np.zeros((n_params, n_params))
     for j in range(n_params):
         h = HESSIAN_STEP * max(1.0, abs(beta0[j]))
@@ -288,7 +291,10 @@ def build_report(model: HybridChoiceModel, train: ChoiceDataset,
     parameters are a rollback point, not an optimum.  Raises DataError on a
     bad choice in either dataset.
     """
-    p_train = _scored_probabilities(model, train)
+    train.validate_choices()
+    prog = model.program_for(train)
+    inputs = numcore.eval_inputs(prog, train.values)  # the one net pass over train
+    p_train = numcore.probabilities(prog, numcore.utilities(prog, *inputs), train.avail)
     ll_train = _log_likelihood(p_train, train)
     ll0_train = null_log_likelihood(train)
     report = EstimationReport(
@@ -323,7 +329,7 @@ def build_report(model: HybridChoiceModel, train: ChoiceDataset,
             report.warnings.append(
                 f"standard errors not computed: fit status is {fit.status!r}")
         else:
-            se_arr, cov, warns = hessian_std_errors(model, train)
+            se_arr, cov, warns = hessian_std_errors(model, train, _inputs=inputs)
             report.covariance = cov
             report.warnings.extend(warns)
             se = [float(s) for s in se_arr]

@@ -16,8 +16,9 @@ import numpy as np
 
 from .dataio import ChoiceDataset, DataError
 from .numcore import prng
-from .numcore.program import (ModelProgram, empty_net, forward, masked_softmax,
-                              nest_layout, nested_parts, probabilities, single_nest)
+from .numcore.program import (ModelProgram, empty_net, eval_inputs, first_nonfinite,
+                              masked_softmax, nest_layout, nested_parts, probabilities,
+                              single_nest, utilities)
 
 KIND_LOGIT = "Logit"
 KIND_DNN = "DNN"
@@ -201,11 +202,9 @@ class HybridChoiceModel:
             raise DataError(f"dataset alternatives {list(ds.alt_labels)} do not match "
                             f"the model's {list(self.alt_labels)}")
         prog = self.program(ds.columns)
-        cols = np.concatenate([prog.lin_cols, prog.q_cols])
-        bad = ~np.isfinite(ds.values[:, cols])
-        if bad.any():
-            row, j = np.argwhere(bad)[0]
-            raise DataError(f"row {row}: non-finite value in column {ds.columns[cols[j]]!r}")
+        cell = first_nonfinite(prog, ds.values)
+        if cell is not None:
+            raise DataError(f"row {cell[0]}: non-finite value in column {ds.columns[cell[1]]!r}")
         return prog
 
 
@@ -331,7 +330,8 @@ def build_model(kind: str, alt_labels: tuple[str, ...],
 
 def systematic_utility(model: HybridChoiceModel, ds: ChoiceDataset) -> np.ndarray:
     """Eval-mode utilities V = linear + net, (n, I)."""
-    return forward(model.program_for(ds), ds.values)[0]
+    prog = model.program_for(ds)
+    return utilities(prog, *eval_inputs(prog, ds.values))
 
 
 def _utility_rows(v: np.ndarray, avail: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
@@ -373,8 +373,8 @@ def nested_probabilities(v: np.ndarray, nests: NestStructure,
 
 
 def predict_probabilities(model: HybridChoiceModel, ds: ChoiceDataset) -> np.ndarray:
-    prog = model.program_for(ds)
-    return probabilities(prog, forward(prog, ds.values)[0], ds.avail)
+    v = systematic_utility(model, ds)
+    return probabilities(model.program(ds.columns), v, ds.avail)
 
 
 def save_model_dict(model: HybridChoiceModel) -> dict:

@@ -5,6 +5,12 @@ terms as index triples, an optional dense representation net, and an
 optional nest assignment.  The functions here are the vectorised numpy
 reference implementation; the trainer calls them batch by batch.
 
+The passes read inputs compiled once per dataset (`compile_inputs`), and
+`gradients` writes into the arrays it is handed, backpropagating only those
+tensors.  Inference passes (`eval_inputs`) update each hidden layer in place
+and keep no activations.  `linear_utilities`, `net_forward` and `backprop`
+adapt a raw (n, D) batch to the compiled passes.
+
 Linear terms are stored as three parallel int arrays.  Term ``t`` adds
 ``beta[term_param[t]] * x`` to alternative ``term_alt[t]``, where ``x`` is
 ``data[:, term_col[t]]`` or constant 1 when ``term_col[t]`` is -1 (an
@@ -33,6 +39,8 @@ import numpy as np
 
 PROB_FLOOR = 1e-12  # floor of a chosen probability inside the log of the NLL
 UNAVAILABLE = -1e300  # mu * V of an unavailable alternative inside the nested logsums
+NET_TENSORS = ("w_in", "w_hidden", "b_hidden", "w_out", "b_out")
+NET_WEIGHTS = ("w_in", "w_hidden", "w_out")  # the matrices the l2 penalty reads
 
 
 class NestLayout(NamedTuple):
@@ -103,50 +111,75 @@ def linear_inputs(prog: ModelProgram, data: np.ndarray) -> np.ndarray:
     return xl
 
 
-def linear_block(prog: ModelProgram, xl: np.ndarray, beta: np.ndarray) -> np.ndarray:
-    """V_lin = X_lin @ reshape(sel @ beta), (n, I), from `linear_inputs`."""
-    return xl @ (prog.sel @ beta).reshape(-1, prog.n_alts)
+def compile_inputs(prog: ModelProgram, data: np.ndarray, avail: np.ndarray,
+                   choice: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(X_lin, Q, avail, one-hot choice): the inputs of `gradients`, built once per dataset."""
+    return linear_inputs(prog, data), data[:, prog.q_cols], avail, np.eye(prog.n_alts)[choice]
 
 
-def linear_block_grad(prog: ModelProgram, xl: np.ndarray, dv: np.ndarray) -> np.ndarray:
-    """dbeta = sel.T @ vec(X_lin.T @ dv), (P,): the adjoint of `linear_block`."""
-    return prog.sel.T @ (xl.T @ dv).ravel()
+def eval_inputs(prog: ModelProgram, data: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """(X_lin, eval-mode net output or None without a net): one inference pass over ``data``."""
+    v_net = net_output(prog, data[:, prog.q_cols]) if prog.has_net else None
+    return linear_inputs(prog, data), v_net
+
+
+def first_nonfinite(prog: ModelProgram, data: np.ndarray) -> tuple[int, int] | None:
+    """(row, data column) of the first non-finite value the program reads, or None."""
+    cols = np.concatenate([prog.lin_cols, prog.q_cols])
+    bad = np.argwhere(~np.isfinite(data[:, cols]))
+    return (int(bad[0, 0]), int(cols[bad[0, 1]])) if bad.size else None
+
+
+def utilities(prog: ModelProgram, xl: np.ndarray, v_net: np.ndarray | None = None,
+              beta: np.ndarray | None = None) -> np.ndarray:
+    """V = X_lin @ reshape(sel @ beta), (n, I), plus the net output ``v_net`` when given.
+
+    ``beta`` defaults to the program's."""
+    v = xl @ (prog.sel @ (prog.beta if beta is None else beta)).reshape(-1, prog.n_alts)
+    if v_net is not None:
+        v += v_net
+    return v
+
+
+def linear_block_grad(prog: ModelProgram, xl: np.ndarray, dv: np.ndarray,
+                      out: np.ndarray | None = None) -> np.ndarray:
+    """dbeta = sel.T @ vec(X_lin.T @ dv), (P,): the adjoint of the linear block of `utilities`."""
+    return np.matmul(prog.sel.T, (xl.T @ dv).ravel(), out=out)
 
 
 def linear_utilities(prog: ModelProgram, data: np.ndarray) -> np.ndarray:
-    """Sum of beta-weighted terms, (n, I)."""
-    return linear_block(prog, linear_inputs(prog, data), prog.beta)
+    """Sum of beta-weighted terms of a raw (n, D) batch, (n, I)."""
+    return utilities(prog, linear_inputs(prog, data))
+
+
+def net_output(prog: ModelProgram, q: np.ndarray, mask: np.ndarray | None = None,
+               cache: dict | None = None) -> np.ndarray:
+    """Representation-net outputs (n, I) from the net inputs Q, (n, Dq).
+
+    ``mask`` is an inverted-dropout mask for the last hidden activation;
+    None means eval mode (identity).  A ``cache`` dict, when given, receives
+    what `net_backward` needs; without one no activation is kept.
+    """
+    a, acts = q, []  # acts: each layer's ReLU output, before dropout
+    for layer in range(prog.depth):
+        a = a @ (prog.w_in if layer == 0 else prog.w_hidden[layer - 1])
+        a += prog.b_hidden[layer]
+        np.maximum(a, 0.0, out=a)
+        if cache is not None:
+            acts.append(a)
+    a_last = a if mask is None else a * mask
+    r = a_last @ prog.w_out
+    r += prog.b_out
+    if cache is not None:
+        cache.update(q=q, acts=acts, a_last=a_last, mask=mask)
+    return r
 
 
 def net_forward(prog: ModelProgram, data: np.ndarray,
                 mask: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
-    """Representation-net outputs (n, I) plus the cache backward needs.
-
-    ``mask`` is an inverted-dropout mask for the last hidden activation;
-    None means eval mode (identity).
-    """
-    if not prog.has_net:
-        return np.zeros((data.shape[0], prog.n_alts)), {}
-    q = data[:, prog.q_cols]
-    acts, a = [], q  # acts: each layer's ReLU output, before dropout
-    for layer in range(prog.depth):
-        w = prog.w_in if layer == 0 else prog.w_hidden[layer - 1]
-        a = np.maximum(a @ w + prog.b_hidden[layer], 0.0)
-        acts.append(a)
-    a_last = a if mask is None else a * mask
-    r = a_last @ prog.w_out + prog.b_out
-    return r, {"q": q, "acts": acts, "a_last": a_last, "mask": mask}
-
-
-def forward(prog: ModelProgram, data: np.ndarray,
-            mask: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
-    """Utilities V = linear + net, (n, I), plus the cache `backprop` needs."""
-    v = linear_utilities(prog, data)
-    if not prog.has_net:
-        return v, {}
-    r, cache = net_forward(prog, data, mask)
-    v += r
-    return v, cache
+    """`net_output` of a raw (n, D) batch, plus its cache."""
+    cache: dict = {}
+    return net_output(prog, data[:, prog.q_cols], mask, cache), cache
 
 
 def nest_layout(alt_nest: np.ndarray, n_nests: int) -> NestLayout:
@@ -206,22 +239,17 @@ def sample_nll(probs: np.ndarray, choice: np.ndarray) -> np.ndarray:
     return -np.log(np.maximum(p, PROB_FLOOR))
 
 
-def l2_penalty(prog: ModelProgram, l2: float) -> float:
-    """lambda times the squared Frobenius norm of the net weight matrices."""
-    if l2 == 0.0 or not prog.has_net:
-        return 0.0
-    return l2 * float((prog.w_in ** 2).sum() + (prog.w_hidden ** 2).sum() + (prog.w_out ** 2).sum())
-
-
 def loss_value(prog: ModelProgram, data: np.ndarray, avail: np.ndarray,
-               choice: np.ndarray, l2: float = 0.0,
-               mask: np.ndarray | None = None) -> float:
-    p = probabilities(prog, forward(prog, data, mask)[0], avail)
-    return float(sample_nll(p, choice).mean()) + l2_penalty(prog, l2)
+               choice: np.ndarray, l2: float = 0.0) -> float:
+    """The loss of `gradients` in eval mode: mean CE plus l2 times the squared
+    Frobenius norm of the net weight matrices."""
+    p = probabilities(prog, utilities(prog, *eval_inputs(prog, data)), avail)
+    penalty = l2 * float(sum((getattr(prog, k) ** 2).sum() for k in NET_WEIGHTS)) if l2 else 0.0
+    return float(sample_nll(p, choice).mean()) + penalty
 
 
 def loss_gradients(prog: ModelProgram, v: np.ndarray, avail: np.ndarray,
-                   choice: np.ndarray, onehot: np.ndarray | None = None,
+                   choice: np.ndarray | None, onehot: np.ndarray | None = None,
                    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Per-row d(-ln P_chosen)/dV and d/dmu; also returns the probabilities.
 
@@ -247,72 +275,81 @@ def loss_gradients(prog: ModelProgram, v: np.ndarray, avail: np.ndarray,
     return dv, dmu, p
 
 
+def net_backward(prog: ModelProgram, dv: np.ndarray, cache: dict, l2: float,
+                 out: dict[str, np.ndarray]) -> None:
+    """Write the net-weight gradients into ``out`` from already-scaled utility gradients."""
+    acts, mask = cache["acts"], cache["mask"]
+    np.matmul(cache["a_last"].T, dv, out=out["w_out"])
+    dv.sum(axis=0, out=out["b_out"])
+    da = dv @ prog.w_out.T
+    if mask is not None:
+        da *= mask
+    for layer in range(prog.depth - 1, -1, -1):
+        dz = da * (acts[layer] > 0.0)
+        dz.sum(axis=0, out=out["b_hidden"][layer])
+        if layer == 0:
+            np.matmul(cache["q"].T, dz, out=out["w_in"])
+        else:
+            np.matmul(acts[layer - 1].T, dz, out=out["w_hidden"][layer - 1])
+            da = dz @ prog.w_hidden[layer - 1].T
+    if l2:
+        for k in NET_WEIGHTS:
+            out[k] += 2.0 * l2 * getattr(prog, k)
+
+
 def backprop(prog: ModelProgram, data: np.ndarray, dv: np.ndarray,
              cache: dict, l2: float = 0.0) -> dict[str, np.ndarray]:
-    """Parameter gradients from already-scaled utility gradients ``dv``."""
+    """Parameter gradients of a raw (n, D) batch from already-scaled ``dv``."""
     g = {"beta": linear_block_grad(prog, linear_inputs(prog, data), dv)}
     if prog.has_net:
-        acts = cache["acts"]
-        g["w_out"] = cache["a_last"].T @ dv
-        g["b_out"] = dv.sum(axis=0)
-        da = dv @ prog.w_out.T
-        if cache["mask"] is not None:
-            da *= cache["mask"]
-        g["w_hidden"] = np.empty_like(prog.w_hidden)
-        g["b_hidden"] = np.empty_like(prog.b_hidden)
-        for layer in range(prog.depth - 1, -1, -1):
-            dz = da * (acts[layer] > 0.0)
-            g["b_hidden"][layer] = dz.sum(axis=0)
-            if layer == 0:
-                g["w_in"] = cache["q"].T @ dz
-            else:
-                g["w_hidden"][layer - 1] = acts[layer - 1].T @ dz
-                da = dz @ prog.w_hidden[layer - 1].T
-        if l2:
-            for k in ("w_in", "w_hidden", "w_out"):
-                g[k] += 2.0 * l2 * getattr(prog, k)
+        g.update((k, np.empty_like(getattr(prog, k))) for k in NET_TENSORS)
+        net_backward(prog, dv, cache, l2, g)
     return g
 
 
-def gradients(prog: ModelProgram, data: np.ndarray, avail: np.ndarray,
-              choice: np.ndarray, l2: float = 0.0,
-              mask: np.ndarray | None = None, reduction: str = "mean",
-              onehot: np.ndarray | None = None) -> tuple[dict[str, np.ndarray], np.ndarray]:
-    """(gradient of the loss for every parameter tensor, probabilities of this pass).
+def gradients(prog: ModelProgram, xl: np.ndarray, q: np.ndarray, avail: np.ndarray,
+              onehot: np.ndarray, l2: float = 0.0, mask: np.ndarray | None = None,
+              reduction: str = "mean", out: dict[str, np.ndarray] | None = None,
+              ) -> tuple[dict[str, np.ndarray], np.ndarray]:
+    """(gradient of the loss per parameter tensor, probabilities), from `compile_inputs`.
 
-    ``reduction`` "mean" is the training loss, mean CE plus the l2 penalty, and
-    each trainer step is this call; "sum" is the summed negative log-likelihood
-    (no l2), which inference uses.  ``onehot`` goes to `loss_gradients`.
+    Writes into the arrays of ``out`` and backpropagates only the tensors it
+    names, so a step handed no net arrays runs no net backward; None means
+    every tensor, in new arrays.  ``reduction`` "mean" is the training loss,
+    mean CE plus the l2 penalty, and each trainer step is this call; "sum" is
+    the summed negative log-likelihood (no l2), which inference uses.
     """
-    v, cache = forward(prog, data, mask)
-    dv, dmu, p = loss_gradients(prog, v, avail, choice, onehot)
-    scale, l2 = (data.shape[0], l2) if reduction == "mean" else (1, 0.0)
+    if out is None:
+        names = ("beta",) + NET_TENSORS * prog.has_net + ("mu",) * prog.use_nests
+        out = {k: np.empty_like(getattr(prog, k)) for k in names}
+    cache = {} if "w_out" in out else None
+    v = utilities(prog, xl, net_output(prog, q, mask, cache) if prog.has_net else None)
+    dv, dmu, p = loss_gradients(prog, v, avail, None, onehot)
+    scale, l2 = (v.shape[0], l2) if reduction == "mean" else (1, 0.0)
     dv /= scale
-    g = backprop(prog, data, dv, cache, l2)
-    if prog.use_nests:
+    if "beta" in out:
+        linear_block_grad(prog, xl, dv, out["beta"])
+    if cache is not None:
+        net_backward(prog, dv, cache, l2, out)
+    if "mu" in out:
         dmu /= scale
-        g["mu"] = dmu.sum(axis=0) * (prog.mu_free > 0)
-    return g, p
+        np.multiply(dmu.sum(axis=0), prog.mu_free > 0, out=out["mu"])
+    return out, p
 
 
-def frozen_net_beta_gradient(prog: ModelProgram, data: np.ndarray, avail: np.ndarray,
-                             choice: np.ndarray) -> Callable[[np.ndarray], np.ndarray]:
+def frozen_net_beta_gradient(prog: ModelProgram, xl: np.ndarray, v_net: np.ndarray | None,
+                             avail: np.ndarray, onehot: np.ndarray,
+                             ) -> Callable[[np.ndarray], np.ndarray]:
     """beta -> gradient in beta of the summed NLL, net and nest factors held fixed.
 
-    X_lin, the eval-mode net output and the one-hot choice are built once, so
-    each call costs the linear block, `loss_gradients` and one matmul back.
-    Equals ``gradients(prog, ..., reduction="sum")[0]["beta"]`` at that beta
-    bit for bit: the arithmetic is done in the same order.
+    Reads X_lin and the eval-mode net output of `eval_inputs`, so each call
+    costs the linear block, `loss_gradients` and one matmul back.  Equals
+    ``gradients(..., reduction="sum")[0]["beta"]`` at that beta bit for bit:
+    the arithmetic is done in the same order.
     """
-    xl = linear_inputs(prog, data)
-    v_net = net_forward(prog, data)[0] if prog.has_net else None
-    onehot = np.eye(prog.n_alts)[choice]
 
     def grad(beta: np.ndarray) -> np.ndarray:
-        v = linear_block(prog, xl, beta)
-        if v_net is not None:
-            v += v_net
-        dv = loss_gradients(prog, v, avail, choice, onehot)[0]
+        dv = loss_gradients(prog, utilities(prog, xl, v_net, beta), avail, None, onehot)[0]
         return linear_block_grad(prog, xl, dv)
 
     return grad
@@ -326,7 +363,8 @@ def input_gradients(prog: ModelProgram, data: np.ndarray, dv: np.ndarray) -> np.
     """
     if not prog.has_net:
         return np.zeros((data.shape[0], 0))
-    _, cache = net_forward(prog, data, None)
+    cache: dict = {}
+    net_output(prog, data[:, prog.q_cols], None, cache)
     da = dv @ prog.w_out.T
     for layer in range(prog.depth - 1, -1, -1):
         dz = da * (cache["acts"][layer] > 0.0)

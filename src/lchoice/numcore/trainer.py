@@ -1,9 +1,11 @@
 """Mini-batch Adam training of a ModelProgram: the one trainer.
 
 Each step is one `program.gradients` call, the gradient the finite-difference
-tests check.  An epoch gathers its permuted rows once, so each batch is a
-contiguous slice.  Every trained tensor is a view into one flat vector: Adam,
-the divergence snapshot and the rollback are each one vector operation.
+tests check.  The inputs are compiled once per fit and permuted once per
+epoch, so each batch is a contiguous slice.  Every trained tensor is a view
+into one flat vector, its gradient a view into another that `gradients`
+writes (tensors a phase does not train are not backpropagated); Adam, the
+divergence snapshot and the rollback are each in-place vector operations.
 
 Stream contract: the fit reads stream ``StreamId.FIT`` of ``config.seed``
 (`prng`) in order.  Per epoch it takes N permutation keys and then, per batch
@@ -84,10 +86,17 @@ def fit_program(prog: pr.ModelProgram, data: np.ndarray, avail: np.ndarray,
     n, bs = data.shape[0], config.batch_size
     if avail.shape[0] != n or choice.shape[0] != n:
         raise ValueError("data, avail and choice row counts differ")
+    bad = np.flatnonzero((choice < 0) | (choice >= prog.n_alts))
+    if bad.size:
+        raise ValueError(f"row {bad[0]}: choice {choice[bad[0]]} is not in [0, {prog.n_alts})")
     if not (avail.sum(axis=1) > 0).all():
         raise ValueError("row with no available alternative")
     if not (avail[np.arange(n), choice] > 0).all():
         raise ValueError("chosen alternative marked unavailable")
+    cell = pr.first_nonfinite(prog, data)
+    if cell is not None:
+        raise ValueError(f"row {cell[0]}: non-finite value in data column {cell[1]}")
+    xl, q, _, onehot = pr.compile_inputs(prog, data, avail, choice)
 
     width = prog.hidden_width
     stream = prng.Stream(config.seed, prng.StreamId.FIT)
@@ -97,26 +106,31 @@ def fit_program(prog: pr.ModelProgram, data: np.ndarray, avail: np.ndarray,
 
     names = ["beta"] if train_beta and prog.n_params > 0 else []
     if train_net and prog.has_net:
-        names += ["w_in", "w_hidden", "b_hidden", "w_out", "b_out"]
+        names += list(pr.NET_TENSORS)
     fit_mu = prog.use_nests and bool((prog.mu_free > 0).any())
     names += ["mu"] if fit_mu else []
     tensors = [getattr(prog, k) for k in names]
     flat = np.concatenate([a.ravel() for a in tensors] + [np.zeros(0)])
-    parts = np.split(flat, np.cumsum([a.size for a in tensors])[:-1])
-    views = {k: part.reshape(a.shape) for k, part, a in zip(names, parts, tensors)}
+    # gradient, Adam moments and two Adam work vectors, laid out like `flat`
+    grad, m1, m2, step, denom = np.zeros((5, flat.size))
+    bounds = np.cumsum([a.size for a in tensors])[:-1]
+    views, grads = ({k: part.reshape(a.shape)
+                     for k, part, a in zip(names, np.split(vec, bounds), tensors)}
+                    for vec in (flat, grad))
     work = replace(prog, **views)  # the program, reading the trained tensors from `flat`
-    grad, m1, m2 = np.zeros((3, flat.size))  # gradient, Adam moments, laid out like `flat`
     good = flat.copy()
-    onehot = np.eye(prog.n_alts)[choice]
     probs = np.empty((n, prog.n_alts))
 
+    lr, b1, b2, eps = config.learning_rate, config.beta1, config.beta2, config.eps
     b1p = b2p = 1.0
     trace = np.full(config.epochs, np.nan)
     status, epochs_run = "ok", 0
 
     for epoch in range(config.epochs):
         perm = np.argsort(stream.draw(n))
-        xs, avs, chs, ys = data[perm], avail[perm], choice[perm], onehot[perm]
+        xls, avs, ys, chs = xl[perm], avail[perm], onehot[perm], choice[perm]
+        # column-major like `data[:, q_cols]`, so the net's products round as on a raw batch
+        qs = q.T.take(perm, axis=1).T
         for start in range(0, n, bs):
             b = slice(start, start + bs)  # the last batch stops at n
             mask = None
@@ -128,17 +142,20 @@ def fit_program(prog: pr.ModelProgram, data: np.ndarray, avail: np.ndarray,
                     masks = (u >= config.dropout).astype(np.float64).reshape(rows, width)
                     masks /= 1.0 - config.dropout
                 mask = masks[at:at + bs]
-            g, probs[b] = pr.gradients(work, xs[b], avs[b], chs[b], l2, mask, onehot=ys[b])
-            if names:
-                np.concatenate([g[k].ravel() for k in names], out=grad)
+            _, probs[b] = pr.gradients(work, xls[b], qs[b], avs[b], ys[b], l2, mask, out=grads)
 
-            b1p *= config.beta1
-            b2p *= config.beta2
-            m1 *= config.beta1
-            m1 += (1.0 - config.beta1) * grad
-            m2 *= config.beta2
-            m2 += (1.0 - config.beta2) * grad * grad
-            flat -= config.learning_rate * (m1 / (1.0 - b1p)) / (np.sqrt(m2 / (1.0 - b2p)) + config.eps)
+            # Adam: m1 = b1*m1 + (1-b1)*g, m2 = b2*m2 + ((1-b2)*g)*g,
+            # flat -= (lr*(m1/c1)) / (sqrt(m2/c2) + eps), in that order of operations
+            b1p *= b1
+            b2p *= b2
+            m1 *= b1
+            m1 += np.multiply(grad, 1.0 - b1, out=step)
+            m2 *= b2
+            m2 += np.multiply(np.multiply(grad, 1.0 - b2, out=step), grad, out=step)
+            np.sqrt(np.divide(m2, 1.0 - b2p, out=denom), out=denom)
+            denom += eps
+            np.multiply(np.divide(m1, 1.0 - b1p, out=step), lr, out=step)
+            flat -= np.divide(step, denom, out=step)
             if fit_mu:
                 np.maximum(views["mu"], 1.0, out=views["mu"])
 

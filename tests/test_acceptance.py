@@ -27,7 +27,7 @@ from lchoice.estimation import fit_joint, parameter_ratio
 from lchoice.models import (NestStructure, UtilitySpec, UtilityTerm,
                             build_model, mnl_probabilities,
                             nested_probabilities, systematic_utility)
-from lchoice.numcore import TrainConfig, gradients, loss_value
+from lchoice.numcore import TrainConfig, compile_inputs, gradients, loss_value
 from lchoice.numcore.prng import derive_seed
 from lchoice.synthgen import BinaryScenario, gen_binary
 
@@ -120,7 +120,7 @@ def test_criterion_01_gradient_oracle():
         with_nests = i % 2 == 1  # half plain softmax-CE, half nested loss
         with_net = (i // 2) % 2 == 1
         prog, data, avail, choice = random_instance(rng, with_net, with_nests)
-        g, _ = gradients(prog, data, avail, choice)
+        g, _ = gradients(prog, *compile_inputs(prog, data, avail, choice))
         fd = numeric_gradients(prog, data, avail, choice)
         assert max_rel_error(g, fd) < 1e-4
 
@@ -206,7 +206,8 @@ def test_criterion_04_trainer_matches_reference_optimizer():
 
     def grad(b):
         prog.beta[:] = b
-        return gradients(prog, ds.values, ds.avail, ds.choice)[0]["beta"]
+        inputs = compile_inputs(prog, ds.values, ds.avail, ds.choice)
+        return gradients(prog, *inputs)[0]["beta"]
 
     res = scipy.optimize.minimize(nll, np.zeros(5), jac=grad, method="BFGS",
                                   options={"gtol": 1e-10, "maxiter": 500})

@@ -218,8 +218,8 @@ def reference_std_errors(model, ds, step_scale=1e-4):
         for sign in (1.0, -1.0):
             prog.beta[...] = beta0
             prog.beta[j] += sign * h
-            cols.append(numcore.gradients(prog, ds.values, ds.avail, ds.choice,
-                                          reduction="sum")[0]["beta"])
+            inputs = numcore.compile_inputs(prog, ds.values, ds.avail, ds.choice)
+            cols.append(numcore.gradients(prog, *inputs, reduction="sum")[0]["beta"])
         hess[:, j] = (cols[0] - cols[1]) / (2.0 * h)
     prog.beta[...] = beta0
     hess = 0.5 * (hess + hess.T)
@@ -281,19 +281,19 @@ def test_report_runs_the_net_once_per_dataset(binary_data, quick_config, monkeyp
     m = build_model("LMNL", ("1", "2"), pa_utility(), q=("q1", "c1", "q2", "c2"),
                     net_width=4, seed=1)
     calls = []
-    original = program.net_forward
+    original = program.net_output
+    rows = {train.n_rows: "train", test.n_rows: "test"}
 
-    def counting(prog, data, mask=None):
-        calls.append("train" if data is train.values else
-                     "test" if data is test.values else "other")
-        return original(prog, data, mask)
+    def counting(prog, q, mask=None, cache=None):
+        calls.append(rows.get(q.shape[0], "other"))
+        return original(prog, q, mask, cache)
 
-    monkeypatch.setattr(program, "net_forward", counting)
+    monkeypatch.setattr(program, "net_output", counting)
     report = build_report(m, train, test, quick_config,
                           FitResult("ok", 0, 0, np.zeros(0)))
     assert all(p.std_error is not None for p in report.params)
-    # train: one pass for the report, one for the Hessian; test: one for the report
-    assert sorted(calls) == ["test", "train", "train"]
+    # train: one pass that the report and the Hessian share; test: one for the report
+    assert sorted(calls) == ["test", "train"]
 
 
 def test_zero_parameter_model_has_no_std_errors(binary_data):

@@ -285,6 +285,24 @@ def test_net_output_constant_in_linear_columns():
     assert np.allclose(v1[:, 0] - v0[:, 0], 0.37 * beta_p, atol=1e-12)
 
 
+def test_predict_probabilities_keeps_no_activation_list():
+    # an eval-mode pass updates each hidden layer in place: at most the layer
+    # being computed and the one it reads are alive at once
+    import tracemalloc
+    n, width = 4_000, 100
+    ds = gen_binary(BinaryScenario(n_train=n, n_test=0, seed=4))
+    m = build_model("LMNL", ("1", "2"), small_utility(), q=("q1", "c1", "q2", "c2"),
+                    net_width=width, net_depth=3, seed=1)
+    predict_probabilities(m, ds)  # compile the program outside the measurement
+    tracemalloc.start()
+    try:
+        predict_probabilities(m, ds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * n * width * 8
+
+
 def test_program_cached_and_layout_independent():
     sc = BinaryScenario(n_train=30, n_test=0, seed=8)
     ds = gen_binary(sc)

@@ -12,10 +12,9 @@ from hypothesis import strategies as st
 from fd_util import max_rel_error, numeric_gradients, random_instance
 from lchoice import numcore
 from lchoice.models import mnl_probabilities
-from lchoice.numcore import (PROB_FLOOR, TrainConfig, fit_program, gradients,
-                             input_gradients, loss_value, net_forward, sample_nll)
+from lchoice.numcore import (PROB_FLOOR, TrainConfig, compile_inputs, eval_inputs, fit_program,
+                             gradients, input_gradients, loss_value, net_forward, sample_nll)
 from lchoice.numcore import prng
-from lchoice.numcore.program import forward
 
 
 # ---------------------------------------------------------------------------
@@ -186,7 +185,7 @@ def _logit_instance(seed=3):
 def test_adam_first_step_is_learning_rate_sized():
     prog, data, avail, choice = _logit_instance()
     beta0 = prog.beta.copy()
-    g = gradients(prog, data, avail, choice)[0]["beta"]
+    g = gradients(prog, *compile_inputs(prog, data, avail, choice))[0]["beta"]
     # one full batch: the bias-corrected first step is lr * g / (|g| + eps) ~ lr * sign(g)
     fit_program(prog, data, avail, choice, TrainConfig(epochs=1, batch_size=1000,
                                                        learning_rate=0.01))
@@ -204,7 +203,7 @@ def test_adam_matches_reference_updates():
     v = np.zeros(3)
     for t in range(1, 6):
         prog.beta[...] = ref
-        g = gradients(prog, data, avail, choice)[0]["beta"]
+        g = gradients(prog, *compile_inputs(prog, data, avail, choice))[0]["beta"]
         m = b1 * m + (1 - b1) * g
         v = b2 * v + (1 - b2) * g * g
         ref = ref - lr * (m / (1 - b1 ** t)) / (np.sqrt(v / (1 - b2 ** t)) + eps)
@@ -222,7 +221,7 @@ def test_gradients_match_finite_differences(with_net, with_nests):
     rng = np.random.default_rng(100 + 2 * with_net + with_nests)
     for _ in range(4):
         prog, data, avail, choice = random_instance(rng, with_net, with_nests)
-        g, _ = gradients(prog, data, avail, choice)
+        g, _ = gradients(prog, *compile_inputs(prog, data, avail, choice))
         fd = numeric_gradients(prog, data, avail, choice)
         assert max_rel_error(g, fd) < 1e-4
 
@@ -230,7 +229,7 @@ def test_gradients_match_finite_differences(with_net, with_nests):
 def test_l2_gradient_matches_finite_differences():
     rng = np.random.default_rng(55)
     prog, data, avail, choice = random_instance(rng, with_net=True, with_nests=False)
-    g, _ = gradients(prog, data, avail, choice, l2=0.05)
+    g, _ = gradients(prog, *compile_inputs(prog, data, avail, choice), l2=0.05)
     fd = numeric_gradients(prog, data, avail, choice, l2=0.05)
     assert max_rel_error(g, fd) < 1e-4
 
@@ -306,7 +305,7 @@ def test_gradient_property_random_shapes(seed):
     rng = np.random.default_rng(seed)
     prog, data, avail, choice = random_instance(
         rng, with_net=bool(rng.integers(2)), with_nests=bool(rng.integers(2)))
-    g, _ = gradients(prog, data, avail, choice)
+    g, _ = gradients(prog, *compile_inputs(prog, data, avail, choice))
     fd = numeric_gradients(prog, data, avail, choice)
     assert max_rel_error(g, fd) < 1e-4
 
@@ -319,17 +318,19 @@ def test_probabilities_and_gradients_stay_finite(seed, with_net, with_nests, log
     rng = np.random.default_rng(seed)
     prog, data, avail, choice = random_instance(rng, with_net, with_nests)
     data *= 10.0 ** log_scale
-    v = forward(prog, data)[0]
+    inputs = compile_inputs(prog, data, avail, choice)
+    v = numcore.utilities(prog, *eval_inputs(prog, data))
     p = numcore.probabilities(prog, v, avail)
     dv, dmu, _ = numcore.loss_gradients(prog, v, avail, choice)
-    g_beta = numcore.frozen_net_beta_gradient(prog, data, avail, choice)(prog.beta)
+    g_beta = numcore.frozen_net_beta_gradient(prog, *eval_inputs(prog, data), avail,
+                                              inputs[3])(prog.beta)
     for arr in (p, dv, dmu, g_beta):
         assert np.isfinite(arr).all()
     # a nested logsum keeps about eps * |mu v| of absolute accuracy
     tol = 8 * np.finfo(float).eps * max(1.0, float(np.abs(v).max() * prog.mu.max()))
     assert np.allclose(p.sum(axis=1), 1.0, rtol=0.0, atol=tol)
     assert (p[avail == 0] == 0.0).all()
-    assert np.array_equal(g_beta, gradients(prog, data, avail, choice, reduction="sum")[0]["beta"])
+    assert np.array_equal(g_beta, gradients(prog, *inputs, reduction="sum")[0]["beta"])
 
 
 def test_input_gradients_match_finite_differences():
@@ -490,6 +491,39 @@ def test_trainer_steps_through_gradients(monkeypatch):
     assert sum(calls) == fit.epochs_run * data.shape[0]
 
 
+def test_trainer_compiles_linear_inputs_once_per_fit(monkeypatch):
+    from lchoice.numcore import program
+    calls = []
+    real = program.linear_inputs
+
+    def spy(prog, data):
+        calls.append(data.shape[0])
+        return real(prog, data)
+
+    monkeypatch.setattr(program, "linear_inputs", spy)
+    prog, data, avail, choice = _featureful_instance(seed=5)
+    fit = fit_program(prog, data, avail, choice, TrainConfig(epochs=3, batch_size=17, seed=2))
+    assert fit.steps == 24 and calls == [data.shape[0]]
+
+
+@pytest.mark.parametrize("train_net", [True, False])
+def test_frozen_net_steps_run_no_net_backward(monkeypatch, train_net):
+    from lchoice.numcore import program
+    calls = []
+    real = program.net_backward
+
+    def spy(*args):
+        calls.append(args[1].shape[0])
+        return real(*args)
+
+    monkeypatch.setattr(program, "net_backward", spy)
+    prog, data, avail, choice = _featureful_instance(seed=6)
+    cfg = TrainConfig(epochs=2, batch_size=25, dropout=0.2, seed=3)
+    fit = fit_program(prog, data, avail, choice, cfg, train_net=train_net)
+    assert fit.status == "ok"
+    assert len(calls) == (fit.steps if train_net else 0)
+
+
 def test_frozen_zero_net_phase_equals_pure_logit_fit():
     # with the output layer zero-initialised, training only beta of a hybrid
     # model is the same optimisation problem as a plain logit fit
@@ -578,6 +612,34 @@ def test_fit_program_input_validation():
         fit_program(prog, data, holed, choice, cfg)
 
 
+@pytest.mark.parametrize("code", [-1, 99])
+def test_fit_program_rejects_bad_choice_codes(code):
+    # -1 once trained on the last alternative, 99 raised a bare IndexError
+    prog, data, avail, choice = _featureful_instance(seed=15)
+    choice[7] = code
+    with pytest.raises(ValueError, match=rf"row 7: choice {code} is not in \[0, 3\)"):
+        fit_program(prog, data, avail, choice, TrainConfig(epochs=1))
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf])
+def test_fit_program_rejects_nonfinite_inputs(value):
+    # a NaN in a read column once came back as a "diverged" fit
+    prog, data, avail, choice = _featureful_instance(seed=15)
+    data[11, 1] = value  # a linear-term column
+    data[9, 4] = value  # a net input column
+    with pytest.raises(ValueError, match="row 9: non-finite value in data column 4"):
+        fit_program(prog, data, avail, choice, TrainConfig(epochs=1))
+    data[9, 4] = 0.0
+    with pytest.raises(ValueError, match="row 11: non-finite value in data column 1"):
+        fit_program(prog, data, avail, choice, TrainConfig(epochs=1))
+
+
+def test_fit_program_ignores_unread_columns():
+    prog, data, avail, choice = _logit_instance()
+    data = np.hstack([data, np.full((data.shape[0], 1), np.nan)])
+    assert fit_program(prog, data, avail, choice, TrainConfig(epochs=2)).status == "ok"
+
+
 def test_active_backend_resolution():
     assert numcore.active_backend() == "numpy"
 
@@ -605,3 +667,21 @@ def test_benchmark_contract_names_exist():
     # the benchmark wraps class attributes through the class __dict__
     for cls, name in ((analysis.DataSpec, "make"), (models.HybridChoiceModel, "program")):
         assert callable(cls.__dict__.get(name)), f"{cls.__name__}.{name}"
+
+
+def test_benchmark_stage_replay_runs():
+    # the stage replay of `perfbench/run.py --trace 1`, loaded from its file
+    import importlib.util
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "stages.py"
+    spec = importlib.util.spec_from_file_location("perfbench_stages", path)
+    stages = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(stages)
+    prog, data, avail, choice = _featureful_instance(seed=5)  # nested, with a net
+    cfg = TrainConfig(epochs=1, batch_size=50, dropout=0.2, seed=0)
+    replay = stages.replay_stages(prog, data, avail, choice, cfg, min_steps=1)
+    assert replay["shapes"] == [(20, 6), (50, 6)]
+    assert all(replay[f"{k}_us"] >= 0.0 for k in stages.STAGES)
+    counts = stages.step_counts(prog, data.shape[0], data.shape[1], cfg)
+    # 120 permutation keys and 120 rows of 4 mask uniforms over 3 steps
+    assert counts["prng_draws_per_step"] == 200.0
+    assert counts["flops_per_step"] > 0 and counts["bytes_per_step"] > 0
