@@ -335,14 +335,15 @@ def systematic_utility(model: HybridChoiceModel, ds: ChoiceDataset) -> np.ndarra
 
 
 def _utility_rows(v: np.ndarray, avail: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Utilities and availability as float64 rows, all available by default.
+    """Utilities as new float64 rows and the unavailable mask, all available by default.
 
     Raises if a row has no available alternative."""
     v = np.atleast_2d(np.asarray(v, dtype=np.float64))
     avail = np.ones_like(v) if avail is None else np.atleast_2d(np.asarray(avail, dtype=np.float64))
-    if not (avail > 0).any(axis=1).all():
+    v, unavail = np.broadcast_arrays(v, ~(avail > 0))
+    if unavail.all(axis=1).any():
         raise ValueError("row with no available alternative")
-    return v, avail
+    return v.copy(), unavail
 
 
 def mnl_probabilities(v: np.ndarray, avail: np.ndarray | None = None) -> np.ndarray:
@@ -366,9 +367,9 @@ def nested_probabilities(v: np.ndarray, nests: NestStructure,
     `mnl_probabilities` exactly.
     """
     was_1d = np.asarray(v).ndim == 1
-    v, avail = _utility_rows(v, avail)
+    v, unavail = _utility_rows(v, avail)
     alt_nest, _ = nests.resolve(alt_labels)
-    p = nested_parts(v, avail, nest_layout(alt_nest, nests.mu.shape[0]), nests.mu)["probs"]
+    p = nested_parts(v, unavail, nest_layout(alt_nest, nests.mu.shape[0]), nests.mu)["probs"]
     return p[0] if was_1d else p
 
 

@@ -5,6 +5,10 @@ with ``s`` is ``mix64(s + (k + 1) * GAMMA)``.  Each draw is addressed by its
 index, so any block of a stream can be drawn on its own and equals the same
 slice of a longer draw.
 
+A dropout keep-mask is drawn without forming the uniforms: draw u is
+(z >> 11) * 2**-53 of the mixed state z, so u >= rate exactly when
+z >= ceil(rate * 2**53) << 11, one integer comparison (`Stream.keep_mask`).
+
 Every use of a user seed has its own stream, ``derive_seed(seed, id)``, with
 an id from `StreamId`, the one table of them: changing an id changes every
 output drawn from it.  `Stream` reads one stream in order, so no caller keeps
@@ -13,6 +17,7 @@ a draw counter; `trainer` states how a fit consumes its stream.
 
 from __future__ import annotations
 
+import math
 from enum import IntEnum
 
 import numpy as np
@@ -37,14 +42,16 @@ class StreamId(IntEnum):
 
 
 def mix64(z: np.ndarray) -> np.ndarray:
-    """splitmix64 finalizer on uint64 values (arrays or scalars)."""
+    """splitmix64 finalizer on uint64 values; a uint64 array is mixed in place,
+    through one scratch array, any other input in a copy."""
+    z = np.asarray(z, dtype=np.uint64)
+    t = np.empty_like(z)
     with np.errstate(over="ignore"):
-        z = np.uint64(z) if np.isscalar(z) else z.astype(np.uint64)  # a copy, mixed in place
         for shift, mul in ((30, _MIX1), (27, _MIX2)):
-            z ^= z >> np.uint64(shift)
+            z ^= np.right_shift(z, np.uint64(shift), out=t)
             z *= mul
-        z ^= z >> np.uint64(31)
-        return z
+        z ^= np.right_shift(z, np.uint64(31), out=t)
+    return z[()]
 
 
 def derive_seed(seed: int, stream: int) -> int:
@@ -55,13 +62,18 @@ def derive_seed(seed: int, stream: int) -> int:
     return int(mix64(salted))
 
 
-def uniforms(seed: int, start: int, n: int) -> np.ndarray:
-    """Draws ``start .. start+n-1`` of the stream, as float64 in [0, 1)."""
+def _states(seed: int, start: int, n: int) -> np.ndarray:
+    """The mixed states of draws ``start .. start+n-1`` of the stream."""
     states = np.arange(start + 1, start + n + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
         states *= GAMMA
         states += np.uint64(seed)
-    u = (mix64(states) >> np.uint64(11)).astype(np.float64)
+    return mix64(states)
+
+
+def uniforms(seed: int, start: int, n: int) -> np.ndarray:
+    """Draws ``start .. start+n-1`` of the stream, as float64 in [0, 1)."""
+    u = (_states(seed, start, n) >> np.uint64(11)).astype(np.float64)
     u *= _U53
     return u
 
@@ -76,6 +88,12 @@ class Stream:
         """The next ``n`` uniforms in [0, 1)."""
         self.count += n
         return uniforms(self.seed, self.count - n, n)
+
+    def keep_mask(self, n: int, rate: float) -> np.ndarray:
+        """``(draw(n) >= rate) / (1 - rate)`` for ``rate`` in [0, 1), bit for bit."""
+        self.count += n
+        z_min = np.uint64(math.ceil(rate * 2.0**53) << 11)  # u >= rate iff z >= z_min
+        return (_states(self.seed, self.count - n, n) >= z_min) / (1.0 - rate)
 
     def uniform(self, n: int, low: float, high: float) -> np.ndarray:
         return low + (high - low) * self.draw(n)

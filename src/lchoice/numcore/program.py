@@ -7,9 +7,14 @@ reference implementation; the trainer calls them batch by batch.
 
 The passes read inputs compiled once per dataset (`compile_inputs`), and
 `gradients` writes into the arrays it is handed, backpropagating only those
-tensors.  Inference passes (`eval_inputs`) update each hidden layer in place
-and keep no activations.  `linear_utilities`, `net_forward` and `backprop`
-adapt a raw (n, D) batch to the compiled passes.
+tensors.  Availability is compiled into a boolean "unavailable" mask that
+each pass puts (``np.putmask``) into a fresh array: -inf into the logit's
+utilities, UNAVAILABLE into the nested logsum argument ``mu_alt * v``, the
+values ``np.where(avail > 0, ...)`` gave, whatever the utility there.
+Entry points taking 0/1 availability build the mask at their door.
+Inference passes (`eval_inputs`) update each hidden layer in place and keep
+no activations.  `linear_utilities`, `net_forward`, `loss_gradients` and
+`backprop` adapt a raw (n, D) batch to the compiled passes.
 
 Linear terms are stored as three parallel int arrays.  Term ``t`` adds
 ``beta[term_param[t]] * x`` to alternative ``term_alt[t]``, where ``x`` is
@@ -71,6 +76,9 @@ class ModelProgram:
     lin_cols: np.ndarray = field(init=False, repr=False)  # (K,) data columns the terms read
     sel: np.ndarray = field(init=False, repr=False)  # ((K+1)*I, P) term selection matrix
     layout: NestLayout = field(init=False, repr=False)  # compiled from alt_nest
+    hidden_width: int = field(init=False)  # H, 0 without a net
+    has_net: bool = field(init=False)
+    depth: int = field(init=False)  # L hidden layers, 0 without a net
 
     def __post_init__(self) -> None:
         cols = self.term_col
@@ -79,18 +87,9 @@ class ModelProgram:
         self.sel = np.zeros(((self.lin_cols.shape[0] + 1) * self.n_alts, self.n_params))
         np.add.at(self.sel, (k * self.n_alts + self.term_alt, self.term_param), 1.0)
         self.layout = nest_layout(self.alt_nest, self.mu.shape[0])
-
-    @property
-    def hidden_width(self) -> int:
-        return self.w_in.shape[1]
-
-    @property
-    def has_net(self) -> bool:
-        return self.hidden_width > 0
-
-    @property
-    def depth(self) -> int:
-        return self.b_hidden.shape[0] if self.has_net else 0
+        self.hidden_width = self.w_in.shape[1]
+        self.has_net = self.hidden_width > 0
+        self.depth = self.b_hidden.shape[0] if self.has_net else 0
 
 
 def empty_net(n_alts: int) -> tuple[np.ndarray, ...]:
@@ -113,8 +112,10 @@ def linear_inputs(prog: ModelProgram, data: np.ndarray) -> np.ndarray:
 
 def compile_inputs(prog: ModelProgram, data: np.ndarray, avail: np.ndarray,
                    choice: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(X_lin, Q, avail, one-hot choice): the inputs of `gradients`, built once per dataset."""
-    return linear_inputs(prog, data), data[:, prog.q_cols], avail, np.eye(prog.n_alts)[choice]
+    """(X_lin, Q, unavailable mask, one-hot choice): the inputs of `gradients`, built once
+    per dataset.  The mask is True where ``avail > 0`` is not."""
+    return (linear_inputs(prog, data), data[:, prog.q_cols], ~(avail > 0),
+            np.eye(prog.n_alts)[choice])
 
 
 def eval_inputs(prog: ModelProgram, data: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -192,45 +193,52 @@ def nest_layout(alt_nest: np.ndarray, n_nests: int) -> NestLayout:
                       np.searchsorted(alt_nest[order], np.arange(n_nests)))
 
 
-def nested_parts(v: np.ndarray, avail: np.ndarray, layout: NestLayout,
+def nested_parts(v: np.ndarray, unavail: np.ndarray, layout: NestLayout,
                  mu: np.ndarray) -> dict:
     """Per-nest logsums over mu (``scaled``) and probability pieces of the two-level formula.
 
-    ``probs`` is exactly 0 at an unavailable alternative: through ``p_cond`` in a
-    nest with an available member, through ``p_nest`` in a nest without one."""
+    ``probs`` is exactly 0 where ``unavail``: through ``p_cond`` in a nest with an
+    available member, through ``p_nest`` in a nest without one."""
     member, member_t = layout.member, layout.member.T
     mu_alt = member @ mu
-    s_arg = np.where(avail > 0, mu_alt * v, UNAVAILABLE)
+    s_arg = mu_alt * v
+    np.putmask(s_arg, unavail, UNAVAILABLE)
     c = np.maximum.reduceat(s_arg.take(layout.order, axis=1), layout.start, axis=1)
-    ln_s = c + np.log(np.exp(s_arg - c @ member_t) @ member)
+    e = s_arg - c @ member_t
+    ln_s = c + np.log(np.exp(e, out=e) @ member)
     scaled = ln_s / mu
-    p_nest = softmax(scaled)
-    p_cond = np.exp(s_arg - ln_s @ member_t)
+    p_nest = softmax(scaled.copy())
+    s_arg -= ln_s @ member_t
+    p_cond = np.exp(s_arg, out=s_arg)
     return {"scaled": scaled, "p_nest": p_nest, "p_cond": p_cond,
             "probs": (p_nest @ member_t) * p_cond, "mu_alt": mu_alt}
 
 
 def softmax(z: np.ndarray) -> np.ndarray:
-    """Row-wise exp-normalise, each row shifted by its max before the exp."""
-    e = np.exp(z - z.max(axis=1, keepdims=True))
-    return e / e.sum(axis=1, keepdims=True)
+    """Row-wise exp-normalise ``z`` in place, each row shifted by its max before the exp."""
+    z -= np.maximum.reduce(z, axis=1, keepdims=True)
+    np.exp(z, out=z)
+    z /= np.add.reduce(z, axis=1, keepdims=True)
+    return z
 
 
-def masked_softmax(v: np.ndarray, avail: np.ndarray) -> np.ndarray:
-    """Multinomial logit probabilities over the available alternatives, (n, I).
+def masked_softmax(v: np.ndarray, unavail: np.ndarray) -> np.ndarray:
+    """Multinomial logit probabilities over the available alternatives, (n, I), into ``v``.
 
-    Exactly 0 where unavailable.  Rows are not checked for an available
+    Exactly 0 where ``unavail``.  Rows are not checked for an available
     alternative: callers check."""
-    return softmax(np.where(avail > 0, v, -np.inf))
+    np.putmask(v, unavail, -np.inf)
+    return softmax(v)
 
 
 def probabilities(prog: ModelProgram, v: np.ndarray, avail: np.ndarray) -> np.ndarray:
-    """Choice probabilities from utilities, masked by availability."""
-    if not (avail > 0).any(axis=1).all():
+    """Choice probabilities from utilities, masked by 0/1 availability."""
+    unavail = ~(avail > 0)
+    if unavail.all(axis=1).any():
         raise ValueError("row with no available alternative")
     if prog.use_nests:
-        return nested_parts(v, avail, prog.layout, prog.mu)["probs"]
-    return masked_softmax(v, avail)
+        return nested_parts(v, unavail, prog.layout, prog.mu)["probs"]
+    return masked_softmax(v.astype(np.float64), unavail)
 
 
 def sample_nll(probs: np.ndarray, choice: np.ndarray) -> np.ndarray:
@@ -248,22 +256,19 @@ def loss_value(prog: ModelProgram, data: np.ndarray, avail: np.ndarray,
     return float(sample_nll(p, choice).mean()) + penalty
 
 
-def loss_gradients(prog: ModelProgram, v: np.ndarray, avail: np.ndarray,
-                   choice: np.ndarray | None, onehot: np.ndarray | None = None,
-                   ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Per-row d(-ln P_chosen)/dV and d/dmu; also returns the probabilities.
+def utility_gradients(prog: ModelProgram, v: np.ndarray, unavail: np.ndarray,
+                      onehot: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+    """Per-row d(-ln P_chosen)/dV and d/dmu (None without nests), and the probabilities.
 
-    ``onehot`` is ``choice`` as an (n, I) indicator, when the caller has it.  Rows
-    are not checked for an available alternative: callers check once, at entry.
+    Reads the mask and the one-hot choice of `compile_inputs`; the plain logit
+    overwrites ``v`` with its probabilities.  Rows are not checked for an
+    available alternative: callers check once, at entry.
     """
-    n = v.shape[0]
-    if onehot is None:
-        onehot = np.eye(prog.n_alts)[choice]
     if not prog.use_nests:
-        p = masked_softmax(v, avail)
-        return p - onehot, np.zeros((n, prog.mu.shape[0])), p
+        p = masked_softmax(v, unavail)
+        return p - onehot, None, p
     lay = prog.layout
-    parts = nested_parts(v, avail, lay, prog.mu)
+    parts = nested_parts(v, unavail, lay, prog.mu)
     p, p_nest, p_cond, mu_alt = (parts[k] for k in ("probs", "p_nest", "p_cond", "mu_alt"))
     # the chosen nest's terms through the one-hot choice (mu is constant within a nest)
     dv = p + p_cond * (onehot @ (lay.same_nest * (mu_alt - 1.0))) - onehot * mu_alt
@@ -275,18 +280,29 @@ def loss_gradients(prog: ModelProgram, v: np.ndarray, avail: np.ndarray,
     return dv, dmu, p
 
 
+def loss_gradients(prog: ModelProgram, v: np.ndarray, avail: np.ndarray,
+                   choice: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """`utility_gradients` of raw utilities, 0/1 availability and choice codes.
+
+    Leaves ``v`` as it was; d/dmu is zeros for the plain logit."""
+    dv, dmu, p = utility_gradients(prog, v.astype(np.float64), ~(avail > 0),
+                                 np.eye(prog.n_alts)[choice])
+    return dv, np.zeros((v.shape[0], prog.mu.shape[0])) if dmu is None else dmu, p
+
+
 def net_backward(prog: ModelProgram, dv: np.ndarray, cache: dict, l2: float,
                  out: dict[str, np.ndarray]) -> None:
     """Write the net-weight gradients into ``out`` from already-scaled utility gradients."""
     acts, mask = cache["acts"], cache["mask"]
     np.matmul(cache["a_last"].T, dv, out=out["w_out"])
-    dv.sum(axis=0, out=out["b_out"])
+    np.add.reduce(dv, axis=0, out=out["b_out"])
     da = dv @ prog.w_out.T
     if mask is not None:
         da *= mask
     for layer in range(prog.depth - 1, -1, -1):
-        dz = da * (acts[layer] > 0.0)
-        dz.sum(axis=0, out=out["b_hidden"][layer])
+        dz = da
+        dz *= acts[layer] > 0.0
+        np.add.reduce(dz, axis=0, out=out["b_hidden"][layer])
         if layer == 0:
             np.matmul(cache["q"].T, dz, out=out["w_in"])
         else:
@@ -307,7 +323,7 @@ def backprop(prog: ModelProgram, data: np.ndarray, dv: np.ndarray,
     return g
 
 
-def gradients(prog: ModelProgram, xl: np.ndarray, q: np.ndarray, avail: np.ndarray,
+def gradients(prog: ModelProgram, xl: np.ndarray, q: np.ndarray, unavail: np.ndarray,
               onehot: np.ndarray, l2: float = 0.0, mask: np.ndarray | None = None,
               reduction: str = "mean", out: dict[str, np.ndarray] | None = None,
               ) -> tuple[dict[str, np.ndarray], np.ndarray]:
@@ -324,7 +340,7 @@ def gradients(prog: ModelProgram, xl: np.ndarray, q: np.ndarray, avail: np.ndarr
         out = {k: np.empty_like(getattr(prog, k)) for k in names}
     cache = {} if "w_out" in out else None
     v = utilities(prog, xl, net_output(prog, q, mask, cache) if prog.has_net else None)
-    dv, dmu, p = loss_gradients(prog, v, avail, None, onehot)
+    dv, dmu, p = utility_gradients(prog, v, unavail, onehot)
     scale, l2 = (v.shape[0], l2) if reduction == "mean" else (1, 0.0)
     dv /= scale
     if "beta" in out:
@@ -333,7 +349,7 @@ def gradients(prog: ModelProgram, xl: np.ndarray, q: np.ndarray, avail: np.ndarr
         net_backward(prog, dv, cache, l2, out)
     if "mu" in out:
         dmu /= scale
-        np.multiply(dmu.sum(axis=0), prog.mu_free > 0, out=out["mu"])
+        np.multiply(np.add.reduce(dmu, axis=0), prog.mu_free > 0, out=out["mu"])
     return out, p
 
 
@@ -342,14 +358,16 @@ def frozen_net_beta_gradient(prog: ModelProgram, xl: np.ndarray, v_net: np.ndarr
                              ) -> Callable[[np.ndarray], np.ndarray]:
     """beta -> gradient in beta of the summed NLL, net and nest factors held fixed.
 
-    Reads X_lin and the eval-mode net output of `eval_inputs`, so each call
-    costs the linear block, `loss_gradients` and one matmul back.  Equals
+    Reads X_lin and the eval-mode net output of `eval_inputs` and 0/1
+    availability, compiled once into the mask, so each call costs the linear
+    block, `utility_gradients` and one matmul back.  Equals
     ``gradients(..., reduction="sum")[0]["beta"]`` at that beta bit for bit:
     the arithmetic is done in the same order.
     """
+    unavail = ~(avail > 0)
 
     def grad(beta: np.ndarray) -> np.ndarray:
-        dv = loss_gradients(prog, utilities(prog, xl, v_net, beta), avail, None, onehot)[0]
+        dv = utility_gradients(prog, utilities(prog, xl, v_net, beta), unavail, onehot)[0]
         return linear_block_grad(prog, xl, dv)
 
     return grad

@@ -1,11 +1,12 @@
 """Mini-batch Adam training of a ModelProgram: the one trainer.
 
 Each step is one `program.gradients` call, the gradient the finite-difference
-tests check.  The inputs are compiled once per fit and permuted once per
-epoch, so each batch is a contiguous slice.  Every trained tensor is a view
-into one flat vector, its gradient a view into another that `gradients`
-writes (tensors a phase does not train are not backpropagated); Adam, the
-divergence snapshot and the rollback are each in-place vector operations.
+tests check.  The inputs are compiled once per fit, availability into a
+boolean "unavailable" mask, and permuted once per epoch, so each batch is a
+contiguous slice.  Every trained tensor is a view into one flat vector, its
+gradient a view into another that `gradients` writes (tensors a phase does
+not train are not backpropagated); Adam, the divergence snapshot and the
+rollback are each in-place vector operations.
 
 Stream contract: the fit reads stream ``StreamId.FIT`` of ``config.seed``
 (`prng`) in order.  Per epoch it takes N permutation keys and then, per batch
@@ -13,7 +14,9 @@ that trains the net with dropout, B*H mask uniforms in sample-major order.
 Each draw is addressed by its index, so a fit is reproducible across runs and
 across the `jobs` setting of the replication drivers, and the masks of
 consecutive batches, being one contiguous block of the stream, are drawn
-together, up to DRAW_CAP per call, without changing a draw.
+together, up to DRAW_CAP per call, without changing a draw.  A mask is
+``(u >= dropout) / (1 - dropout)`` of its uniforms u, drawn by
+`prng.Stream.keep_mask` from the integer states without forming u.
 """
 
 from __future__ import annotations
@@ -27,7 +30,10 @@ import numpy as np
 from . import prng
 from . import program as pr
 
-DRAW_CAP = 65_536  # uniforms per PRNG call; bounds the mask memory of wide nets
+# uniforms per PRNG call: bounds the mask memory of wide nets and keeps a draw's
+# arrays under glibc's 128 KiB mmap threshold, so they reuse heap pages instead of
+# faulting in fresh ones each epoch
+DRAW_CAP = 16_000
 
 
 def active_backend() -> str:
@@ -58,14 +64,14 @@ class TrainConfig:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
-        if self.l2 < 0.0:
-            raise ValueError("l2 must be non-negative")
+        if not (math.isfinite(self.l2) and self.l2 >= 0.0):
+            raise ValueError("l2 must be finite and non-negative")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise ValueError("learning_rate must be finite and > 0")
         if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
             raise ValueError("beta1 and beta2 must be in [0, 1)")
-        if not self.eps > 0.0:
-            raise ValueError("eps must be > 0")
+        if not (math.isfinite(self.eps) and self.eps > 0.0):
+            raise ValueError("eps must be finite and > 0")
 
 
 @dataclass
@@ -89,14 +95,14 @@ def fit_program(prog: pr.ModelProgram, data: np.ndarray, avail: np.ndarray,
     bad = np.flatnonzero((choice < 0) | (choice >= prog.n_alts))
     if bad.size:
         raise ValueError(f"row {bad[0]}: choice {choice[bad[0]]} is not in [0, {prog.n_alts})")
-    if not (avail.sum(axis=1) > 0).all():
-        raise ValueError("row with no available alternative")
-    if not (avail[np.arange(n), choice] > 0).all():
-        raise ValueError("chosen alternative marked unavailable")
+    xl, q, unavail, onehot = pr.compile_inputs(prog, data, avail, choice)
+    for bad, what in ((unavail.all(axis=1), "no available alternative"),
+                      (unavail[np.arange(n), choice], "chosen alternative marked unavailable")):
+        if bad.any():
+            raise ValueError(f"row {bad.argmax()}: {what}")
     cell = pr.first_nonfinite(prog, data)
     if cell is not None:
         raise ValueError(f"row {cell[0]}: non-finite value in data column {cell[1]}")
-    xl, q, _, onehot = pr.compile_inputs(prog, data, avail, choice)
 
     width = prog.hidden_width
     stream = prng.Stream(config.seed, prng.StreamId.FIT)
@@ -128,7 +134,7 @@ def fit_program(prog: pr.ModelProgram, data: np.ndarray, avail: np.ndarray,
 
     for epoch in range(config.epochs):
         perm = np.argsort(stream.draw(n))
-        xls, avs, ys, chs = xl[perm], avail[perm], onehot[perm], choice[perm]
+        xls, uns, ys, chs = xl[perm], unavail[perm], onehot[perm], choice[perm]
         # column-major like `data[:, q_cols]`, so the net's products round as on a raw batch
         qs = q.T.take(perm, axis=1).T
         for start in range(0, n, bs):
@@ -138,11 +144,9 @@ def fit_program(prog: pr.ModelProgram, data: np.ndarray, avail: np.ndarray,
                 at = start % rows_per_draw
                 if at == 0:
                     rows = min(rows_per_draw, n - start)
-                    u = stream.draw(rows * width)
-                    masks = (u >= config.dropout).astype(np.float64).reshape(rows, width)
-                    masks /= 1.0 - config.dropout
+                    masks = stream.keep_mask(rows * width, config.dropout).reshape(rows, width)
                 mask = masks[at:at + bs]
-            _, probs[b] = pr.gradients(work, xls[b], qs[b], avs[b], ys[b], l2, mask, out=grads)
+            _, probs[b] = pr.gradients(work, xls[b], qs[b], uns[b], ys[b], l2, mask, out=grads)
 
             # Adam: m1 = b1*m1 + (1-b1)*g, m2 = b2*m2 + ((1-b2)*g)*g,
             # flat -= (lr*(m1/c1)) / (sqrt(m2/c2) + eps), in that order of operations

@@ -245,6 +245,16 @@ def test_negative_learning_rate_is_a_config_error(tmp_path, capsys):
     assert "bad train block: learning_rate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option", ["l2", "eps"])
+def test_infinite_l2_or_eps_is_a_config_error(tmp_path, capsys, option):
+    # eps=inf once fitted "ok" without moving, l2=inf came back "diverged"
+    cfg = write_config(tmp_path / "cfg.yaml",
+                       logit_config(train={"epochs": 2, option: float("inf")}))
+    assert main(["estimate", "--config", cfg,
+                 "--out-dir", str(tmp_path / "runs")]) == 2
+    assert f"bad train block: {option} must be finite" in capsys.readouterr().err
+
+
 def test_fractional_epochs_is_a_config_error(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.yaml",
                        logit_config(train={"epochs": 2.5, "batch_size": 40}))

@@ -47,6 +47,34 @@ def test_derived_streams_are_decorrelated():
     assert abs(np.corrcoef(a, b)[0, 1]) < 0.1
 
 
+def test_mix64_is_pinned():
+    # the scalar and the array path of the splitmix64 finalizer
+    assert int(prng.mix64(np.uint64(12345))) == 17540659726606785873
+    assert int(prng.mix64(2**64 - 1)) == 13029008266876403067
+    states = np.array([0, 1, 2**63, 2**64 - 1], dtype=np.uint64)
+    mixed = prng.mix64(states)
+    assert mixed.tolist() == [0, 6238072747940578789, 2720858781877447050,
+                              13029008266876403067]
+    assert states.tolist() == mixed.tolist()  # a uint64 array is mixed in place
+    assert prng.derive_seed(42, 7) == 6586493565358543072
+
+
+@pytest.mark.parametrize("rate", [0.1, 0.2, 0.25, 0.5, 0.75, float(np.nextafter(1.0, 0.0)),
+                                  2.0**-60])
+@pytest.mark.parametrize("start", [0, 1, 12_345])
+def test_keep_mask_is_the_thresholded_uniform_draw(rate, start):
+    # u >= rate is compared on the integer states; 0.25 and 0.5 put rate * 2**53 on an
+    # integer, where u == rate is possible and must keep the unit
+    from lchoice.numcore.trainer import DRAW_CAP
+    seed = prng.derive_seed(3, prng.StreamId.FIT)
+    reader = prng.Stream(3, prng.StreamId.FIT)
+    reader.draw(start)
+    for n in (1, 1000, DRAW_CAP + 77):
+        want = (prng.uniforms(seed, reader.count, n) >= rate) / (1.0 - rate)
+        assert np.array_equal(reader.keep_mask(n, rate), want)
+    assert reader.count == start + 1 + 1000 + DRAW_CAP + 77
+
+
 @given(seed=st.integers(0, 2**63 - 1), start=st.integers(0, 1000),
        n=st.integers(1, 50))
 @settings(max_examples=50, deadline=None)
@@ -157,10 +185,11 @@ def test_glorot_bounds_and_determinism():
 
 def test_train_config_validation():
     for bad in (dict(epochs=-1), dict(batch_size=0), dict(dropout=1.0), dict(l2=-0.5),
+                dict(l2=float("nan")), dict(l2=float("inf")),
                 dict(learning_rate=-0.01), dict(learning_rate=0.0),
                 dict(learning_rate=float("nan")), dict(learning_rate=float("inf")),
                 dict(beta1=1.0), dict(beta2=1.0), dict(beta1=-0.1),
-                dict(eps=0.0), dict(eps=float("nan")),
+                dict(eps=0.0), dict(eps=float("nan")), dict(eps=float("inf")),
                 dict(epochs=2.5), dict(epochs=True), dict(batch_size=50.0),
                 dict(batch_size="50"), dict(seed=1.5), dict(seed=None)):
         with pytest.raises(ValueError):
@@ -331,6 +360,71 @@ def test_probabilities_and_gradients_stay_finite(seed, with_net, with_nests, log
     assert np.allclose(p.sum(axis=1), 1.0, rtol=0.0, atol=tol)
     assert (p[avail == 0] == 0.0).all()
     assert np.array_equal(g_beta, gradients(prog, *inputs, reduction="sum")[0]["beta"])
+
+
+def _where_masked_gradients(prog, avail):
+    """`utility_gradients` with availability applied by ``np.where`` on 0/1 ``avail``,
+    as before the mask was compiled: the reference of the compiled mask."""
+    from lchoice.numcore.program import UNAVAILABLE
+
+    def softmax(z):
+        e = np.exp(z - z.max(axis=1, keepdims=True))
+        return e / e.sum(axis=1, keepdims=True)
+
+    def reference(prog, v, unavail, onehot):
+        if not prog.use_nests:
+            p = softmax(np.where(avail > 0, v, -np.inf))
+            return p - onehot, None, p
+        lay, member = prog.layout, prog.layout.member
+        mu_alt = member @ prog.mu
+        s_arg = np.where(avail > 0, mu_alt * v, UNAVAILABLE)
+        c = np.maximum.reduceat(s_arg.take(lay.order, axis=1), lay.start, axis=1)
+        ln_s = c + np.log(np.exp(s_arg - c @ member.T) @ member)
+        scaled = ln_s / prog.mu
+        p_nest = softmax(scaled)
+        p_cond = np.exp(s_arg - ln_s @ member.T)
+        p = (p_nest @ member.T) * p_cond
+        dv = p + p_cond * (onehot @ (lay.same_nest * (mu_alt - 1.0))) - onehot * mu_alt
+        nest_star = onehot @ member
+        ebar = (p_cond * v) @ member
+        g = (ebar - scaled) / prog.mu
+        dmu = (p_nest - nest_star) * g + nest_star * ebar - (onehot * v) @ member
+        return dv, dmu, p
+
+    return reference
+
+
+@pytest.mark.parametrize("scale", [1.0, 1e3, 1e6])
+@pytest.mark.parametrize("with_nests", [False, True])
+def test_compiled_mask_matches_where_masking(monkeypatch, scale, with_nests):
+    from lchoice.numcore import program
+    rng = np.random.default_rng(21)
+    for _ in range(6):
+        prog, data, avail, choice = random_instance(rng, with_net=True, with_nests=with_nests)
+        assert (avail == 0).any()  # holes
+        data *= scale
+        inputs = compile_inputs(prog, data, avail, choice)
+        assert np.array_equal(inputs[2], avail == 0)
+        v = numcore.utilities(prog, *eval_inputs(prog, data))
+        hole = np.argwhere(avail == 0)[0]
+        for at_hole in (0.0, np.inf, np.nan):  # a non-finite utility where unavailable
+            v[tuple(hole)] = at_hole
+            reference = _where_masked_gradients(prog, avail)
+            with np.errstate(invalid="ignore"):  # nested dmu reads 0 * v at the hole
+                want = reference(prog, v, None, inputs[3])
+                got = program.utility_gradients(prog, v.copy(), *inputs[2:])
+            for g, ref in zip(got, want):
+                assert (g is None and ref is None) or np.array_equal(g, ref, equal_nan=True)
+            assert np.array_equal(numcore.probabilities(prog, v, avail), want[2])
+        mask = np.where(rng.random((data.shape[0], prog.hidden_width)) < 0.2, 0.0, 1.25)
+        got = gradients(prog, *inputs, l2=0.01, mask=mask)
+        with monkeypatch.context() as patch:
+            patch.setattr(program, "utility_gradients", _where_masked_gradients(prog, avail))
+            want = gradients(prog, *inputs, l2=0.01, mask=mask)
+        assert np.array_equal(got[1], want[1])
+        assert got[0].keys() == want[0].keys()
+        for name in got[0]:
+            assert np.array_equal(got[0][name], want[0][name]), name
 
 
 def test_input_gradients_match_finite_differences():
@@ -612,6 +706,18 @@ def test_fit_program_input_validation():
         fit_program(prog, data, holed, choice, cfg)
 
 
+def test_fit_program_availability_errors_name_the_row():
+    prog, data, avail, choice = _featureful_instance(seed=15)  # 120 rows
+    avail[37] = 0.0
+    avail[41] = 1.0
+    avail[41, choice[41]] = 0.0
+    with pytest.raises(ValueError, match="row 37: no available alternative"):
+        fit_program(prog, data, avail, choice, TrainConfig(epochs=1))
+    avail[37] = 1.0
+    with pytest.raises(ValueError, match="row 41: chosen alternative marked unavailable"):
+        fit_program(prog, data, avail, choice, TrainConfig(epochs=1))
+
+
 @pytest.mark.parametrize("code", [-1, 99])
 def test_fit_program_rejects_bad_choice_codes(code):
     # -1 once trained on the last alternative, 99 raised a bare IndexError
@@ -667,6 +773,19 @@ def test_benchmark_contract_names_exist():
     # the benchmark wraps class attributes through the class __dict__
     for cls, name in ((analysis.DataSpec, "make"), (models.HybridChoiceModel, "program")):
         assert callable(cls.__dict__.get(name)), f"{cls.__name__}.{name}"
+    # the program attributes the stage replay reads, on a copy rebuilt at another width
+    from dataclasses import replace
+    prog = _featureful_instance(seed=5)[0]  # width 4, depth 2
+    rng = np.random.default_rng(0)
+    wide = replace(prog, w_in=rng.normal(size=(3, 7)), w_hidden=rng.normal(size=(1, 7, 7)),
+                   b_hidden=np.zeros((2, 7)), w_out=rng.normal(size=(7, 3)))
+    assert (wide.hidden_width, wide.has_net, wide.depth) == (7, True, 2)
+    bare = replace(prog, q_cols=np.zeros(0, dtype=np.int64), w_in=np.zeros((0, 0)),
+                   w_hidden=np.zeros((0, 0, 0)), b_hidden=np.zeros((0, 0)),
+                   w_out=np.zeros((0, 3)))
+    assert (bare.hidden_width, bare.has_net, bare.depth) == (0, False, 0)
+    for name in ("q_cols", "term_col", "mu_free", "n_params", "use_nests", "mu"):
+        assert np.array_equal(getattr(wide, name), getattr(prog, name)), name
 
 
 def test_benchmark_stage_replay_runs():
