@@ -12,6 +12,7 @@ import ast
 import csv
 import warnings
 from dataclasses import dataclass, field
+from itertools import chain
 
 import numpy as np
 
@@ -135,9 +136,35 @@ def _sniff_delimiter(sample: str) -> str:
     return max(counts, key=counts.get) if max(counts.values()) > 0 else ","
 
 
+def _cell_value(cell: str, at: str) -> float:
+    try:
+        return float(cell)
+    except ValueError:
+        raise DataError(f"{at}: non-numeric value {cell.strip()!r}") from None
+
+
 def load_csv(path: str, schema: CsvSchema, validate: bool = True) -> ChoiceDataset:
-    """Read a delimited text file; errors carry the offending row and column."""
-    with open(path, newline="") as fh:
+    """Read a delimited text file into a dataset; errors carry the offending row and column.
+
+    The format: a header row of unique names, then one row per observation
+    with as many fields as the header.  The delimiter (tab, comma or
+    semicolon) is the one the header uses most; cells may be quoted and
+    padded with whitespace; a UTF-8 byte-order mark before the header is
+    dropped.  Rows whose cells are all empty or whitespace are skipped.
+    Every cell is read by Python's ``float``, so ``nan``, ``inf`` and
+    ``1_000`` are accepted.  The schema's availability cells must be 0 or 1
+    and its choice cells integer codes, shifted by ``choice_base`` to a
+    0-based index; with ``validate`` each code must name an alternative that
+    is available in its row (``validate=False`` keeps other codes, such as
+    a missing response, for a preprocessor to drop).  Every column the
+    schema does not claim is a feature.
+
+    The first bad row is reported, as ``<path>: row R[, column 'C']: ...``
+    with the header as row 1 and skipped blank rows not counted.
+    Within a row the checks run in the order: field count, features,
+    availability, choice code, code range, chosen alternative available.
+    """
+    with open(path, newline="", encoding="utf-8-sig") as fh:
         sample = fh.readline()
         if not sample.strip():
             raise DataError(f"{path}: empty file")
@@ -145,7 +172,7 @@ def load_csv(path: str, schema: CsvSchema, validate: bool = True) -> ChoiceDatas
         fh.seek(0)
         reader = csv.reader(fh, delimiter=delim)
         header = [h.strip() for h in next(reader)]
-        raw_rows = [r for r in reader if any(cell.strip() for cell in r)]
+        raw_rows = [r for r in reader if any(map(str.strip, r))]
     for j, name in enumerate(header):
         if name in header[:j]:
             raise DataError(f"{path}: duplicate column {name!r}")
@@ -159,39 +186,59 @@ def load_csv(path: str, schema: CsvSchema, validate: bool = True) -> ChoiceDatas
         special |= set(schema.avail_columns)
     feat_cols = [h for h in header if h not in special]
     col_pos = {h: j for j, h in enumerate(header)}
+    av_cols = list(schema.avail_columns or ())
+    n, width, n_alts = len(raw_rows), len(header), len(schema.alt_labels)
 
-    n, n_alts = len(raw_rows), len(schema.alt_labels)
-    values = np.empty((n, len(feat_cols)))
-    avail = np.ones((n, n_alts))
-    choice = np.empty(n, dtype=np.int64)
-
-    def parse(cell: str, i: int, name: str) -> float:
-        try:
-            return float(cell)
-        except ValueError:
-            raise DataError(f"{path}: row {i + 2}, column {name!r}: "
-                            f"non-numeric value {cell.strip()!r}") from None
-
-    for i, row in enumerate(raw_rows):
-        if len(row) != len(header):
-            raise DataError(f"{path}: row {i + 2}: expected {len(header)} fields, got {len(row)}")
-        for j, name in enumerate(feat_cols):
-            values[i, j] = parse(row[col_pos[name]], i, name)
-        if schema.avail_columns is not None:
-            for k, name in enumerate(schema.avail_columns):
-                avail[i, k] = 1.0 if parse(row[col_pos[name]], i, name) > 0 else 0.0
-        cell = row[col_pos[schema.choice_column]]
-        raw_choice = parse(cell, i, schema.choice_column)
+    def row_error(i: int, row: list[str]) -> None:
+        """Raise the located error of data row ``i``, if it has one, in the checks' order."""
+        where = f"{path}: row {i + 2}"
+        if len(row) != width:
+            raise DataError(f"{where}: expected {width} fields, got {len(row)}")
+        for name in feat_cols:
+            _cell_value(row[col_pos[name]], f"{where}, column {name!r}")
+        for name in av_cols:
+            cell, at = row[col_pos[name]], f"{where}, column {name!r}"
+            if _cell_value(cell, at) not in (0.0, 1.0):
+                raise DataError(f"{at}: availability {cell.strip()!r} is not 0 or 1")
+        cell, at = row[col_pos[schema.choice_column]], f"{where}, column {schema.choice_column!r}"
+        raw_choice = _cell_value(cell, at)
         if not (raw_choice.is_integer() and abs(raw_choice) < 2.0 ** 62):  # int64 after the shift
-            raise DataError(f"{path}: row {i + 2}, column {schema.choice_column!r}: "
-                            f"choice code {cell.strip()!r} is not a valid integer code")
-        choice[i] = int(raw_choice) - schema.choice_base
-        if validate and not 0 <= choice[i] < n_alts:
-            raise DataError(f"{path}: row {i + 2}, column {schema.choice_column!r}: "
-                            f"choice code {cell.strip()!r} is out of range")
-        if validate and avail[i, choice[i]] == 0.0:  # also catches a row with none available
-            raise DataError(f"{path}: row {i + 2}, column {schema.choice_column!r}: "
-                            f"chosen alternative {schema.alt_labels[choice[i]]!r} is unavailable")
+            raise DataError(f"{at}: choice code {cell.strip()!r} is not a valid integer code")
+        code = int(raw_choice) - schema.choice_base
+        if validate and not 0 <= code < n_alts:
+            raise DataError(f"{at}: choice code {cell.strip()!r} is out of range")
+        if validate and av_cols and float(row[col_pos[av_cols[code]]]) == 0.0:
+            raise DataError(f"{at}: chosen alternative {schema.alt_labels[code]!r} is unavailable")
+
+    def first_error(start: int) -> DataError:
+        for i in range(start, n):
+            try:
+                row_error(i, raw_rows[i])
+            except DataError as err:
+                return err
+        raise AssertionError("a flagged row passed its checks")
+
+    if any(len(row) != width for row in raw_rows):
+        raise first_error(0)
+    try:
+        table = np.fromiter(map(float, chain.from_iterable(raw_rows)), np.float64,
+                            n * width).reshape(n, width)
+    except ValueError:
+        raise first_error(0) from None
+    values = table[:, [col_pos[name] for name in feat_cols]]
+    av = table[:, [col_pos[name] for name in av_cols]] if av_cols else np.ones((n, n_alts))
+    bad = ~((av == 0.0) | (av == 1.0)).all(axis=1)
+    avail = (av == 1.0).astype(np.float64)
+    raw_choice = table[:, col_pos[schema.choice_column]]
+    integral = (np.abs(raw_choice) < 2.0 ** 62) & (raw_choice == np.trunc(raw_choice))
+    bad |= ~integral
+    choice = np.where(integral, raw_choice, 0.0).astype(np.int64) - schema.choice_base
+    if validate:
+        in_range = (choice >= 0) & (choice < n_alts)
+        chosen = avail[np.arange(n), np.where(in_range, choice, 0)]
+        bad |= ~in_range | (chosen == 0.0)
+    if bad.any():
+        raise first_error(int(np.argmax(bad)))
 
     return ChoiceDataset(feat_cols, values, avail, choice, list(schema.alt_labels))
 

@@ -261,8 +261,9 @@ def utility_gradients(prog: ModelProgram, v: np.ndarray, unavail: np.ndarray,
     """Per-row d(-ln P_chosen)/dV and d/dmu (None without nests), and the probabilities.
 
     Reads the mask and the one-hot choice of `compile_inputs`; the plain logit
-    overwrites ``v`` with its probabilities.  Rows are not checked for an
-    available alternative: callers check once, at entry.
+    overwrites ``v`` with its probabilities, the nested logit zeroes it where
+    unavailable, so a non-finite utility there leaves d/dmu finite.  Rows are
+    not checked for an available alternative: callers check once, at entry.
     """
     if not prog.use_nests:
         p = masked_softmax(v, unavail)
@@ -270,6 +271,7 @@ def utility_gradients(prog: ModelProgram, v: np.ndarray, unavail: np.ndarray,
     lay = prog.layout
     parts = nested_parts(v, unavail, lay, prog.mu)
     p, p_nest, p_cond, mu_alt = (parts[k] for k in ("probs", "p_nest", "p_cond", "mu_alt"))
+    np.putmask(v, unavail, 0.0)  # p_cond is 0 there; 0 * inf would make d/dmu NaN
     # the chosen nest's terms through the one-hot choice (mu is constant within a nest)
     dv = p + p_cond * (onehot @ (lay.same_nest * (mu_alt - 1.0))) - onehot * mu_alt
     nest_star = onehot @ lay.member

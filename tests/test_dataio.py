@@ -1,9 +1,14 @@
 """Dataset container, CSV IO, splits, and the canonical preprocessors."""
 
+import csv
+import os
 import re
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lchoice import (
     ChoiceDataset,
@@ -21,7 +26,7 @@ from lchoice import (
     swissmetro_schema,
     validate_partition,
 )
-from lchoice.dataio import OPTIMA_REQUIRED, SWISSMETRO_SCALED
+from lchoice.dataio import OPTIMA_REQUIRED, SWISSMETRO_SCALED, CsvSchema
 from lchoice.synthgen import BinaryScenario
 
 
@@ -191,6 +196,188 @@ def test_load_csv_can_defer_validation(tmp_path):
     assert ds.choice[0] == -1
     with pytest.raises(DataError):
         load_csv(str(path), generic_schema(("1", "2")))
+
+
+@pytest.mark.parametrize("cell", ["nan", "0.5", "2", "-1"])
+def test_load_csv_rejects_availability_other_than_0_or_1(tmp_path, cell):
+    # once read as "> 0": nan was unavailable and 2 available, without a word
+    path = tmp_path / "avail.csv"
+    path.write_text(f"x1,AV_1,AV_2,CHOICE\n1.0,1,1,0\n2.0,1,{cell},0\n")
+    want = f"{path}: row 3, column 'AV_2': availability '{cell}' is not 0 or 1"
+    with pytest.raises(DataError, match=re.escape(want)):
+        load_csv(str(path), generic_schema(("1", "2")))
+
+
+def test_load_csv_strips_a_utf8_byte_order_mark(tmp_path):
+    choice_first = tmp_path / "choice_first.csv"
+    choice_first.write_bytes(b"\xef\xbb\xbfCHOICE,x1,AV_1,AV_2\n1,2.5,1,1\n")
+    ds = load_csv(str(choice_first), generic_schema(("1", "2")))
+    assert ds.columns == ["x1"] and ds.choice.tolist() == [1]
+
+    feature_first = tmp_path / "feature_first.csv"
+    feature_first.write_bytes(b"\xef\xbb\xbfx1,AV_1,AV_2,CHOICE\n2.5,1,1,0\n")
+    ds = load_csv(str(feature_first), generic_schema(("1", "2")))
+    assert ds.columns == ["x1"] and ds.col("x1").tolist() == [2.5]
+
+
+def _reference_load_csv(path, schema, validate=True):
+    """The cell-by-cell loader that the column-wise one replaced, kept as its
+    reference: (columns, values, avail, choice), or the DataError it raised."""
+    with open(path, newline="") as fh:
+        sample = fh.readline()
+        if not sample.strip():
+            raise DataError(f"{path}: empty file")
+        counts = {d: sample.count(d) for d in ("\t", ",", ";")}
+        delim = max(counts, key=counts.get) if max(counts.values()) > 0 else ","
+        fh.seek(0)
+        reader = csv.reader(fh, delimiter=delim)
+        header = [h.strip() for h in next(reader)]
+        raw_rows = [r for r in reader if any(cell.strip() for cell in r)]
+    special = {schema.choice_column} | set(schema.avail_columns or ())
+    feat_cols = [h for h in header if h not in special]
+    col_pos = {h: j for j, h in enumerate(header)}
+    n, n_alts = len(raw_rows), len(schema.alt_labels)
+    values = np.empty((n, len(feat_cols)))
+    avail = np.ones((n, n_alts))
+    choice = np.empty(n, dtype=np.int64)
+
+    def parse(cell, i, name):
+        try:
+            return float(cell)
+        except ValueError:
+            raise DataError(f"{path}: row {i + 2}, column {name!r}: "
+                            f"non-numeric value {cell.strip()!r}") from None
+
+    for i, row in enumerate(raw_rows):
+        if len(row) != len(header):
+            raise DataError(f"{path}: row {i + 2}: expected {len(header)} fields, got {len(row)}")
+        for j, name in enumerate(feat_cols):
+            values[i, j] = parse(row[col_pos[name]], i, name)
+        if schema.avail_columns is not None:
+            for k, name in enumerate(schema.avail_columns):
+                avail[i, k] = 1.0 if parse(row[col_pos[name]], i, name) > 0 else 0.0
+        cell = row[col_pos[schema.choice_column]]
+        raw_choice = parse(cell, i, schema.choice_column)
+        if not (raw_choice.is_integer() and abs(raw_choice) < 2.0 ** 62):
+            raise DataError(f"{path}: row {i + 2}, column {schema.choice_column!r}: "
+                            f"choice code {cell.strip()!r} is not a valid integer code")
+        choice[i] = int(raw_choice) - schema.choice_base
+        if validate and not 0 <= choice[i] < n_alts:
+            raise DataError(f"{path}: row {i + 2}, column {schema.choice_column!r}: "
+                            f"choice code {cell.strip()!r} is out of range")
+        if validate and avail[i, choice[i]] == 0.0:
+            raise DataError(f"{path}: row {i + 2}, column {schema.choice_column!r}: "
+                            f"chosen alternative {schema.alt_labels[choice[i]]!r} is unavailable")
+    return feat_cols, values, avail, choice
+
+
+def _same_load(path, schema, validate=True):
+    """Assert load_csv gives the reference's arrays bit for bit, or its error."""
+    try:
+        want = _reference_load_csv(path, schema, validate)
+    except DataError as err:
+        with pytest.raises(DataError) as got:
+            load_csv(path, schema, validate)
+        assert str(got.value) == str(err)
+        return None
+    ds = load_csv(path, schema, validate)
+    assert ds.columns == want[0]
+    for got, ref in zip((ds.values, ds.avail, ds.choice), want[1:]):
+        assert got.dtype == ref.dtype and got.shape == ref.shape
+        assert got.tobytes() == ref.tobytes()  # bit for bit: nan payloads and signed zeros
+    return ds
+
+
+@pytest.mark.parametrize("name, text, schema, validate", [
+    ("quoted_and_padded", 'x1,"x2",AV_1,AV_2,CHOICE\n" 2.5 ","-1e3",1," 1 ","1"\n'
+     '  7 ,\t0.125\t, 1.0 ,0,0\n', generic_schema(("1", "2")), True),
+    ("blank_rows", "x1,AV_1,AV_2,CHOICE\n\n1.0,1,1,0\n   \n,,,\n \t, ,,\n2.0,1,1,1\n\n",
+     generic_schema(("1", "2")), True),
+    ("tab", "x1\tx2\tAV_1\tAV_2\tCHOICE\n1.5\t2\t1\t1\t1\n-3\t4e-2\t0\t1\t1\n",
+     generic_schema(("1", "2")), True),
+    ("semicolon", "x1;AV_1;AV_2;CHOICE\r\n1,5;1;1;0\r\n", generic_schema(("1", "2")), True),
+    ("semicolon_decimal_point", "x1;AV_1;AV_2;CHOICE\r\n1.5;1;1;0\r\n-2;1;0;0\r\n",
+     generic_schema(("1", "2")), True),
+    ("special_columns_first", "CHOICE,AV_2,AV_1,x1,x2\n1,1,0,3.0,4.0\n0,0,1,5.0,6.0\n",
+     generic_schema(("1", "2")), True),
+    ("choice_base_1", "TRAIN_AV\tSM_AV\tCAR_AV\tCHOICE\tGA\n1\t1\t1\t3\t0\n1\t0\t1\t1\t1\n",
+     swissmetro_schema(), True),
+    ("missing_responses_kept", "x1,AV_1,AV_2,CHOICE\n1.0,1,1,-1\n2.0,1,0,1\n3.0,1,1,5\n",
+     generic_schema(("1", "2")), False),
+    ("swissmetro_missing_response", "TRAIN_AV\tSM_AV\tCAR_AV\tCHOICE\n1\t1\t1\t0\n",
+     swissmetro_schema(), False),
+    ("non_finite_and_underscores", "x1,x2,x3,Choice\nnan,inf,1_000,2\n-Infinity,NaN, 1_0.5 ,0\n",
+     optima_schema(), True),
+    ("no_rows", "x1,AV_1,AV_2,CHOICE\n", generic_schema(("1", "2")), True),
+])
+def test_load_csv_matches_the_cell_by_cell_reference(tmp_path, name, text, schema, validate):
+    path = tmp_path / f"{name}.csv"
+    path.write_bytes(text.encode())
+    _same_load(str(path), schema, validate)
+
+
+_CELLS = {"feature": ["0", "-0", "2.5", " 2.5 ", "1_000", "nan", "-inf", "Infinity", "1e-300",
+                      "0.1", "-7", "3.25e2", "oops", ""],
+          "avail": ["0", "1", "1.0", " 1 ", "-0", "0e0"],
+          "choice": ["0", "1", "2", "-1", "1.0", " 2 ", "1.5", "nan", "x"]}
+
+
+@given(data=st.data())
+@settings(max_examples=80, deadline=None)
+def test_load_csv_matches_the_reference_on_random_files(data):
+    n_alts = data.draw(st.integers(2, 3), "n_alts")
+    labels = tuple(str(k + 1) for k in range(n_alts))
+    with_avail = data.draw(st.booleans(), "with_avail")
+    schema = CsvSchema(labels, avail_columns=tuple(f"AV_{a}" for a in labels) if with_avail
+                       else None, choice_base=data.draw(st.integers(0, 1), "choice_base"))
+    kinds = {f"x{j}": "feature" for j in range(data.draw(st.integers(0, 3), "n_features"))}
+    kinds.update({c: "avail" for c in schema.avail_columns or ()}, CHOICE="choice")
+    header = data.draw(st.permutations(list(kinds)), "header")
+    delim = data.draw(st.sampled_from([",", "\t", ";"]), "delim")
+    lines = [delim.join(header)]
+    for _ in range(data.draw(st.integers(0, 6), "n_rows")):
+        if data.draw(st.integers(0, 5)) == 0:  # a blank or whitespace-only row
+            lines.append(data.draw(st.sampled_from(["", "  ", delim * (len(header) - 1)])))
+            continue
+        cells = [data.draw(st.sampled_from(_CELLS[kinds[h]])) for h in header]
+        if data.draw(st.integers(0, 9)) == 0:  # a field too many or too few
+            cells = cells[:-1] if data.draw(st.booleans()) else cells + ["1"]
+        quote = data.draw(st.booleans())
+        lines.append(delim.join(f'"{c}"' if quote else c for c in cells))
+    text = data.draw(st.sampled_from(["\n", "\r\n"])).join(lines) + "\n"
+    validate = data.draw(st.booleans(), "validate")
+    with tempfile.TemporaryDirectory() as tmp:
+        path = os.path.join(tmp, "random.csv")
+        with open(path, "w", newline="") as fh:
+            fh.write(text)
+        _same_load(path, schema, validate)
+
+
+def test_load_csv_reports_the_first_bad_row(tmp_path):
+    schema = generic_schema(("1", "2"))
+    path = tmp_path / "two_faults.csv"
+    path.write_text("x1,AV_1,AV_2,CHOICE\n1.0,1,1,0\n2.0,1,1,9\n3.0,1,1\noops,1,1,0\n")
+    with pytest.raises(DataError, match=re.escape(f"{path}: row 3, column 'CHOICE': "
+                                                  f"choice code '9' is out of range")):
+        load_csv(str(path), schema)
+    # within one row: field count, features, availability, choice code, range, unavailable
+    row = {"x1": "oops", "AV_1": "0", "AV_2": "2", "CHOICE": "1.5"}
+    cases = [
+        (",".join(row.values()) + ",1", "row 2: expected 4 fields, got 5"),
+        (",".join(row.values()), "row 2, column 'x1': non-numeric value 'oops'"),
+        ("1.0,0,2,1.5", "row 2, column 'AV_2': availability '2' is not 0 or 1"),
+        ("1.0,0,1,1.5", "row 2, column 'CHOICE': choice code '1.5' is not a valid integer code"),
+        ("1.0,0,1,7", "row 2, column 'CHOICE': choice code '7' is out of range"),
+        ("1.0,0,1,0", "row 2, column 'CHOICE': chosen alternative '1' is unavailable"),
+    ]
+    for k, (line, want) in enumerate(cases):
+        path = tmp_path / f"order{k}.csv"
+        path.write_text(f"x1,AV_1,AV_2,CHOICE\n{line}\n1.0,1,1,oops\n")
+        with pytest.raises(DataError, match=re.escape(f"{path}: {want}")):
+            load_csv(str(path), schema)
+    ok = tmp_path / "ok.csv"
+    ok.write_text("x1,AV_1,AV_2,CHOICE\n1.0,0,1,1\n")
+    assert load_csv(str(ok), schema).choice.tolist() == [1]
 
 
 # ------------------------------------------------------------------- split

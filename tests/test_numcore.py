@@ -327,6 +327,23 @@ def test_nested_loss_gradients_match_per_row_formula(case):
         assert (np.abs(g - w) <= 1e-12 * np.maximum(np.abs(w), size)).all(), name
 
 
+@pytest.mark.parametrize("at_hole", [np.inf, -np.inf, np.nan])
+def test_nested_dmu_finite_with_non_finite_utility_where_unavailable(at_hole):
+    # the utility at an unavailable alternative must not reach d/dmu: 0 * inf there was NaN
+    from lchoice.numcore.program import ModelProgram, empty_net, utility_gradients
+    prog = ModelProgram(3, 0, *np.zeros((3, 0), dtype=np.int64), np.zeros(0),
+                        np.zeros(0, dtype=np.int64), *empty_net(3), np.array([0, 1, 0]),
+                        np.array([1.7, 1.0]), np.array([1, 0], dtype=np.uint8), True)
+    unavail, onehot = np.array([[False, False, True]]), np.array([[1.0, 0.0, 0.0]])
+    v = np.array([[0.4, -1.2, 2.5]])
+    want = utility_gradients(prog, v.copy(), unavail, onehot)
+    v[0, 2] = at_hole
+    got = utility_gradients(prog, v, unavail, onehot)
+    assert np.isfinite(got[1]).all()
+    for g, w in zip(got, want):
+        assert np.array_equal(g, w)
+
+
 @given(seed=st.integers(0, 10_000))
 @example(seed=356)  # beta gradient of ~-2e-17, all finite-difference rounding
 @settings(max_examples=20, deadline=None)
@@ -364,7 +381,8 @@ def test_probabilities_and_gradients_stay_finite(seed, with_net, with_nests, log
 
 def _where_masked_gradients(prog, avail):
     """`utility_gradients` with availability applied by ``np.where`` on 0/1 ``avail``,
-    as before the mask was compiled: the reference of the compiled mask."""
+    as before the mask was compiled: the reference of the compiled mask.  The
+    nested d/dmu reads the utilities with 0 where unavailable."""
     from lchoice.numcore.program import UNAVAILABLE
 
     def softmax(z):
@@ -386,6 +404,7 @@ def _where_masked_gradients(prog, avail):
         p = (p_nest @ member.T) * p_cond
         dv = p + p_cond * (onehot @ (lay.same_nest * (mu_alt - 1.0))) - onehot * mu_alt
         nest_star = onehot @ member
+        v = np.where(avail > 0, v, 0.0)
         ebar = (p_cond * v) @ member
         g = (ebar - scaled) / prog.mu
         dmu = (p_nest - nest_star) * g + nest_star * ebar - (onehot * v) @ member
@@ -409,12 +428,10 @@ def test_compiled_mask_matches_where_masking(monkeypatch, scale, with_nests):
         hole = np.argwhere(avail == 0)[0]
         for at_hole in (0.0, np.inf, np.nan):  # a non-finite utility where unavailable
             v[tuple(hole)] = at_hole
-            reference = _where_masked_gradients(prog, avail)
-            with np.errstate(invalid="ignore"):  # nested dmu reads 0 * v at the hole
-                want = reference(prog, v, None, inputs[3])
-                got = program.utility_gradients(prog, v.copy(), *inputs[2:])
+            want = _where_masked_gradients(prog, avail)(prog, v, None, inputs[3])
+            got = program.utility_gradients(prog, v.copy(), *inputs[2:])
             for g, ref in zip(got, want):
-                assert (g is None and ref is None) or np.array_equal(g, ref, equal_nan=True)
+                assert (g is None and ref is None) or np.array_equal(g, ref)
             assert np.array_equal(numcore.probabilities(prog, v, avail), want[2])
         mask = np.where(rng.random((data.shape[0], prog.hidden_width)) < 0.2, 0.0, 1.25)
         got = gradients(prog, *inputs, l2=0.01, mask=mask)
