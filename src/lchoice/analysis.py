@@ -38,7 +38,7 @@ from .synthgen import BinaryScenario
 
 @dataclass(frozen=True, eq=False)
 class ModelRecipe:
-    """How to build and train one model of the zoo, per replication."""
+    """How to build and train one model; `build` makes every model of analysis and the CLI."""
 
     name: str
     kind: str
@@ -47,16 +47,18 @@ class ModelRecipe:
     net_width: int = 25
     net_depth: int = 1
     nests: NestStructure | None = None
-    train: tuple[tuple[str, object], ...] = ()  # TrainConfig overrides
+
+    def build(self, labels: tuple[str, ...], seed: int) -> HybridChoiceModel:
+        """The model over alternatives ``labels``, its weights initialised from ``seed``."""
+        return build_model(self.kind, tuple(labels), self.utility, q=self.q,
+                           net_width=self.net_width, net_depth=self.net_depth,
+                           nests=self.nests, seed=seed)
 
     def fit(self, train: ChoiceDataset, test: ChoiceDataset | None, base: TrainConfig,
             seed: int, **report_args) -> tuple[HybridChoiceModel, EstimationReport]:
         """Build the model for ``train``'s alternatives and fit it jointly."""
-        model = build_model(self.kind, tuple(train.alt_labels), self.utility, q=self.q,
-                            net_width=self.net_width, net_depth=self.net_depth,
-                            nests=self.nests, seed=seed)
-        config = replace(base, seed=seed, **dict(self.train))
-        return model, fit_joint(model, train, config, test=test, **report_args)
+        model = self.build(train.alt_labels, seed)
+        return model, fit_joint(model, train, replace(base, seed=seed), test=test, **report_args)
 
 
 SPEC_SCENARIOS = ("binary", "correlated", "unobserved", "guevara")
@@ -103,12 +105,15 @@ def _generic(name: str, col: str) -> UtilityTerm:
     return UtilityTerm.of(name, {"1": f"{col}1", "2": f"{col}2"})
 
 
-QC_COLS = ("q1", "c1", "q2", "c2")  # the binary scenarios' net inputs
-
-
 def binary_pab() -> tuple[UtilityTerm, ...]:
     """The binary scenarios' generic price and attribute terms beta_p, beta_a, beta_b."""
     return (_generic("beta_p", "p"), _generic("beta_a", "a"), _generic("beta_b", "b"))
+
+
+def binary_lmnl(width: int = 25) -> ModelRecipe:
+    """L-MNL of the binary scenarios: beta_p, beta_a, beta_b linear, a net over q and c."""
+    return ModelRecipe(f"LMNL({width},X,Q)", "LMNL", UtilitySpec(binary_pab()),
+                       q=("q1", "c1", "q2", "c2"), net_width=width)
 
 
 def binary_zoo(width: int = 25) -> tuple[ModelRecipe, ...]:
@@ -121,8 +126,7 @@ def binary_zoo(width: int = 25) -> tuple[ModelRecipe, ...]:
         ModelRecipe(f"DNN({width},Q)", "DNN", q=cols10, net_width=width),
         ModelRecipe(f"DNN_L({width},X=Q)", "DNN_L", UtilitySpec(all5),
                     q=cols10, net_width=width),
-        ModelRecipe(f"LMNL({width},X,Q)", "LMNL", UtilitySpec(pab),
-                    q=QC_COLS, net_width=width),
+        binary_lmnl(width),
         ModelRecipe("Logit(Xtrue)", "Logit", UtilitySpec(pab + (_generic("beta_qc", "qc"),))),
     )
 
@@ -132,8 +136,7 @@ def correlation_zoo(width: int = 25) -> tuple[ModelRecipe, ...]:
     pab = binary_pab()
     all5 = pab + (_generic("beta_q", "q"), _generic("beta_c", "c"))
     return (
-        ModelRecipe(f"LMNL({width},X,Q)", "LMNL", UtilitySpec(pab), q=QC_COLS,
-                    net_width=width),
+        binary_lmnl(width),
         ModelRecipe("Logit(X1)", "Logit", UtilitySpec(all5)),
         ModelRecipe("Logit(X2)", "Logit", UtilitySpec(pab)),
     )
@@ -362,7 +365,9 @@ class NeuronScanResult:
     widths: tuple[int, ...]
     records: list[dict]  # width, rep, seed, ll_train, ll_test, params
 
-    def table(self, params: tuple[str, ...] = ("beta_p", "beta_a")) -> list[dict]:
+    def table(self) -> list[dict]:
+        """Mean and sd per width of the LLs and of every coefficient in the records."""
+        params = dict.fromkeys(p for r in self.records for p in r["params"])
         rows = []
         for w in self.widths:
             recs = [r for r in self.records if r["width"] == w]
@@ -389,28 +394,21 @@ class NeuronScanResult:
 
 
 def _scan_one(task: tuple) -> dict:
-    (data, width, utility, q, rep, seed, base_cfg) = task
+    (data, recipe, width, rep, seed, base_cfg) = task
     if isinstance(data, DataSpec):
         train, test, _ = data.make(seed)
     else:
         train, test = data
-    labels = tuple(train.alt_labels)
-    if width == 0:
-        model = build_model("Logit", labels, utility)
-    else:
-        model = build_model("LMNL", labels, utility, q=q, net_width=width, seed=seed)
-    cfg = replace(base_cfg, seed=seed)
-    report = fit_joint(model, train, cfg, test=test, compute_std_errors=False)
+    _, report = recipe.fit(train, test, base_cfg, seed, compute_std_errors=False)
     return {"width": width, "rep": rep, "seed": seed,
             "ll_train": report.ll_train, "ll_test": report.ll_test,
             "params": report.estimates()}
 
 
-def neuron_scan(data, utility: UtilitySpec, q: tuple[str, ...],
-                widths: tuple[int, ...], replications: int = 1,
+def neuron_scan(data, recipe: ModelRecipe, widths: tuple[int, ...], replications: int = 1,
                 base_config: TrainConfig | None = None, seed: int = 0,
                 jobs: int = 1) -> NeuronScanResult:
-    """LL and coefficient curves against net width; width 0 is a plain logit.
+    """LL and coefficient curves of ``recipe`` against net width; width 0 is its Logit part.
 
     ``data`` is either a DataSpec (fresh draw per replication) or a fixed
     (train, test) pair, in which case only initialisation/training seeds vary.
@@ -421,7 +419,9 @@ def neuron_scan(data, utility: UtilitySpec, q: tuple[str, ...],
         raise ValueError("widths must be >= 0")
     base_config = base_config or TrainConfig()
     seeds = [derive_seed(seed, StreamId.REPLICATION + r) for r in range(replications)]
-    tasks = [(data, w, utility, q, rep, seeds[rep], base_config)
+    at_width = {w: replace(recipe, net_width=w) if w else replace(recipe, kind="Logit", q=())
+                for w in widths}
+    tasks = [(data, at_width[w], w, rep, seeds[rep], base_config)
              for w in widths for rep in range(replications)]
     records = _run_tasks(_scan_one, tasks, jobs)
     for r in records:
@@ -494,7 +494,8 @@ class SensitivityResult:
         for gi, delta in enumerate(self.grid):
             for ai, alt in enumerate(self.alt_labels):
                 base = self.base_shares[ai]
-                change = 100.0 * (self.shares[gi, ai] - base) / base
+                # an alternative never available has no share to change
+                change = 100.0 * (self.shares[gi, ai] - base) / base if base else math.nan
                 rows.append({"column": self.column, "change_pct": 100.0 * delta,
                              "alternative": alt, "share": self.shares[gi, ai],
                              "share_change_pct": change})
@@ -627,12 +628,12 @@ def strategy_compare(data: DataSpec | None = None, width: int = 100,
     base_config = base_config or TrainConfig()
     train, test, _ = data.make(derive_seed(seed, StreamId.REPLICATION))
     cfg = replace(base_config, seed=seed)
+    recipe = binary_lmnl(width)
     reports = {}
     for name in (BETA_THEN_NET, NET_THEN_BETA, "joint"):
-        model = build_model("LMNL", tuple(train.alt_labels), UtilitySpec(binary_pab()),
-                            q=QC_COLS, net_width=width, seed=seed)
         fit = fit_joint if name == "joint" else partial(fit_sequential, order=name)
-        reports[name] = fit(model, train, cfg, test=test, compute_std_errors=False)
+        reports[name] = fit(recipe.build(train.alt_labels, seed), train, cfg, test=test,
+                            compute_std_errors=False)
     return StrategyCompareResult(reports)
 
 

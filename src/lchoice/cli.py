@@ -25,8 +25,7 @@ from .dataio import (DataError, generic_schema, load_csv, optima_schema,
                      preprocess_optima, preprocess_swissmetro, save_truth, split,
                      swissmetro_schema, validate_partition)
 from .estimation import build_report, fit_joint, fit_sequential
-from .models import (NestStructure, UtilitySpec, UtilityTerm, build_model,
-                     load_model, save_model)
+from .models import NestStructure, UtilitySpec, UtilityTerm, load_model, save_model
 from .numcore import FitResult, TrainConfig
 
 
@@ -82,7 +81,7 @@ def _parse_utility(block: dict, labels: tuple[str, ...]) -> UtilitySpec:
     return UtilitySpec(tuple(terms), intercepts)
 
 
-def _parse_model(cfg: dict):
+def _parse_model(cfg: dict) -> tuple[ModelRecipe, tuple[str, ...]]:
     block = cfg.get("model")
     if not block:
         raise ConfigError("config needs a 'model' block")
@@ -106,8 +105,8 @@ def _parse_model(cfg: dict):
             nests = NestStructure(groups, mu, fixed)
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
-    return (kind, labels, utility, q,
-            int(block.get("net_width", 25)), int(block.get("net_depth", 1)), nests)
+    return ModelRecipe(kind, kind, utility, q, int(block.get("net_width", 25)),
+                       int(block.get("net_depth", 1)), nests), labels
 
 
 # every DataSpec scenario, plus the one `generate` can only write to a file
@@ -210,7 +209,7 @@ def cmd_estimate(args) -> int:
     cfg.setdefault("seed", args.seed)
     seed = int(cfg["seed"])
     train_cfg = _parse_train(cfg, seed)
-    kind, labels, utility, q, width, depth, nests = _parse_model(cfg)
+    recipe, labels = _parse_model(cfg)
     train, test = _load_dataset(cfg, seed, args.ga_cost_adjust)
 
     report_block = cfg.get("report", {}) or {}
@@ -224,11 +223,10 @@ def cmd_estimate(args) -> int:
     if args.eval_only:
         model = load_model(args.eval_only)
         fit = FitResult(status="ok", epochs_run=0, steps=0, trace=np.zeros(0))
-        report = build_report(model, train, test, train_cfg, fit, **report_args)
+        report = build_report(model, train, test, fit, **report_args)
     else:
-        model = build_model(kind, labels, utility, q=q, net_width=width,
-                            net_depth=depth, nests=nests, seed=seed)
-        if kind in ("LMNL", "LNL"):  # disjoint X/Q is part of the contract here
+        model = recipe.build(labels, seed)
+        if recipe.kind in ("LMNL", "LNL"):  # disjoint X/Q is part of the contract here
             check = validate_partition(train, model.partition.x, model.partition.q)
             if not check.ok:
                 raise ConfigError("; ".join(check.errors))
@@ -311,13 +309,14 @@ def cmd_experiment(args) -> int:
     elif kind == "neuron-scan":
         widths = tuple(int(w) for w in cfg.get("widths", (0, 5, 10, 25, 100)))
         if "model" in cfg:
-            _, labels, utility, q, _, _, _ = _parse_model(cfg)
-            train, test = _load_dataset(cfg, seed, args.ga_cost_adjust)
-            data = (train, test)
+            recipe, _ = _parse_model(cfg)
+            if recipe.kind not in ("LMNL", "LNL"):
+                raise ConfigError(f"neuron-scan scans an LMNL or LNL model, not {recipe.kind!r}")
+            data = _load_dataset(cfg, seed, args.ga_cost_adjust)
         else:
-            utility, q = UtilitySpec(analysis.binary_pab()), analysis.QC_COLS
+            recipe = analysis.binary_lmnl()
             data = _parse_dataspec(cfg.get("scenario", {}) or {})
-        result = analysis.neuron_scan(data, utility, q, widths, reps,
+        result = analysis.neuron_scan(data, recipe, widths, reps,
                                       train_cfg, seed=seed, jobs=args.jobs)
     elif kind == "correlation-sweep":
         s_values = tuple(float(s) for s in cfg.get("s_values", (0.0, 0.4, 0.8, 1.0)))

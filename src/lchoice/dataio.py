@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import ast
 import csv
+import io
 import warnings
 from dataclasses import dataclass, field
 from itertools import chain
@@ -164,15 +165,22 @@ def load_csv(path: str, schema: CsvSchema, validate: bool = True) -> ChoiceDatas
     Within a row the checks run in the order: field count, features,
     availability, choice code, code range, chosen alternative available.
     """
-    with open(path, newline="", encoding="utf-8-sig") as fh:
-        sample = fh.readline()
-        if not sample.strip():
-            raise DataError(f"{path}: empty file")
-        delim = _sniff_delimiter(sample)
-        fh.seek(0)
-        reader = csv.reader(fh, delimiter=delim)
-        header = [h.strip() for h in next(reader)]
-        raw_rows = [r for r in reader if any(map(str.strip, r))]
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8-sig")  # a check; the rows are decoded as they are read
+    except UnicodeDecodeError as exc:
+        line = exc.object[:exc.start].count(b"\n") + 1
+        raise DataError(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from None
+    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="")
+    sample = text.readline()
+    if not sample.strip():
+        raise DataError(f"{path}: empty file")
+    delim = _sniff_delimiter(sample)
+    text.seek(0)
+    reader = csv.reader(text, delimiter=delim)
+    header = [h.strip() for h in next(reader)]
+    raw_rows = [r for r in reader if any(map(str.strip, r))]
     for j, name in enumerate(header):
         if name in header[:j]:
             raise DataError(f"{path}: duplicate column {name!r}")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import csv
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -199,7 +199,6 @@ class EstimationReport:
     status: str = "ok"
     covariance: np.ndarray | None = None
     warnings: list[str] = field(default_factory=list)
-    config: dict = field(default_factory=dict)
 
     def estimates(self) -> dict[str, float]:
         return {p.name: p.estimate for p in self.params}
@@ -281,8 +280,8 @@ def _nest_rows(model: HybridChoiceModel) -> list[tuple[str, float, bool]]:
 
 
 def build_report(model: HybridChoiceModel, train: ChoiceDataset,
-                 test: ChoiceDataset | None, config: TrainConfig,
-                 fit: FitResult, compute_std_errors: bool = True,
+                 test: ChoiceDataset | None, fit: FitResult,
+                 compute_std_errors: bool = True,
                  references: dict[str, float] | None = None,
                  ratio_defs: tuple[tuple[str, str, str], ...] = ()) -> EstimationReport:
     """Fit metrics on train (and test), and std errors unless the fit failed.
@@ -305,7 +304,6 @@ def build_report(model: HybridChoiceModel, train: ChoiceDataset,
         rho2_train=mcfadden_rho2(ll_train, ll0_train),
         acc_train=_accuracy(p_train, train), n_train=train.n_rows,
         trace=fit.trace, status=fit.status,
-        config=asdict(config),
     )
     if fit.status != "ok":
         report.warnings.append(
@@ -373,7 +371,7 @@ def _fit_phases(model: HybridChoiceModel, train: ChoiceDataset, config: TrainCon
             break
     merged = FitResult(fits[-1].status, sum(f.epochs_run for f in fits),
                        sum(f.steps for f in fits), np.concatenate([f.trace for f in fits]))
-    return build_report(model, train, test, config, merged, *report_args)
+    return build_report(model, train, test, merged, *report_args)
 
 
 def fit_joint(model: HybridChoiceModel, train: ChoiceDataset, config: TrainConfig,
@@ -400,7 +398,5 @@ def fit_sequential(model: HybridChoiceModel, train: ChoiceDataset, config: Train
     """
     if order not in _PHASES:
         raise ValueError(f"unknown order {order!r}")
-    report = _fit_phases(model, train, config, _PHASES[order], test,
-                         compute_std_errors, references, ratio_defs)
-    report.config["order"] = order
-    return report
+    return _fit_phases(model, train, config, _PHASES[order], test,
+                       compute_std_errors, references, ratio_defs)

@@ -34,6 +34,8 @@ from . import program as pr
 # arrays under glibc's 128 KiB mmap threshold, so they reuse heap pages instead of
 # faulting in fresh ones each epoch
 DRAW_CAP = 16_000
+# Adam's moment decay rates and the floor added to its denominator
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-7
 
 
 def active_backend() -> str:
@@ -51,9 +53,6 @@ class TrainConfig:
     l2: float = 0.0
     seed: int = 0
     learning_rate: float = 0.001
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-7
 
     def __post_init__(self) -> None:
         for name in ("epochs", "batch_size", "seed"):
@@ -68,10 +67,6 @@ class TrainConfig:
             raise ValueError("l2 must be finite and non-negative")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0.0):
             raise ValueError("learning_rate must be finite and > 0")
-        if not (0.0 <= self.beta1 < 1.0 and 0.0 <= self.beta2 < 1.0):
-            raise ValueError("beta1 and beta2 must be in [0, 1)")
-        if not (math.isfinite(self.eps) and self.eps > 0.0):
-            raise ValueError("eps must be finite and > 0")
 
 
 @dataclass
@@ -127,7 +122,7 @@ def fit_program(prog: pr.ModelProgram, data: np.ndarray, avail: np.ndarray,
     good = flat.copy()
     probs = np.empty((n, prog.n_alts))
 
-    lr, b1, b2, eps = config.learning_rate, config.beta1, config.beta2, config.eps
+    lr, b1, b2, eps = config.learning_rate, ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     b1p = b2p = 1.0
     trace = np.full(config.epochs, np.nan)
     status, epochs_run = "ok", 0

@@ -20,6 +20,7 @@ from lchoice import (
     fit_joint,
     monte_carlo,
     neuron_scan,
+    semi_synth_zoo,
     semi_synthetic_study,
     sensitivity_sweep,
     strategy_compare,
@@ -32,8 +33,11 @@ from lchoice.analysis import (
     write_csv_rows,
 )
 from lchoice import estimation
+from lchoice.dataio import ChoiceDataset, split
+from lchoice.models import NestStructure
 from lchoice.numcore import TrainConfig
-from lchoice.numcore.prng import derive_seed
+from lchoice.numcore.prng import StreamId, derive_seed
+from lchoice.synthgen import gen_semi_synthetic
 
 TINY = DataSpec(n_train=80, n_test=40)
 TINY_CFG = TrainConfig(epochs=3, batch_size=40, dropout=0.0)
@@ -44,6 +48,10 @@ def pa_spec():
         UtilityTerm.of("beta_p", {"1": "p1", "2": "p2"}),
         UtilityTerm.of("beta_a", {"1": "a1", "2": "a2"}),
     ))
+
+
+def pa_recipe(q=("q1", "q2")):
+    return ModelRecipe("LMNL", "LMNL", pa_spec(), q=q)
 
 
 # ------------------------------------------------------------- monte carlo
@@ -197,12 +205,14 @@ def test_dataspec_make_splits_its_dataset():
 
 
 def test_neuron_scan_width_zero_matches_plain_logit():
-    sc_train, sc_test, _ = TINY.make(derive_seed(17, 100))
-    scan = neuron_scan((sc_train, sc_test), pa_spec(), ("q1", "q2"),
+    rep_seed = derive_seed(17, StreamId.REPLICATION)
+    sc_train, sc_test, _ = TINY.make(rep_seed)
+    scan = neuron_scan((sc_train, sc_test), pa_recipe(),
                        widths=(0, 3), replications=1, base_config=TINY_CFG, seed=17)
     rec0 = [r for r in scan.records if r["width"] == 0][0]
-    model = build_model("Logit", ("1", "2"), pa_spec())
-    cfg = replace(TINY_CFG, seed=derive_seed(17, 100))
+    # the logit starts from the replication seed, as every campaign's Logit does
+    model = build_model("Logit", ("1", "2"), pa_spec(), seed=rep_seed)
+    cfg = replace(TINY_CFG, seed=rep_seed)
     report = fit_joint(model, sc_train, cfg, test=sc_test, compute_std_errors=False)
     assert rec0["ll_train"] == report.ll_train
     assert rec0["params"] == report.estimates()
@@ -212,25 +222,48 @@ def test_neuron_scan_width_zero_matches_plain_logit():
 
 def test_neuron_scan_worker_processes_match_serial_run():
     kwargs = dict(widths=(0, 2), replications=2, base_config=TINY_CFG, seed=3)
-    serial = neuron_scan(TINY, pa_spec(), ("q1", "q2"), **kwargs)
-    pooled = neuron_scan(TINY, pa_spec(), ("q1", "q2"), jobs=2, **kwargs)
+    serial = neuron_scan(TINY, pa_recipe(), **kwargs)
+    pooled = neuron_scan(TINY, pa_recipe(), jobs=2, **kwargs)
     assert [(r["width"], r["rep"]) for r in serial.records] == [(0, 0), (0, 1), (2, 0), (2, 1)]
     assert pooled.records == serial.records
 
 
 def test_neuron_scan_reraises_a_failed_fit():
     with pytest.raises(ValueError, match="ghost"):
-        neuron_scan(TINY, pa_spec(), ("ghost",), widths=(2,), base_config=TINY_CFG, jobs=2)
+        neuron_scan(TINY, pa_recipe(q=("ghost",)), widths=(2,), base_config=TINY_CFG, jobs=2)
 
 
 def test_neuron_scan_rejects_zero_replications():
     with pytest.raises(ValueError, match="replications must be >= 1"):
-        neuron_scan(TINY, pa_spec(), ("q1", "q2"), widths=(0,), replications=0)
+        neuron_scan(TINY, pa_recipe(), widths=(0,), replications=0)
 
 
 def test_neuron_scan_rejects_negative_width():
     with pytest.raises(ValueError, match="widths"):
-        neuron_scan(TINY, pa_spec(), ("q1", "q2"), widths=(-1, 5))
+        neuron_scan(TINY, pa_recipe(), widths=(-1, 5))
+
+
+def test_neuron_scan_keeps_the_recipe_kind_nests_and_depth():
+    # the scan once refitted any recipe as an unnested depth-1 LMNL
+    ds = gen_semi_synthetic(n=200, seed=3)
+    train, test = split(ds, 0.75, 3)
+    nests = NestStructure((("Train", "Car"), ("SM",)), mu=np.array([1.3, 1.0]))
+    recipe = replace(semi_synth_zoo(4)[2], kind="LNL", net_depth=2, nests=nests)
+    scan = neuron_scan((train, test), recipe, widths=(0, 3), base_config=TINY_CFG, seed=5)
+    rec0, rec3 = scan.records
+    rep_seed = derive_seed(5, StreamId.REPLICATION)
+    model = build_model("Logit", tuple(train.alt_labels), recipe.utility, nests=nests,
+                        seed=rep_seed)
+    report = fit_joint(model, train, replace(TINY_CFG, seed=rep_seed), test=test,
+                       compute_std_errors=False)
+    assert rec0["ll_train"] == report.ll_train and rec0["params"] == report.estimates()
+    _, lnl = replace(recipe, net_width=3).fit(train, test, TINY_CFG, rep_seed,
+                                              compute_std_errors=False)
+    assert lnl.kind == "LNL" and lnl.mu[0][1] != 1.3  # the nest factor trained
+    assert rec3["ll_train"] == lnl.ll_train and rec3["params"] == lnl.estimates()
+    table = scan.table()
+    assert all({"beta_tt_mean", "beta_tt_sd", "beta_tc_mean"} <= set(row) for row in table)
+    assert "beta_tt_mean" in scan.to_markdown()
 
 
 # ------------------------------------------------------- correlation sweep
@@ -273,6 +306,18 @@ def test_sensitivity_zero_delta_keeps_base_shares():
     zero_rows = [r for r in rows if r["change_pct"] == 0.0]
     assert all(r["share_change_pct"] == 0.0 for r in zero_rows)
     assert np.allclose(res.shares.sum(axis=1), 1.0, atol=1e-12)
+
+
+def test_sensitivity_of_a_never_available_alternative_is_nan():
+    # its base share is 0, and its change once came from a 0/0 that warned
+    model, train = fitted_hybrid()
+    avail = train.avail.copy()
+    avail[:, 1] = 0.0
+    only_first = ChoiceDataset(list(train.columns), train.values, avail,
+                               np.zeros(train.n_rows, dtype=np.int64), list(train.alt_labels))
+    rows = sensitivity_sweep(model, only_first, "q1", grid=(0.0, 0.5)).table()
+    assert all(math.isnan(r["share_change_pct"]) for r in rows if r["alternative"] == "2")
+    assert all(r["share_change_pct"] == 0.0 for r in rows if r["alternative"] == "1")
 
 
 def test_sensitivity_rejects_non_net_column():

@@ -247,12 +247,24 @@ def test_negative_learning_rate_is_a_config_error(tmp_path, capsys):
 
 @pytest.mark.parametrize("option", ["l2", "eps"])
 def test_infinite_l2_or_eps_is_a_config_error(tmp_path, capsys, option):
-    # eps=inf once fitted "ok" without moving, l2=inf came back "diverged"
+    # eps=inf once fitted "ok" without moving, l2=inf came back "diverged";
+    # eps is now a trainer constant, so the train block cannot name it
     cfg = write_config(tmp_path / "cfg.yaml",
                        logit_config(train={"epochs": 2, option: float("inf")}))
     assert main(["estimate", "--config", cfg,
                  "--out-dir", str(tmp_path / "runs")]) == 2
-    assert f"bad train block: {option} must be finite" in capsys.readouterr().err
+    message = {"l2": "bad train block: l2 must be finite",
+               "eps": "unknown train options: ['eps']"}[option]
+    assert message in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("option, value", [("beta1", 0.9), ("beta2", 0.999)])
+def test_adam_constants_are_unknown_train_options(tmp_path, capsys, option, value):
+    cfg = write_config(tmp_path / "cfg.yaml",
+                       logit_config(train={"epochs": 2, option: value}))
+    assert main(["estimate", "--config", cfg,
+                 "--out-dir", str(tmp_path / "runs")]) == 2
+    assert f"unknown train options: [{option!r}]" in capsys.readouterr().err
 
 
 def test_fractional_epochs_is_a_config_error(tmp_path, capsys):
@@ -383,6 +395,15 @@ def test_experiment_neuron_scan_widths_flag(tmp_path):
                  "--widths", "0,3", "--out-dir", str(out)]) == 0
     md = (only_run_dir(out) / "result.md").read_text()
     assert "| 0 |" in md or "width" in md
+
+
+def test_experiment_neuron_scan_rejects_a_model_without_a_linear_and_net_part(tmp_path, capsys):
+    cfg = lmnl_config()
+    cfg["model"]["kind"] = "DNN"
+    path = write_config(tmp_path / "cfg.yaml", cfg)
+    assert main(["experiment", "neuron-scan", "--config", path, "--reps", "1",
+                 "--widths", "0,3", "--out-dir", str(tmp_path / "runs")]) == 2
+    assert "neuron-scan scans an LMNL or LNL model, not 'DNN'" in capsys.readouterr().err
 
 
 def test_experiment_sensitivity_round_trip(tmp_path):

@@ -220,6 +220,16 @@ def test_load_csv_strips_a_utf8_byte_order_mark(tmp_path):
     assert ds.columns == ["x1"] and ds.col("x1").tolist() == [2.5]
 
 
+@pytest.mark.parametrize("bom", [b"", b"\xef\xbb\xbf"])
+def test_load_csv_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, bom):
+    # a Latin-1 e-acute once surfaced as a bare UnicodeDecodeError, without path or line
+    path = tmp_path / "latin1.csv"
+    path.write_bytes(bom + "x1,AV_1,AV_2,CHOICE\n1.0,1,1,0\n2.0,1,1,0 é\n".encode("latin-1"))
+    want = f"{path}: line 3: not UTF-8 text (invalid continuation byte)"
+    with pytest.raises(DataError, match=re.escape(want)):
+        load_csv(str(path), generic_schema(("1", "2")))
+
+
 def _reference_load_csv(path, schema, validate=True):
     """The cell-by-cell loader that the column-wise one replaced, kept as its
     reference: (columns, values, avail, choice), or the DataError it raised."""

@@ -1,7 +1,6 @@
 """Likelihood metrics, statistical tests, std errors, and fit drivers."""
 
 import csv
-import dataclasses
 import math
 
 import numpy as np
@@ -78,7 +77,7 @@ def test_accuracy_hand_value():
     assert accuracy(m, ds) == pytest.approx(2.0 / 3.0, abs=1e-15)
 
 
-def test_scorers_reject_a_bad_choice_code(tmp_path, quick_config):
+def test_scorers_reject_a_bad_choice_code(tmp_path):
     # a missing response kept raw by load_csv(..., validate=False) is coded -1;
     # scoring it as the last alternative once gave log_likelihood = -1.117
     path = tmp_path / "missing.csv"
@@ -88,9 +87,8 @@ def test_scorers_reject_a_bad_choice_code(tmp_path, quick_config):
     fit = FitResult("ok", 0, 0, np.zeros(0))
     for score in (lambda: log_likelihood(m, ds), lambda: accuracy(m, ds),
                   lambda: hessian_std_errors(m, ds),
-                  lambda: build_report(m, ds, None, quick_config, fit, compute_std_errors=False),
-                  lambda: build_report(m, two_alt_dataset(), ds, quick_config, fit,
-                                       compute_std_errors=False)):
+                  lambda: build_report(m, ds, None, fit, compute_std_errors=False),
+                  lambda: build_report(m, two_alt_dataset(), ds, fit, compute_std_errors=False)):
         with pytest.raises(DataError, match="row 1: choice index out of range"):
             score()
 
@@ -276,7 +274,7 @@ def test_hessian_matches_per_point_gradients(binary_data, kind):
     assert np.array_equal(se, ref_se, equal_nan=True)
 
 
-def test_report_runs_the_net_once_per_dataset(binary_data, quick_config, monkeypatch):
+def test_report_runs_the_net_once_per_dataset(binary_data, monkeypatch):
     train, test = binary_data
     m = build_model("LMNL", ("1", "2"), pa_utility(), q=("q1", "c1", "q2", "c2"),
                     net_width=4, seed=1)
@@ -289,8 +287,7 @@ def test_report_runs_the_net_once_per_dataset(binary_data, quick_config, monkeyp
         return original(prog, q, mask, cache)
 
     monkeypatch.setattr(program, "net_output", counting)
-    report = build_report(m, train, test, quick_config,
-                          FitResult("ok", 0, 0, np.zeros(0)))
+    report = build_report(m, train, test, FitResult("ok", 0, 0, np.zeros(0)))
     assert all(p.std_error is not None for p in report.params)
     # train: one pass that the report and the Hessian share; test: one for the report
     assert sorted(calls) == ["test", "train"]
@@ -334,8 +331,6 @@ def test_report_metric_identities(binary_data, quick_config):
     with pytest.raises(KeyError):
         report.parameter("beta_zz")
     assert report.trace.shape == (quick_config.epochs,)
-    assert report.config["seed"] == quick_config.seed
-    assert report.config == dataclasses.asdict(quick_config)  # every setting, Adam's too
 
 
 def test_report_references_shift_rejection(binary_data, quick_config):
@@ -344,28 +339,26 @@ def test_report_references_shift_rejection(binary_data, quick_config):
     fit = fit_joint(m, train, quick_config)
     bp = fit.parameter("beta_p")
     assert bp.reject  # clearly nonzero on this scenario
-    refit = build_report(m, train, None, quick_config,
-                         FitResult("ok", 0, 0, np.zeros(0)),
+    refit = build_report(m, train, None, FitResult("ok", 0, 0, np.zeros(0)),
                          references={"beta_p": bp.estimate})
     assert refit.parameter("beta_p").reference == bp.estimate
     assert not refit.parameter("beta_p").reject
 
 
-def test_report_flags_rolled_back_fit(binary_data, quick_config):
+def test_report_flags_rolled_back_fit(binary_data):
     train, _ = binary_data
     m = build_model("Logit", ("1", "2"), pa_utility(), seed=0)
     bad = FitResult("diverged", 3, 12, np.zeros(3))
-    report = build_report(m, train, None, quick_config, bad,
-                          compute_std_errors=False)
+    report = build_report(m, train, None, bad, compute_std_errors=False)
     assert report.status == "diverged"
     assert any("rolled back" in w for w in report.warnings)
 
 
-def test_report_skips_std_errors_of_a_diverged_fit(binary_data, quick_config):
+def test_report_skips_std_errors_of_a_diverged_fit(binary_data):
     train, _ = binary_data
     m = build_model("Logit", ("1", "2"), pa_utility(), seed=0)
     bad = FitResult("diverged", 3, 12, np.zeros(3))
-    report = build_report(m, train, None, quick_config, bad)
+    report = build_report(m, train, None, bad)
     assert report.covariance is None
     assert all(p.std_error is None and p.t_stat is None and p.reject is None
                for p in report.params)
@@ -373,18 +366,16 @@ def test_report_skips_std_errors_of_a_diverged_fit(binary_data, quick_config):
                for w in report.warnings)
 
 
-def test_report_warns_when_fit_is_below_the_null(binary_data, quick_config):
+def test_report_warns_when_fit_is_below_the_null(binary_data):
     train, _ = binary_data
     m = build_model("Logit", ("1", "2"), pa_utility(), seed=0)
     m.beta[:] = [0.0, 5.0, -5.0]  # signs opposite to the data-generating ones
-    report = build_report(m, train, None, quick_config,
-                          FitResult("ok", 0, 0, np.zeros(0)),
+    report = build_report(m, train, None, FitResult("ok", 0, 0, np.zeros(0)),
                           compute_std_errors=False)
     assert report.ll_train < report.ll0_train
     assert any("not above the null" in w for w in report.warnings)
     m.beta[:] = 0.0  # every row at equal shares: exactly the null
-    report = build_report(m, train, None, quick_config,
-                          FitResult("ok", 0, 0, np.zeros(0)),
+    report = build_report(m, train, None, FitResult("ok", 0, 0, np.zeros(0)),
                           compute_std_errors=False)
     assert report.ll_train == report.ll0_train
     assert any("not above the null" in w for w in report.warnings)
@@ -420,7 +411,6 @@ def test_sequential_records_order_and_trace(binary_data, quick_config):
                     net_width=3, seed=0)
     report = fit_sequential(m, train, quick_config, order=NET_THEN_BETA,
                             compute_std_errors=False)
-    assert report.config["order"] == NET_THEN_BETA
     assert report.trace.shape == (2 * quick_config.epochs,)
 
 

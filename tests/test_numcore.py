@@ -169,6 +169,36 @@ def test_stream_ids_come_from_the_table():
     assert sorted(line for line, _ in _stream_id_offences(bad)) == [1, 2, 3, 4]
 
 
+def _build_model_callers(source):
+    """(line, enclosing Class.function) of each ``build_model(...)`` call in Python source."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef)):
+                visit(child, scope + (child.name,))
+                continue
+            if (isinstance(child, ast.Call)
+                    and getattr(child.func, "attr", getattr(child.func, "id", None)) == "build_model"):
+                found.append((child.lineno, ".".join(scope)))
+            visit(child, scope)
+
+    visit(ast.parse(source), ())
+    return found
+
+
+def test_models_above_the_trainer_come_from_a_recipe():
+    # a lint: analysis and the CLI build every model through ModelRecipe.build,
+    # so a study cannot re-encode a model and drop part of it
+    root = Path(prng.__file__).resolve().parents[1]
+    callers = {name: [scope for _, scope in _build_model_callers((root / name).read_text())]
+               for name in ("analysis.py", "cli.py")}
+    assert callers == {"analysis.py": ["ModelRecipe.build"], "cli.py": []}
+    bad = ("def run():\n    return models.build_model('Logit', labels)\n"
+           "class ModelRecipe:\n    def build(self):\n        return build_model(self.kind)\n")
+    assert _build_model_callers(bad) == [(2, "run"), (5, "ModelRecipe.build")]
+
+
 # ---------------------------------------------------------------------------
 # init
 
@@ -188,8 +218,6 @@ def test_train_config_validation():
                 dict(l2=float("nan")), dict(l2=float("inf")),
                 dict(learning_rate=-0.01), dict(learning_rate=0.0),
                 dict(learning_rate=float("nan")), dict(learning_rate=float("inf")),
-                dict(beta1=1.0), dict(beta2=1.0), dict(beta1=-0.1),
-                dict(eps=0.0), dict(eps=float("nan")), dict(eps=float("inf")),
                 dict(epochs=2.5), dict(epochs=True), dict(batch_size=50.0),
                 dict(batch_size="50"), dict(seed=1.5), dict(seed=None)):
         with pytest.raises(ValueError):
@@ -226,7 +254,7 @@ def test_adam_matches_reference_updates():
     prog, data, avail, choice = _logit_instance()
     beta0 = prog.beta.copy()
     cfg = TrainConfig(epochs=5, batch_size=1000, learning_rate=0.05)
-    lr, b1, b2, eps = cfg.learning_rate, cfg.beta1, cfg.beta2, cfg.eps
+    lr, b1, b2, eps = cfg.learning_rate, 0.9, 0.999, 1e-7
     ref = beta0.copy()
     m = np.zeros(3)
     v = np.zeros(3)
