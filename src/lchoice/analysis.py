@@ -193,28 +193,31 @@ def _run_tasks(fn, tasks: list, jobs: int) -> list:
     return results
 
 
+# the coefficient ratio every campaign estimates and tests, when a model has both
+RATIO = ("beta_p", "beta_a")
+
+
 def _run_one(task: tuple) -> RepOutcome:
-    (data, recipe, base_cfg, rep, seed, focus, ratio, with_tests) = task
+    (data, recipe, base_cfg, rep, seed, focus, with_tests) = task
     train, test, truth = data.make(seed)
     model, report = recipe.fit(train, test, base_cfg, seed,
                                compute_std_errors=with_tests, references=truth)
     est = report.estimates()
     present = [k for k in focus if k in est]
-    errors = relative_errors(est, truth,
-                             ratios=(ratio,) if ratio and all(k in est for k in ratio) else ())
+    has_ratio = all(k in est for k in RATIO)
+    errors = relative_errors(est, truth, ratios=(RATIO,) if has_ratio else ())
     out = RepOutcome(recipe.name, rep, seed, report.status,
                      report.ll_train, report.ll_test, report.acc_train,
                      report.acc_test, report.rho2_test, est, errors)
-    if ratio and all(k in est for k in ratio):
-        out.ratio_estimate = parameter_ratio(est, *ratio)
+    if has_ratio:
+        out.ratio_estimate = parameter_ratio(est, *RATIO)
     if report.covariance is not None and present:  # skipped without std errors
         rejects = [report.parameter(k).reject for k in present]
         out.nonreject_coeffs = all(r is False for r in rejects)
         out.nonreject_each = {k: r is False for k, r in zip(present, rejects)}
-        if ratio and all(k in est for k in ratio):
-            ref = truth[ratio[0]] / truth[ratio[1]]
+        if has_ratio:
             tt = ratio_t_test(est, report.covariance, tuple(model.param_names),
-                              ratio[0], ratio[1], ref)
+                              *RATIO, truth[RATIO[0]] / truth[RATIO[1]])
             out.nonreject_ratio = (not tt.reject) if math.isfinite(tt.t_stat) else None
     return out
 
@@ -226,7 +229,6 @@ class MonteCarloResult:
     outcomes: list[RepOutcome]
     failures: list[dict]
     focus: tuple[str, ...]
-    ratio: tuple[str, str] | None
 
     def per_model(self, name: str) -> list[RepOutcome]:
         return [o for o in self.outcomes if o.model == name]
@@ -255,10 +257,7 @@ class MonteCarloResult:
         return rows
 
     def error_keys(self) -> list[str]:
-        keys = list(self.focus)
-        if self.ratio:
-            keys.append(f"{self.ratio[0]}/{self.ratio[1]}")
-        return keys
+        return [*self.focus, f"{RATIO[0]}/{RATIO[1]}"]
 
     def error_table(self) -> list[dict]:
         rows = []
@@ -306,23 +305,20 @@ class MonteCarloResult:
                          "ratio_sd": float(vals.std())})
         return rows
 
+    def tables(self) -> list[tuple[str, str, list[dict]]]:
+        """(csv label, markdown title, rows) of each table the result writes."""
+        return [("likelihood", "Fit over replications", self.ll_table()),
+                ("errors", "Relative errors [%]", self.error_table()),
+                ("testing", "Share of replications not rejecting the truth [%]",
+                 self.testing_table()),
+                ("ratios", "Estimated coefficient ratio", self.ratio_summary())]
+
     def to_csv_rows(self) -> list[dict]:
-        tables = [("likelihood", self.ll_table()), ("errors", self.error_table()),
-                  ("testing", self.testing_table()), ("ratios", self.ratio_summary())]
-        return long_rows([{"table": table, **r} for table, data in tables for r in data],
+        return long_rows([{"table": label, **r} for label, _, rows in self.tables() for r in rows],
                          ("table", "model"))
 
     def to_markdown(self) -> str:
-        parts = [markdown_table(self.ll_table(), title="Fit over replications")]
-        err = self.error_table()
-        if err:
-            parts.append(markdown_table(err, title="Relative errors [%]"))
-        tst = self.testing_table()
-        if tst:
-            parts.append(markdown_table(tst, title="Share of replications not rejecting the truth [%]"))
-        rat = self.ratio_summary()
-        if rat:
-            parts.append(markdown_table(rat, title="Estimated coefficient ratio"))
+        parts = [markdown_table(rows, title=title) for _, title, rows in self.tables() if rows]
         if self.failures:
             parts.append(f"{len(self.failures)} replication(s) failed and were excluded.\n")
         return "\n".join(parts)
@@ -332,7 +328,6 @@ def monte_carlo(data: DataSpec, recipes: tuple[ModelRecipe, ...],
                 replications: int, base_config: TrainConfig | None = None,
                 seed: int = 0, seeds: list[int] | None = None,
                 focus: tuple[str, ...] = ("beta_p", "beta_a"),
-                ratio: tuple[str, str] | None = ("beta_p", "beta_a"),
                 with_tests: bool = True, jobs: int = 1) -> MonteCarloResult:
     """Re-generate, re-fit, and aggregate ``replications`` times per model.
 
@@ -346,7 +341,7 @@ def monte_carlo(data: DataSpec, recipes: tuple[ModelRecipe, ...],
         seeds = [derive_seed(seed, StreamId.REPLICATION + r) for r in range(replications)]
     if len(seeds) != replications:
         raise ValueError("need one seed per replication")
-    tasks = [(data, recipe, base_config, rep, seeds[rep], focus, ratio, with_tests)
+    tasks = [(data, recipe, base_config, rep, seeds[rep], focus, with_tests)
              for recipe in recipes for rep in range(replications)]
     results = _run_tasks(_run_one, tasks, jobs)
     outcomes = [r for r in results if not isinstance(r, Exception)]
@@ -354,7 +349,7 @@ def monte_carlo(data: DataSpec, recipes: tuple[ModelRecipe, ...],
                  "error": f"{type(r).__name__}: {r}"}
                 for t, r in zip(tasks, results) if isinstance(r, Exception)]
     return MonteCarloResult(data, tuple(r.name for r in recipes), outcomes,
-                            failures, focus, ratio)
+                            failures, focus)
 
 
 # ---------------------------------------------------------------------------

@@ -2,7 +2,8 @@
 
 Runs are YAML-configured and land in a directory named by config hash and
 timestamp, with the resolved config stored next to the outputs so a run can
-be reproduced bit-for-bit from its own folder.
+be reproduced bit-for-bit from its own folder.  The whole config is read
+and checked before anything is fitted, and only a run that succeeds writes one.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import shutil
 import sys
 import time
 from dataclasses import fields
@@ -36,26 +38,58 @@ class ConfigError(Exception):
 # ---------------------------------------------------------------------------
 # config parsing
 
+# the keys each block may hold
+_ESTIMATE = ("seed", "model", "dataset", "train", "report", "sequential")
+_MODEL = ("kind", "alternatives", "terms", "intercepts", "q", "net_width", "net_depth", "nests")
+_NESTS = ("groups", "mu", "fixed")
+_DATASET = ("scenario", "seed")  # drawn from a scenario, or else read from a file with _CSV keys
+_CSV = ("path", "format", "preprocess", "alternatives", "split", "split_seed", "ga_cost_adjust")
+_REPORT = ("std_errors", "references", "ratios")
+_TRAIN = tuple(f.name for f in fields(TrainConfig))
+_SCENARIO = ("name",) + tuple(f.name for f in fields(DataSpec) if f.name != "scenario")
+# each experiment's top level, besides the seed and train keys every one takes
+_EXPERIMENTS = {
+    "montecarlo": ("replications", "scenario", "zoo", "width", "focus", "with_tests"),
+    "neuron-scan": ("replications", "widths", "scenario", "model", "dataset"),
+    "correlation-sweep": ("replications", "s_values", "scenario", "width", "with_tests"),
+    "sensitivity": ("model_file", "dataset", "column", "grid"),
+    "feature-impact": ("model_file", "dataset"),
+    "strategy-compare": ("scenario", "width"),
+}
+_ZOOS = {"binary": analysis.binary_zoo, "correlation": analysis.correlation_zoo,
+         "guevara": analysis.guevara_zoo}
+
+
+def _block(cfg: dict, key: str, allowed) -> dict:
+    """``cfg[key]`` ({} when absent or empty); a key of it not in ``allowed`` is a ConfigError."""
+    block = cfg.get(key) or {}
+    if not isinstance(block, dict):
+        raise ConfigError(f"{key} block must be a mapping")
+    unknown = set(block) - set(allowed)
+    if unknown:
+        raise ConfigError(f"unknown {key} options: {sorted(unknown, key=str)}")
+    return block
+
+
+def _given(block: dict, **read) -> dict:
+    """The keys of ``block`` named in ``read``, converted; absent keys keep library defaults."""
+    return {k: conv(block[k]) for k, conv in read.items() if k in block}
+
+
 def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
-    p = Path(path)
-    if not p.exists():
+    if not Path(path).exists():
         raise ConfigError(f"config file not found: {path}")
-    with open(p) as fh:
-        cfg = yaml.safe_load(fh)
-    if cfg is None:
-        return {}
+    with open(path) as fh:
+        cfg = yaml.safe_load(fh) or {}
     if not isinstance(cfg, dict):
         raise ConfigError("config root must be a mapping")
     return cfg
 
 
 def _parse_train(cfg: dict, seed: int) -> TrainConfig:
-    block = cfg.get("train", {}) or {}
-    unknown = set(block) - {f.name for f in fields(TrainConfig)}
-    if unknown:
-        raise ConfigError(f"unknown train options: {sorted(unknown)}")
+    block = _block(cfg, "train", _TRAIN)
     block.setdefault("seed", seed)
     try:
         return TrainConfig(**block)
@@ -82,56 +116,47 @@ def _parse_utility(block: dict, labels: tuple[str, ...]) -> UtilitySpec:
 
 
 def _parse_model(cfg: dict) -> tuple[ModelRecipe, tuple[str, ...]]:
-    block = cfg.get("model")
+    block = _block(cfg, "model", _MODEL)
     if not block:
         raise ConfigError("config needs a 'model' block")
     kind = block.get("kind")
-    if not kind:
-        raise ConfigError("model block needs 'kind'")
     labels = tuple(str(a) for a in block.get("alternatives", []) or [])
-    if not labels:
-        raise ConfigError("model block needs 'alternatives'")
-    utility = _parse_utility(block, labels)
-    q = tuple(block.get("q", []) or [])
+    if not kind or not labels:
+        raise ConfigError("model block needs 'kind' and 'alternatives'")
     nests = None
-    if block.get("nests"):
-        nb = block["nests"]
+    if nb := _block(block, "nests", _NESTS):
         groups = tuple(tuple(_norm_alt(a, labels) for a in g) for g in nb.get("groups", []))
         if not groups:
             raise ConfigError("nests block needs 'groups'")
-        mu = np.array(nb.get("mu", [1.0] * len(groups)), dtype=float)
-        fixed = tuple(nb["fixed"]) if "fixed" in nb else None
-        try:
-            nests = NestStructure(groups, mu, fixed)
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
-    return ModelRecipe(kind, kind, utility, q, int(block.get("net_width", 25)),
-                       int(block.get("net_depth", 1)), nests), labels
+        nests = NestStructure(groups, **_given(nb, mu=np.asarray, fixed=tuple))
+    return ModelRecipe(kind, kind, _parse_utility(block, labels), tuple(block.get("q") or ()),
+                       nests=nests, **_given(block, net_width=int, net_depth=int)), labels
 
 
-# every DataSpec scenario, plus the one `generate` can only write to a file
-_SCENARIOS = SPEC_SCENARIOS + ("semi-synthetic",)
+def _parse_dataspec(cfg: dict) -> DataSpec | None:
+    """The ``scenario`` block of ``cfg`` as a DataSpec; None when there is none."""
+    if "scenario" not in cfg:
+        return None
+    block = _block(cfg, "scenario", _SCENARIO)
+    spec = DataSpec(**{"scenario" if k == "name" else k: v for k, v in block.items()})
+    if spec.scenario not in SPEC_SCENARIOS:
+        raise ConfigError(f"unknown scenario {spec.scenario!r}")
+    return spec
 
 
-def _parse_dataspec(block: dict) -> DataSpec:
-    name = block.get("name", "binary")
-    if name not in SPEC_SCENARIOS:
-        raise ConfigError(f"unknown scenario {name!r}")
-    given = {k: v for k, v in block.items() if k != "name"}
-    unknown = set(given) - {f.name for f in fields(DataSpec) if f.name != "scenario"}
-    if unknown:
-        raise ConfigError(f"unknown scenario options: {sorted(unknown)}")
-    return DataSpec(**given, scenario=name)
+# the schema and the preprocessing of each survey file format
+_SURVEYS = {"swissmetro": (swissmetro_schema, preprocess_swissmetro),
+            "optima": (optima_schema, preprocess_optima)}
 
 
-def _load_dataset(cfg: dict, seed: int, ga_cost_adjust: bool):
+def _load_dataset(cfg: dict, seed: int):
     """(train, test or None) from either a scenario block or a CSV path."""
-    block = cfg.get("dataset")
+    block = _block(cfg, "dataset", _DATASET + _CSV)
+    block = _block(cfg, "dataset", _DATASET if "scenario" in block else _CSV)
     if not block:
         raise ConfigError("config needs a 'dataset' block")
     if "scenario" in block:
-        spec = _parse_dataspec(block["scenario"])
-        train, test, _ = spec.make(block.get("seed", seed))
+        train, test, _ = _parse_dataspec(block).make(block.get("seed", seed))
         return train, test
     path = block.get("path")
     if not path:
@@ -142,14 +167,14 @@ def _load_dataset(cfg: dict, seed: int, ga_cost_adjust: bool):
     # survey files hold missing-response codes that their preprocessing drops
     # before it validates, so only a file kept raw is validated on loading
     preprocess = bool(block.get("preprocess", True))
-    if fmt == "swissmetro":
-        ds = load_csv(path, swissmetro_schema(), validate=not preprocess)
+    adjust = _given(block, ga_cost_adjust=bool)
+    if adjust and (fmt != "swissmetro" or not preprocess):
+        raise ConfigError("ga_cost_adjust applies only to a preprocessed swissmetro file")
+    if fmt in _SURVEYS:
+        schema, preprocessor = _SURVEYS[fmt]
+        ds = load_csv(path, schema(), validate=not preprocess)
         if preprocess:
-            ds = preprocess_swissmetro(ds, ga_cost_adjust=ga_cost_adjust)
-    elif fmt == "optima":
-        ds = load_csv(path, optima_schema(), validate=not preprocess)
-        if preprocess:
-            ds = preprocess_optima(ds)
+            ds = preprocessor(ds, **adjust)
     elif fmt == "generic":
         labels = [str(a) for a in block.get("alternatives", [])]
         if not labels:
@@ -163,14 +188,23 @@ def _load_dataset(cfg: dict, seed: int, ga_cost_adjust: bool):
     return ds, None
 
 
-def _ratio_defs(cfg: dict) -> tuple[tuple[str, str, str], ...]:
-    out = []
-    for item in (cfg.get("report", {}) or {}).get("ratios", []) or []:
+def _report_args(cfg: dict) -> dict:
+    block = _block(cfg, "report", _REPORT)
+    ratios = []
+    for item in block.get("ratios", []) or []:
         try:
-            out.append((str(item["name"]), str(item["num"]), str(item["den"])))
+            ratios.append((str(item["name"]), str(item["num"]), str(item["den"])))
         except (TypeError, KeyError) as exc:
             raise ConfigError("each ratio needs 'name', 'num', 'den'") from exc
-    return tuple(out)
+    references = {str(k): float(v) for k, v in (block.get("references") or {}).items()}
+    return dict(references=references, ratio_defs=tuple(ratios),
+                **({"compute_std_errors": block["std_errors"]} if "std_errors" in block else {}))
+
+
+def _read_model(path: str):
+    if not Path(path).is_file():
+        raise ConfigError(f"model file not found: {path}")
+    return load_model(path)
 
 
 # ---------------------------------------------------------------------------
@@ -196,54 +230,54 @@ def _run_dir(base: str, cfg: dict, tag: str) -> Path:
             path = Path(base) / f"{name}-{k}"
 
 
-def _store_config(run_dir: Path, cfg: dict) -> None:
-    with open(run_dir / "config.yaml", "w") as fh:
-        yaml.safe_dump(cfg, fh, sort_keys=True)
+def _write_run(base: str, cfg: dict, tag: str, files: dict) -> Path:
+    """A new run folder with ``config.yaml`` and ``files`` written into it.
+
+    A file is given as its text or as a function that writes the path it is
+    handed.  If a write fails, the folder is removed.
+    """
+    run_dir = _run_dir(base, cfg, tag)
+    try:
+        for name, content in {"config.yaml": yaml.safe_dump(cfg, sort_keys=True),
+                              **files}.items():
+            if callable(content):
+                content(str(run_dir / name))
+            else:
+                (run_dir / name).write_text(content)
+    except BaseException:
+        shutil.rmtree(run_dir, ignore_errors=True)
+        raise
+    return run_dir
 
 
 # ---------------------------------------------------------------------------
 # commands
 
 def cmd_estimate(args) -> int:
-    cfg = _load_config(args.config)
-    cfg.setdefault("seed", args.seed)
-    seed = int(cfg["seed"])
+    cfg = _block({"estimate": _load_config(args.config)}, "estimate", _ESTIMATE)
+    seed = int(cfg.setdefault("seed", args.seed))
     train_cfg = _parse_train(cfg, seed)
     recipe, labels = _parse_model(cfg)
-    train, test = _load_dataset(cfg, seed, args.ga_cost_adjust)
+    train, test = _load_dataset(cfg, seed)
+    report_args = _report_args(cfg)
 
-    report_block = cfg.get("report", {}) or {}
-    references = {str(k): float(v) for k, v in (report_block.get("references") or {}).items()}
-    ratio_defs = _ratio_defs(cfg)
-    run_dir = _run_dir(args.out_dir, cfg, "estimate")
-    _store_config(run_dir, cfg)
-
-    report_args = dict(compute_std_errors=report_block.get("std_errors", True),
-                       references=references, ratio_defs=ratio_defs)
     if args.eval_only:
-        model = load_model(args.eval_only)
-        fit = FitResult(status="ok", epochs_run=0, steps=0, trace=np.zeros(0))
-        report = build_report(model, train, test, fit, **report_args)
+        model, files = _read_model(args.eval_only), {}
+        report = build_report(model, train, test, FitResult("ok", 0, 0, np.zeros(0)), **report_args)
     else:
-        model = recipe.build(labels, seed)
-        if recipe.kind in ("LMNL", "LNL"):  # disjoint X/Q is part of the contract here
-            check = validate_partition(train, model.partition.x, model.partition.q)
-            if not check.ok:
-                raise ConfigError("; ".join(check.errors))
-            for msg in check.advisories:
+        model = recipe.build(labels, seed)  # refuses columns in both X and Q
+        if recipe.kind in ("LMNL", "LNL"):
+            for msg in validate_partition(train, model.partition.x, model.partition.q).advisories:
                 print(f"advisory: {msg}", file=sys.stderr)
         sequential = cfg.get("sequential")
         fit_model = partial(fit_sequential, order=str(sequential)) if sequential else fit_joint
         report = fit_model(model, train, train_cfg, test=test, **report_args)
-        save_model(model, str(run_dir / "model.json"))
+        files = {"model.json": partial(save_model, model)}
 
-    report.to_csv(str(run_dir / "report.csv"))
-    with open(run_dir / "report.md", "w") as fh:
-        fh.write(report.to_markdown())
-    with open(run_dir / "trace.csv", "w") as fh:
-        fh.write("epoch,mean_nll\n")
-        for i, v in enumerate(report.trace):
-            fh.write(f"{i},{v!r}\n")
+    run_dir = _write_run(args.out_dir, cfg, "estimate", files | {
+        "report.csv": report.to_csv, "report.md": report.to_markdown(),
+        "trace.csv": "epoch,mean_nll\n"
+                     + "".join(f"{i},{v!r}\n" for i, v in enumerate(report.trace))})
     print(f"estimate: {model.kind} ll_train={report.ll_train:.2f}"
           + (f" ll_test={report.ll_test:.2f}" if report.ll_test is not None else "")
           + f" -> {run_dir}")
@@ -268,71 +302,48 @@ def cmd_generate(args) -> int:
     return 0
 
 
-_EXPERIMENTS = ("montecarlo", "neuron-scan", "correlation-sweep",
-                "sensitivity", "feature-impact", "strategy-compare")
-
-
-def _zoo_from_config(cfg: dict) -> tuple[ModelRecipe, ...]:
-    zoo = cfg.get("zoo", "binary")
-    width = int(cfg.get("width", 25))
-    if zoo == "binary":
-        return analysis.binary_zoo(width)
-    if zoo == "correlation":
-        return analysis.correlation_zoo(width)
-    if zoo == "guevara":
-        return analysis.guevara_zoo(width if "width" in cfg else 100)
-    raise ConfigError(f"unknown zoo {zoo!r}")
-
-
 def cmd_experiment(args) -> int:
-    cfg = _load_config(args.config)
-    cfg.setdefault("seed", args.seed)
-    seed = int(cfg["seed"])
     kind = args.kind
+    cfg = _load_config(args.config)
     if args.reps is not None:
         cfg["replications"] = args.reps
     if args.widths is not None:
         cfg["widths"] = [int(w) for w in args.widths.split(",")]
+    _block({kind: cfg}, kind, ("seed", "train") + _EXPERIMENTS[kind])
+    seed = int(cfg.setdefault("seed", args.seed))
     train_cfg = _parse_train(cfg, seed)
-    run_dir = _run_dir(args.out_dir, cfg, kind)
-    _store_config(run_dir, cfg)
     reps = int(cfg.get("replications", 20))
 
     if kind == "montecarlo":
-        spec = _parse_dataspec(cfg.get("scenario", {}) or {})
-        if spec.scenario == "guevara" and "zoo" not in cfg:
-            cfg["zoo"] = "guevara"
+        spec = _parse_dataspec(cfg) or DataSpec()
+        zoo = cfg.get("zoo", "guevara" if spec.scenario == "guevara" else "binary")
+        if zoo not in _ZOOS:
+            raise ConfigError(f"unknown zoo {zoo!r}")
         result = analysis.monte_carlo(
-            spec, _zoo_from_config(cfg), reps, train_cfg, seed=seed,
-            focus=tuple(cfg.get("focus", ("beta_p", "beta_a"))),
-            with_tests=bool(cfg.get("with_tests", True)), jobs=args.jobs)
+            spec, _ZOOS[zoo](**_given(cfg, width=int)), reps, train_cfg, seed=seed,
+            jobs=args.jobs, **_given(cfg, focus=tuple, with_tests=bool))
     elif kind == "neuron-scan":
         widths = tuple(int(w) for w in cfg.get("widths", (0, 5, 10, 25, 100)))
         if "model" in cfg:
             recipe, _ = _parse_model(cfg)
             if recipe.kind not in ("LMNL", "LNL"):
                 raise ConfigError(f"neuron-scan scans an LMNL or LNL model, not {recipe.kind!r}")
-            data = _load_dataset(cfg, seed, args.ga_cost_adjust)
+            data = _load_dataset(cfg, seed)
         else:
-            recipe = analysis.binary_lmnl()
-            data = _parse_dataspec(cfg.get("scenario", {}) or {})
+            recipe, data = analysis.binary_lmnl(), _parse_dataspec(cfg) or DataSpec()
         result = analysis.neuron_scan(data, recipe, widths, reps,
                                       train_cfg, seed=seed, jobs=args.jobs)
     elif kind == "correlation-sweep":
-        s_values = tuple(float(s) for s in cfg.get("s_values", (0.0, 0.4, 0.8, 1.0)))
         result = analysis.correlation_bias_sweep(
-            s_values, reps, scenario=_parse_dataspec(cfg.get("scenario", {"name": "correlated"})),
-            recipes=analysis.correlation_zoo(int(cfg.get("width", 25))),
-            base_config=train_cfg, seed=seed,
-            with_tests=bool(cfg.get("with_tests", False)), jobs=args.jobs)
+            tuple(float(s) for s in cfg.get("s_values", (0.0, 0.4, 0.8, 1.0))), reps,
+            scenario=_parse_dataspec(cfg), base_config=train_cfg, seed=seed, jobs=args.jobs,
+            recipes=analysis.correlation_zoo(**_given(cfg, width=int)),
+            **_given(cfg, with_tests=bool))
     elif kind in ("sensitivity", "feature-impact"):
-        model_file = cfg.get("model_file")
-        if not model_file:
+        if not cfg.get("model_file"):
             raise ConfigError(f"{kind} needs 'model_file' in the config")
-        if not Path(model_file).exists():
-            raise ConfigError(f"model file not found: {model_file}")
-        model = load_model(model_file)
-        train, _ = _load_dataset(cfg, seed, args.ga_cost_adjust)
+        model = _read_model(cfg["model_file"])
+        train, _ = _load_dataset(cfg, seed)
         if kind == "sensitivity":
             column = cfg.get("column")
             if not column:
@@ -342,15 +353,12 @@ def cmd_experiment(args) -> int:
         else:
             result = analysis.feature_impact(model, train)
     else:  # strategy-compare
-        spec = None
-        if "scenario" in cfg:
-            spec = _parse_dataspec(cfg["scenario"])
-        result = analysis.strategy_compare(spec, width=int(cfg.get("width", 100)),
-                                           base_config=train_cfg, seed=seed)
+        result = analysis.strategy_compare(_parse_dataspec(cfg), base_config=train_cfg,
+                                           seed=seed, **_given(cfg, width=int))
 
-    write_csv_rows(str(run_dir / "result.csv"), result.to_csv_rows())
-    with open(run_dir / "result.md", "w") as fh:
-        fh.write(result.to_markdown())
+    run_dir = _write_run(args.out_dir, cfg, kind, {
+        "result.csv": partial(write_csv_rows, rows=result.to_csv_rows()),
+        "result.md": result.to_markdown()})
     print(f"experiment {kind}: wrote {run_dir}/result.csv")
     return 0
 
@@ -373,21 +381,18 @@ def _build_parser() -> argparse.ArgumentParser:
     est.add_argument("--config", required=True)
     est.add_argument("--eval-only", metavar="MODEL_JSON",
                      help="skip fitting; evaluate a saved model on the dataset")
-    est.add_argument("--ga-cost-adjust", action="store_true",
-                     help="zero rail costs for annual-pass holders during preprocessing")
     common(est)
     est.set_defaults(func=cmd_estimate)
 
     gen = sub.add_parser("generate", help="write a synthetic dataset + truth sidecar")
-    gen.add_argument("scenario", choices=_SCENARIOS)
-    gen.add_argument("--n", type=int, default=1000, help="rows (training block)")
-    gen.add_argument("--n-test", type=int, default=200)
-    gen.add_argument("--s", type=float, default=0.0, help="correlation level")
-    gen.add_argument("--beta-p", type=float, default=-1.0)
-    gen.add_argument("--beta-a", type=float, default=0.5)
-    gen.add_argument("--beta-b", type=float, default=0.5)
-    gen.add_argument("--beta-qc", type=float, default=1.0)
-    gen.add_argument("--beta-u", type=float, default=1.0)
+    # every DataSpec scenario, plus the one `generate` can only write to a file
+    gen.add_argument("scenario", choices=SPEC_SCENARIOS + ("semi-synthetic",))
+    gen.add_argument("--n", type=int, default=DataSpec.n_train, help="rows (training block)")
+    gen.add_argument("--n-test", type=int, default=DataSpec.n_test)
+    for f in fields(DataSpec):
+        if isinstance(f.default, float):
+            gen.add_argument(f"--{f.name.replace('_', '-')}", type=float, default=f.default,
+                             help=f"DataSpec.{f.name} (default %(default)s)")
     common(gen)
     gen.set_defaults(func=cmd_generate)
 
@@ -397,7 +402,6 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--reps", type=int, default=None, help="override replications")
     exp.add_argument("--widths", default=None, help="comma-separated width list")
     exp.add_argument("--jobs", type=int, default=1, help="worker processes")
-    exp.add_argument("--ga-cost-adjust", action="store_true")
     common(exp)
     exp.set_defaults(func=cmd_experiment)
     return parser
@@ -408,12 +412,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except (DataError, ValueError) as exc:
-        # model-shape violations (including the X/Q interpretability rule)
-        # and data validation problems are configuration mistakes
+    except (ConfigError, DataError, ValueError) as exc:
+        # bad settings, bad data, and models that break the X/Q rule
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:  # noqa: BLE001 - runtime failure

@@ -97,14 +97,13 @@ class ChoiceDataset:
 
     def to_csv(self, path: str) -> None:
         header = list(self.columns) + [f"AV_{a}" for a in self.alt_labels] + ["CHOICE"]
+        avail = self.avail.astype(np.int64)
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
-            for i in range(self.n_rows):
-                row = [repr(float(x)) for x in self.values[i]]
-                row += [str(int(a)) for a in self.avail[i]]
-                row.append(str(int(self.choice[i])))
-                writer.writerow(row)
+            # csv writes a Python float by repr, so every value round-trips exactly
+            writer.writerows(v.tolist() + a.tolist() + [c]
+                             for v, a, c in zip(self.values, avail, self.choice.tolist()))
 
 
 @dataclass(frozen=True)

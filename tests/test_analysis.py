@@ -171,8 +171,7 @@ def test_testing_table_pools_per_coefficient_decisions():
                    nonreject_each={"beta_p": False, "beta_a": True},
                    nonreject_ratio=None),
     ]
-    res = MonteCarloResult(spec, ("M",), reps, [], ("beta_p", "beta_a"),
-                           ("beta_p", "beta_a"))
+    res = MonteCarloResult(spec, ("M",), reps, [], ("beta_p", "beta_a"))
     row = res.testing_table()[0]
     assert row["nonreject_coeffs_pct"] == 50.0
     assert row["nonreject_percoeff_pct"] == 75.0  # 3 of 4 pooled decisions
@@ -184,7 +183,7 @@ def test_ratio_summary_quartiles():
     reps = [RepOutcome("M", i, i, "ok", -1.0, -1.0, 0.5, 0.5, 0.1,
                        ratio_estimate=v)
             for i, v in enumerate([1.0, 2.0, 3.0, 4.0, 5.0])]
-    res = MonteCarloResult(spec, ("M",), reps, [], (), ("a", "b"))
+    res = MonteCarloResult(spec, ("M",), reps, [], ())
     row = res.ratio_summary()[0]
     assert row["ratio_median"] == 3.0
     assert row["ratio_q1"] == 2.0 and row["ratio_q3"] == 4.0

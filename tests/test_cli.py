@@ -1,14 +1,19 @@
 """End-to-end CLI behavior: exit codes, run directories, reproducibility."""
 
 import csv
+import re
+from dataclasses import fields
+from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
-from lchoice import DataSpec, cli
+from lchoice import DataSpec, cli, fit_joint
 from lchoice.cli import main
-from lchoice.dataio import SWISSMETRO_SCALED, generic_schema, load_csv, load_truth
+from lchoice.dataio import (SWISSMETRO_SCALED, generic_schema, load_csv, load_truth,
+                            preprocess_swissmetro, swissmetro_schema)
+from lchoice.numcore import TrainConfig
 
 
 def write_config(path, cfg):
@@ -97,6 +102,14 @@ def test_generate_writes_the_dataspec_dataset(tmp_path):
     assert len((out / "guevara.csv").read_text().splitlines()) == 1 + 40
 
 
+def test_generate_flag_defaults_are_the_dataspec_defaults():
+    args = cli._build_parser().parse_args(["generate", "binary"])
+    flags = {f.name: getattr(args, {"n_train": "n", "n_test": "n_test"}.get(f.name, f.name))
+             for f in fields(DataSpec) if f.name != "scenario"}
+    assert flags == {f.name: f.default for f in fields(DataSpec) if f.name != "scenario"}
+    assert len(flags) == 8
+
+
 def test_generate_semi_synthetic(tmp_path):
     out = tmp_path / "semi"
     assert main(["generate", "semi-synthetic", "--n", "60",
@@ -174,7 +187,8 @@ def test_estimate_advisory_on_collinear_net_input(tmp_path, capsys):
     assert "advisory:" in capsys.readouterr().err
 
 
-def test_estimate_on_a_swissmetro_file_drops_missing_responses(tmp_path):
+def swissmetro_config(tmp_path, **dataset):
+    """A Logit config over a 12-row Swissmetro-format file whose row 5 is a missing response."""
     # CHOICE 0 is the survey's missing-response code: preprocessing drops the row
     header = ["TRAIN_AV", "SM_AV", "CAR_AV", "CHOICE", "GA"] + list(SWISSMETRO_SCALED)
     rows = [[1, 1, 1, 0 if i == 5 else 1 + i % 3, i % 2]
@@ -188,11 +202,63 @@ def test_estimate_on_a_swissmetro_file_drops_missing_responses(tmp_path):
         "kind": "Logit", "alternatives": alts, "intercepts": ["Train", "SM"],
         "terms": [{"param": "beta_tt", "entries": {a: f"{a.upper()}_TT" for a in alts}},
                   {"param": "beta_co", "entries": {a: f"{a.upper()}_CO" for a in alts}}]}
-    cfg_dict["dataset"] = {"path": str(data), "format": "swissmetro"}
-    cfg = write_config(tmp_path / "cfg.yaml", cfg_dict)
+    cfg_dict["dataset"] = {"path": str(data), "format": "swissmetro", **dataset}
+    return cfg_dict
+
+
+def test_estimate_on_a_swissmetro_file_drops_missing_responses(tmp_path):
+    cfg = write_config(tmp_path / "cfg.yaml", swissmetro_config(tmp_path))
     out = tmp_path / "runs"
     assert main(["estimate", "--config", cfg, "--out-dir", str(out)]) == 0
     assert read_metric(only_run_dir(out) / "report.csv", "n_train") == 11
+
+
+def test_ga_cost_adjust_is_a_recorded_swissmetro_dataset_key(tmp_path):
+    cfg_dict = swissmetro_config(tmp_path, ga_cost_adjust=True)
+    cfg = write_config(tmp_path / "cfg.yaml", cfg_dict)
+    out = tmp_path / "runs"
+    assert main(["estimate", "--config", cfg, "--out-dir", str(out)]) == 0
+    run = only_run_dir(out)
+    assert yaml.safe_load((run / "config.yaml").read_text())["dataset"]["ga_cost_adjust"] is True
+    # the same fit on the file preprocessed with the adjustment, written by hand
+    raw = load_csv(cfg_dict["dataset"]["path"], swissmetro_schema(), validate=False)
+    train = preprocess_swissmetro(raw, ga_cost_adjust=True)
+    recipe, labels = cli._parse_model(cfg_dict)
+    report = fit_joint(recipe.build(labels, 0), train, TrainConfig(**cfg_dict["train"], seed=0),
+                       compute_std_errors=False, references={})
+    report.to_csv(str(tmp_path / "by_hand.csv"))
+    assert (run / "report.csv").read_bytes() == (tmp_path / "by_hand.csv").read_bytes()
+    plain = tmp_path / "plain"
+    assert main(["estimate", "--config", write_config(tmp_path / "plain.yaml",
+                 swissmetro_config(tmp_path)), "--out-dir", str(plain)]) == 0
+    assert (only_run_dir(plain) / "report.csv").read_bytes() != (run / "report.csv").read_bytes()
+
+
+@pytest.mark.parametrize("dataset", [{"format": "optima"}, {"preprocess": False}])
+def test_ga_cost_adjust_outside_a_preprocessed_swissmetro_file_is_refused(tmp_path, capsys,
+                                                                          dataset):
+    cfg = write_config(tmp_path / "cfg.yaml",
+                       swissmetro_config(tmp_path, ga_cost_adjust=True, **dataset))
+    out = tmp_path / "runs"
+    assert main(["estimate", "--config", cfg, "--out-dir", str(out)]) == 2
+    assert "ga_cost_adjust applies only to a preprocessed swissmetro file" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_ga_cost_adjust_is_no_longer_a_flag(capsys):
+    parser = cli._build_parser()
+    for command in ("estimate", "experiment"):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args([command, "--help"])
+        assert exc.value.code == 0
+        help_text = capsys.readouterr().out
+        assert "--eval-only" in help_text or "--reps" in help_text
+        assert "ga-cost-adjust" not in help_text
+    for argv in (["estimate", "--config", "c.yaml", "--ga-cost-adjust"],
+                 ["experiment", "montecarlo", "--ga-cost-adjust"]):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        assert exc.value.code == 2
 
 
 def test_estimate_generic_csv_with_split_and_nests(tmp_path):
@@ -281,6 +347,7 @@ def test_overlapping_partition_rejected(tmp_path, capsys):
     assert main(["estimate", "--config", cfg,
                  "--out-dir", str(tmp_path / "runs")]) == 2
     assert "interpretability" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_missing_dataset_path(tmp_path, capsys):
@@ -316,7 +383,7 @@ def test_unknown_scenario_name(tmp_path, capsys):
 def test_unknown_scenario_option(tmp_path, capsys):
     # a misspelt key once ran silently with the default 1,000 training rows
     with pytest.raises(cli.ConfigError, match=r"unknown scenario options: \['n_trian'\]"):
-        cli._parse_dataspec({"name": "binary", "n_trian": 50})
+        cli._parse_dataspec({"scenario": {"name": "binary", "n_trian": 50}})
     cfg_dict = logit_config()
     cfg_dict["dataset"]["scenario"]["n_tset"] = 10
     cfg = write_config(tmp_path / "cfg.yaml", cfg_dict)
@@ -325,9 +392,84 @@ def test_unknown_scenario_option(tmp_path, capsys):
     assert "n_tset" in capsys.readouterr().err
 
 
+def misspell(block_path, key, value):
+    """A change to ``lmnl_config()`` that adds ``key`` to the block at ``block_path``."""
+    def change(cfg):
+        block = cfg
+        for name in block_path:
+            block = block.setdefault(name, {})
+        block[key] = value
+        return cfg
+    return change
+
+
+MONTECARLO = {"scenario": {"name": "binary", "n_train": 60, "n_test": 30}, "width": 3,
+              "train": {"epochs": 2, "batch_size": 30}}
+
+
+@pytest.mark.parametrize("command, change, what, key", [
+    ("estimate", misspell(["model"], "net_widht", 3), "model", "net_widht"),
+    ("estimate", misspell(["model", "nests"], "muu", [1.0, 1.0]), "nests", "muu"),
+    ("estimate", misspell(["dataset"], "spilt", 0.8), "dataset", "spilt"),
+    # a scenario brings its own train/test rows: a file's split would be ignored
+    ("estimate", misspell(["dataset"], "split", 0.8), "dataset", "split"),
+    ("estimate", misspell(["dataset", "scenario"], "n_trian", 50), "scenario", "n_trian"),
+    ("estimate", misspell(["report"], "std_error", False), "report", "std_error"),
+    ("estimate", misspell(["train"], "epoch", 2), "train", "epoch"),
+    ("estimate", misspell([], "sequentail", "net_then_beta"), "estimate", "sequentail"),
+    ("montecarlo", lambda cfg: {**MONTECARLO, "zooo": "binary"}, "montecarlo", "zooo"),
+    ("montecarlo", lambda cfg: {**MONTECARLO, "report": {}}, "montecarlo", "report"),
+    ("montecarlo", lambda cfg: {**MONTECARLO, "scenario": {"name": "binary", "n_tset": 9}},
+     "scenario", "n_tset"),
+    ("strategy-compare", lambda cfg: {**MONTECARLO, "zoo": "binary"}, "strategy-compare", "zoo"),
+])
+def test_a_misspelt_key_exits_2_names_it_and_leaves_no_folder(tmp_path, capsys, command,
+                                                              change, what, key):
+    cfg = write_config(tmp_path / "cfg.yaml", change(lmnl_config()))
+    out = tmp_path / "runs"
+    argv = ["estimate"] if command == "estimate" else ["experiment", command]
+    assert main(argv + ["--config", cfg, "--out-dir", str(out)]) == 2
+    assert f"unknown {what} options: [{key!r}]" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_flag_that_means_nothing_to_the_experiment_is_refused(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.yaml", MONTECARLO)
+    out = tmp_path / "runs"
+    assert main(["experiment", "montecarlo", "--config", cfg, "--widths", "0,3",
+                 "--out-dir", str(out)]) == 2
+    assert "unknown montecarlo options: ['widths']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_missing_model_file_exits_2_and_leaves_no_folder(tmp_path, capsys):
+    ghost = str(tmp_path / "ghost.json")
+    cfg = write_config(tmp_path / "cfg.yaml", logit_config())
+    out = tmp_path / "runs"
+    assert main(["estimate", "--config", cfg, "--eval-only", ghost, "--out-dir", str(out)]) == 2
+    assert f"model file not found: {ghost}" in capsys.readouterr().err
+    exp = write_config(tmp_path / "exp.yaml", {"model_file": ghost, "dataset": {
+        "scenario": {"name": "binary", "n_train": 40, "n_test": 10}}})
+    for kind in ("sensitivity", "feature-impact"):
+        assert main(["experiment", kind, "--config", exp, "--out-dir", str(out)]) == 2
+        assert f"model file not found: {ghost}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_run_whose_files_cannot_be_written_leaves_no_folder(tmp_path, capsys, monkeypatch):
+    def fail(model, path):
+        raise OSError("disk full")
+    monkeypatch.setattr(cli, "save_model", fail)
+    cfg = write_config(tmp_path / "cfg.yaml", logit_config())
+    out = tmp_path / "runs"
+    assert main(["estimate", "--config", cfg, "--out-dir", str(out)]) == 1
+    assert "runtime failure: disk full" in capsys.readouterr().err
+    assert list(out.iterdir()) == []
+
+
 def test_sensitivity_requires_model_file(tmp_path, capsys):
     cfg = write_config(tmp_path / "cfg.yaml",
-                       {"scenario": {"name": "binary", "n_train": 40, "n_test": 10},
+                       {"dataset": {"scenario": {"name": "binary", "n_train": 40, "n_test": 10}},
                         "train": {"epochs": 2}})
     assert main(["experiment", "sensitivity", "--config", cfg,
                  "--out-dir", str(tmp_path / "runs")]) == 2
@@ -400,10 +542,12 @@ def test_experiment_neuron_scan_widths_flag(tmp_path):
 def test_experiment_neuron_scan_rejects_a_model_without_a_linear_and_net_part(tmp_path, capsys):
     cfg = lmnl_config()
     cfg["model"]["kind"] = "DNN"
+    del cfg["report"]  # an estimate option, which neuron-scan refuses
     path = write_config(tmp_path / "cfg.yaml", cfg)
     assert main(["experiment", "neuron-scan", "--config", path, "--reps", "1",
                  "--widths", "0,3", "--out-dir", str(tmp_path / "runs")]) == 2
     assert "neuron-scan scans an LMNL or LNL model, not 'DNN'" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_experiment_sensitivity_round_trip(tmp_path):
@@ -464,3 +608,29 @@ def test_experiment_strategy_compare_tiny(tmp_path):
                  "--out-dir", str(out)]) == 0
     md = (only_run_dir(out) / "result.md").read_text()
     assert "joint" in md and "beta_then_net" in md
+
+
+# ---------------------------------------------------------------------- docs
+
+
+def check_config_keys(cfg):
+    """Run every block of a config, or of a fragment of one, through the CLI's block reader."""
+    tops = set(cli._ESTIMATE).union(*cli._EXPERIMENTS.values())
+    cli._block({"config": cfg}, "config", tops)
+    model = cli._block(cfg, "model", cli._MODEL)
+    cli._block(model, "nests", cli._NESTS)
+    dataset = cli._block(cfg, "dataset", cli._DATASET + cli._CSV)
+    for parent in (cfg, dataset):
+        cli._block(parent, "scenario", cli._SCENARIO)
+    cli._block(cfg, "report", cli._REPORT)
+    cli._block(cfg, "train", cli._TRAIN)
+
+
+def test_readme_yaml_examples_name_only_keys_the_cli_reads():
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    examples = re.findall(r"```yaml\n(.*?)```", readme, re.S)
+    assert len(examples) >= 4
+    for text in examples:
+        check_config_keys(yaml.safe_load(text))
+    with pytest.raises(cli.ConfigError, match=r"unknown dataset options: \['spilt'\]"):
+        check_config_keys({"dataset": {"path": "x.csv", "spilt": 0.8}})

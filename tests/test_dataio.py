@@ -116,6 +116,34 @@ def test_csv_round_trip_is_exact(tmp_path):
     assert np.array_equal(back.choice, ds.choice)
 
 
+def cell_by_cell_to_csv(ds, path):
+    """The former ``ChoiceDataset.to_csv``: one Python conversion per cell."""
+    header = list(ds.columns) + [f"AV_{a}" for a in ds.alt_labels] + ["CHOICE"]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for i in range(ds.n_rows):
+            row = [repr(float(x)) for x in ds.values[i]]
+            row += [str(int(a)) for a in ds.avail[i]]
+            row.append(str(int(ds.choice[i])))
+            writer.writerow(row)
+
+
+def test_to_csv_writes_the_bytes_of_the_cell_by_cell_writer(tmp_path):
+    special = [-0.0, np.nan, np.inf, -np.inf, 5e-324, 1e300, -1e-300, 0.1, 1 / 3, 2.0**62]
+    values = np.array(special + [7.5] * 2).reshape(6, 2)
+    ds = ChoiceDataset(["x1", "x 2"], values,
+                       np.array([[1.0, 1.0], [0.0, 1.0], [1.0, 0.0]] * 2),
+                       np.array([0, 1, 0, -1, 1, 0], dtype=np.int64), ["1", "2"])
+    ds.to_csv(str(tmp_path / "new.csv"))
+    cell_by_cell_to_csv(ds, str(tmp_path / "old.csv"))
+    assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
+    sim = gen_binary(BinaryScenario(n_train=30, n_test=5, seed=2))
+    sim.to_csv(str(tmp_path / "sim_new.csv"))
+    cell_by_cell_to_csv(sim, str(tmp_path / "sim_old.csv"))
+    assert (tmp_path / "sim_new.csv").read_bytes() == (tmp_path / "sim_old.csv").read_bytes()
+
+
 @pytest.mark.parametrize("delim", ["\t", ";"])
 def test_delimiter_sniffing(tmp_path, delim):
     path = tmp_path / "data.txt"
