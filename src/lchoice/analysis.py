@@ -215,7 +215,7 @@ def _run_one(task: tuple) -> RepOutcome:
         rejects = [report.parameter(k).reject for k in present]
         out.nonreject_coeffs = all(r is False for r in rejects)
         out.nonreject_each = {k: r is False for k, r in zip(present, rejects)}
-        if has_ratio:
+        if has_ratio and truth[RATIO[1]] != 0.0:  # no true ratio to test against otherwise
             tt = ratio_t_test(est, report.covariance, tuple(model.param_names),
                               *RATIO, truth[RATIO[0]] / truth[RATIO[1]])
             out.nonreject_ratio = (not tt.reject) if math.isfinite(tt.t_stat) else None

@@ -97,22 +97,15 @@ def _parse_train(cfg: dict, seed: int) -> TrainConfig:
         raise ConfigError(f"bad train block: {exc}") from exc
 
 
-def _norm_alt(key, labels: tuple[str, ...]):
-    # YAML may hand back ints for numeric alternative labels
-    if not isinstance(key, str) and str(key) in labels:
-        return str(key)
-    return key
-
-
-def _parse_utility(block: dict, labels: tuple[str, ...]) -> UtilitySpec:
+def _parse_utility(block: dict) -> UtilitySpec:
+    # alternatives are named by label, and YAML reads a key such as 1 as an int
     terms = []
     for item in block.get("terms", []) or []:
         if not isinstance(item, dict) or "param" not in item or "entries" not in item:
             raise ConfigError("each term needs 'param' and 'entries'")
-        entries = {_norm_alt(k, labels): v for k, v in item["entries"].items()}
+        entries = {str(k): v for k, v in item["entries"].items()}
         terms.append(UtilityTerm.of(str(item["param"]), entries))
-    intercepts = tuple(_norm_alt(a, labels) for a in block.get("intercepts", []) or [])
-    return UtilitySpec(tuple(terms), intercepts)
+    return UtilitySpec(tuple(terms), tuple(str(a) for a in block.get("intercepts", []) or []))
 
 
 def _parse_model(cfg: dict) -> tuple[ModelRecipe, tuple[str, ...]]:
@@ -125,11 +118,11 @@ def _parse_model(cfg: dict) -> tuple[ModelRecipe, tuple[str, ...]]:
         raise ConfigError("model block needs 'kind' and 'alternatives'")
     nests = None
     if nb := _block(block, "nests", _NESTS):
-        groups = tuple(tuple(_norm_alt(a, labels) for a in g) for g in nb.get("groups", []))
+        groups = tuple(tuple(str(a) for a in g) for g in nb.get("groups", []))
         if not groups:
             raise ConfigError("nests block needs 'groups'")
         nests = NestStructure(groups, **_given(nb, mu=np.asarray, fixed=tuple))
-    return ModelRecipe(kind, kind, _parse_utility(block, labels), tuple(block.get("q") or ()),
+    return ModelRecipe(kind, kind, _parse_utility(block), tuple(block.get("q") or ()),
                        nests=nests, **_given(block, net_width=int, net_depth=int)), labels
 
 
@@ -261,13 +254,19 @@ def cmd_estimate(args) -> int:
     train, test = _load_dataset(cfg, seed)
     report_args = _report_args(cfg)
 
+    # building the model to fit refuses columns in both X and Q
+    model = _read_model(args.eval_only) if args.eval_only else recipe.build(labels, seed)
+    named = set(report_args["references"]).union(*(r[1:] for r in report_args["ratio_defs"]))
+    if unknown := sorted(named - set(model.param_names)):
+        raise ConfigError(f"report names unknown parameters {unknown}; "
+                          f"the model has {list(model.param_names)}")
     if args.eval_only:
-        model, files = _read_model(args.eval_only), {}
+        files = {}
         report = build_report(model, train, test, FitResult("ok", 0, 0, np.zeros(0)), **report_args)
     else:
-        model = recipe.build(labels, seed)  # refuses columns in both X and Q
         if recipe.kind in ("LMNL", "LNL"):
-            for msg in validate_partition(train, model.partition.x, model.partition.q).advisories:
+            model.program_for(train)  # refuses columns the dataset lacks
+            for msg in validate_partition(train, model.partition.x, model.partition.q):
                 print(f"advisory: {msg}", file=sys.stderr)
         sequential = cfg.get("sequential")
         fit_model = partial(fit_sequential, order=str(sequential)) if sequential else fit_joint
@@ -324,6 +323,11 @@ def cmd_experiment(args) -> int:
             jobs=args.jobs, **_given(cfg, focus=tuple, with_tests=bool))
     elif kind == "neuron-scan":
         widths = tuple(int(w) for w in cfg.get("widths", (0, 5, 10, 25, 100)))
+        # a model block's data is its `dataset`, the default model's a `scenario`
+        stray = "scenario" if "model" in cfg else "dataset"
+        if stray in cfg:
+            raise ConfigError(f"neuron-scan takes no {stray!r} block "
+                              f"{'with' if stray == 'scenario' else 'without'} a 'model' block")
         if "model" in cfg:
             recipe, _ = _parse_model(cfg)
             if recipe.kind not in ("LMNL", "LNL"):

@@ -18,6 +18,7 @@ from itertools import chain
 import numpy as np
 
 from .numcore import prng
+from .numcore.program import choice_fault
 
 SWISSMETRO_SCALED = ("TRAIN_TT", "SM_TT", "CAR_TT", "TRAIN_CO", "SM_CO", "CAR_CO",
                      "TRAIN_HE", "SM_HE")
@@ -72,18 +73,9 @@ class ChoiceDataset:
         return self.values[:, self.col_index(name)]
 
     def validate_choices(self) -> None:
-        """Every row must choose an available alternative."""
-        if (self.choice < 0).any() or (self.choice >= self.n_alts).any():
-            bad = int(np.flatnonzero((self.choice < 0) | (self.choice >= self.n_alts))[0])
-            raise DataError(f"row {bad}: choice index out of range")
-        rows = np.arange(self.n_rows)
-        ok = self.avail[rows, self.choice] > 0
-        if not ok.all():
-            bad = int(np.flatnonzero(~ok)[0])
-            raise DataError(f"row {bad}: chosen alternative is unavailable")
-        if not (self.avail.sum(axis=1) > 0).all():
-            bad = int(np.flatnonzero(self.avail.sum(axis=1) == 0)[0])
-            raise DataError(f"row {bad}: no available alternative")
+        """Every row must choose an available alternative (`choice_fault`'s rules)."""
+        if fault := choice_fault(~(self.avail > 0), self.choice):
+            raise DataError(fault)
 
     def subset(self, rows: np.ndarray) -> "ChoiceDataset":
         return ChoiceDataset(list(self.columns), self.values[rows], self.avail[rows],
@@ -282,43 +274,25 @@ def correlation_matrix(ds: ChoiceDataset, columns: list[str] | None = None) -> t
     return corr, cols
 
 
-@dataclass
-class PartitionReport:
-    ok: bool
-    errors: list[str]
-    advisories: list[str]
-
-
 def validate_partition(ds: ChoiceDataset, x_columns: tuple[str, ...],
-                       q_columns: tuple[str, ...]) -> PartitionReport:
-    """Check the interpretability split of columns into linear X and net Q.
+                       q_columns: tuple[str, ...]) -> list[str]:
+    """Advisories on the split of columns into linear X and net Q.
 
-    Overlap or unknown columns are errors; an absolute correlation above
-    CORR_ADVISORY between an X column and a Q column is an advisory, since a
-    nearly collinear net input can proxy for the linear term and bias it.
+    An absolute correlation above CORR_ADVISORY between an X column and a Q
+    column is an advisory, since a nearly collinear net input can proxy for
+    the linear term and bias it.  The split's errors, columns in both X and
+    Q or unknown to ``ds``, are `build_model`'s and the model program's.
     """
-    errors: list[str] = []
-    advisories: list[str] = []
-    overlap = sorted(set(x_columns) & set(q_columns))
-    if overlap:
-        errors.append(f"columns in both X and Q break the interpretability "
-                      f"condition dV_net/dx = 0: {overlap}")
-    for c in list(x_columns) + list(q_columns):
-        if c not in ds.columns:
-            errors.append(f"unknown column {c!r}")
-    if not errors and x_columns and q_columns:
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            corr, cols = correlation_matrix(ds, list(dict.fromkeys(list(x_columns) + list(q_columns))))
-        pos = {c: i for i, c in enumerate(cols)}
-        for xc in x_columns:
-            for qc in q_columns:
-                r = corr[pos[xc], pos[qc]]
-                if abs(r) > CORR_ADVISORY:
-                    advisories.append(f"|corr({xc}, {qc})| = {abs(r):.2f} exceeds "
-                                      f"{CORR_ADVISORY}; the net input can proxy for the "
-                                      f"linear term and bias its coefficient")
-    return PartitionReport(not errors, errors, advisories)
+    if not (x_columns and q_columns):
+        return []
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        corr, cols = correlation_matrix(ds, list(dict.fromkeys(list(x_columns) + list(q_columns))))
+    pos = {c: i for i, c in enumerate(cols)}
+    return [f"|corr({xc}, {qc})| = {abs(r):.2f} exceeds {CORR_ADVISORY}; the net input "
+            f"can proxy for the linear term and bias its coefficient"
+            for xc in x_columns for qc in q_columns
+            if abs(r := corr[pos[xc], pos[qc]]) > CORR_ADVISORY]
 
 
 def preprocess_swissmetro(ds: ChoiceDataset, ga_cost_adjust: bool = False) -> ChoiceDataset:

@@ -101,12 +101,16 @@ def relative_errors(estimates: dict[str, float], truth: dict[str, float],
 
     The per-coefficient error is |(beta - est)/beta|.  A ratio (i, j) uses
     the signed relative errors s: |(s_i - s_j)/(1 - s_j)|, which equals the
-    plain relative error of the estimated ratio beta_i/beta_j.
+    plain relative error of the estimated ratio beta_i/beta_j.  An error with
+    a zero denominator (a true coefficient of 0, an estimated ratio
+    denominator of 0) is undefined and reads nan.
     """
-    signed = {k: (truth[k] - estimates[k]) / truth[k] for k in truth if k in estimates}
+    signed = {k: (truth[k] - estimates[k]) / truth[k] if truth[k] != 0.0 else math.nan
+              for k in truth if k in estimates}
     out = {k: abs(v) for k, v in signed.items()}
     for num, den in ratios:
-        out[f"{num}/{den}"] = abs((signed[num] - signed[den]) / (1.0 - signed[den]))
+        d = 1.0 - signed[den]
+        out[f"{num}/{den}"] = abs((signed[num] - signed[den]) / d) if d != 0.0 else math.nan
     return out
 
 

@@ -16,9 +16,9 @@ import numpy as np
 
 from .dataio import ChoiceDataset, DataError
 from .numcore import prng
-from .numcore.program import (ModelProgram, empty_net, eval_inputs, first_nonfinite,
-                              masked_softmax, nest_layout, nested_parts, probabilities,
-                              single_nest, utilities)
+from .numcore.program import (ModelProgram, choice_fault, empty_net, eval_inputs,
+                              first_nonfinite, masked_softmax, nest_layout, nested_parts,
+                              probabilities, single_nest, utilities)
 
 KIND_LOGIT = "Logit"
 KIND_DNN = "DNN"
@@ -38,20 +38,20 @@ class UtilityTerm:
     """
 
     param: str
-    entries: tuple[tuple[str | int, str], ...]
+    entries: tuple[tuple[str, str], ...]  # (alternative label, column)
 
     @classmethod
-    def of(cls, param: str, entries: dict[str | int, str]) -> "UtilityTerm":
+    def of(cls, param: str, entries: dict[str, str]) -> "UtilityTerm":
         return cls(param, tuple(entries.items()))
 
 
 @dataclass(frozen=True)
 class UtilitySpec:
     terms: tuple[UtilityTerm, ...] = ()
-    intercepts: tuple[str | int, ...] = ()  # alternatives carrying a constant
+    intercepts: tuple[str, ...] = ()  # labels of the alternatives carrying a constant
 
-    def parameter_names(self, alt_labels: tuple[str, ...]) -> tuple[str, ...]:
-        names: list[str] = [f"asc_{_label(a, alt_labels)}" for a in self.intercepts]
+    def parameter_names(self) -> tuple[str, ...]:
+        names: list[str] = [f"asc_{a}" for a in self.intercepts]
         for t in self.terms:
             if t.param in names:
                 continue
@@ -82,7 +82,7 @@ class NestStructure:
     rest are free unless ``fixed`` says otherwise.
     """
 
-    groups: tuple[tuple[str | int, ...], ...]
+    groups: tuple[tuple[str, ...], ...]  # alternative labels
     mu: np.ndarray = None  # type: ignore[assignment]
     fixed: tuple[bool, ...] | None = None
 
@@ -95,8 +95,8 @@ class NestStructure:
         self.mu = np.asarray(self.mu, dtype=np.float64).copy()
         if self.mu.shape != (len(self.groups),):
             raise ValueError("one mu per nest required")
-        if (self.mu < 1.0).any():
-            raise ValueError("nest factors must satisfy mu >= 1")
+        if not (np.isfinite(self.mu) & (self.mu >= 1.0)).all():
+            raise ValueError(f"nest factors must be finite and satisfy mu >= 1: {self.mu.tolist()}")
         if self.fixed is None:
             self.fixed = tuple(len(g) == 1 for g in self.groups)
 
@@ -148,15 +148,7 @@ class RepresentationNet:
                    np.zeros((width, n_alts)), np.zeros(n_alts))
 
 
-def _label(a: str | int, alt_labels: tuple[str, ...]) -> str:
-    return alt_labels[a] if isinstance(a, int) else a
-
-
-def _index(a: str | int, alt_labels: tuple[str, ...]) -> int:
-    if isinstance(a, int):
-        if not 0 <= a < len(alt_labels):
-            raise ValueError(f"alternative index {a} out of range")
-        return a
+def _index(a: str, alt_labels: tuple[str, ...]) -> int:
     try:
         return alt_labels.index(a)
     except ValueError:
@@ -216,7 +208,7 @@ def _compile(model: HybridChoiceModel, columns: list[str]) -> ModelProgram:
     ta: list[int] = []
     tc: list[int] = []
     for a in model.utility.intercepts:
-        tp.append(p_pos[f"asc_{_label(a, model.alt_labels)}"])
+        tp.append(p_pos[f"asc_{a}"])
         ta.append(_index(a, model.alt_labels))
         tc.append(-1)
     for t in model.utility.terms:
@@ -270,6 +262,8 @@ def build_model(kind: str, alt_labels: tuple[str, ...],
     alt_labels = tuple(alt_labels)
     utility = utility or UtilitySpec()
     q = tuple(q)
+    for a in utility.intercepts + tuple(a for t in utility.terms for a, _ in t.entries):
+        _index(a, alt_labels)  # every alternative is named by its label
     x_cols = utility.x_columns()
     has_linear = bool(utility.terms) or bool(utility.intercepts)
 
@@ -310,7 +304,7 @@ def build_model(kind: str, alt_labels: tuple[str, ...],
     else:
         partition = FeaturePartition(x=x_cols, q=q)
 
-    param_names = utility.parameter_names(alt_labels)
+    param_names = utility.parameter_names()
     # coefficients start like a Glorot layer with one output; intercepts are
     # biases and start at zero
     beta = np.zeros(len(param_names))
@@ -341,8 +335,8 @@ def _utility_rows(v: np.ndarray, avail: np.ndarray | None) -> tuple[np.ndarray, 
     v = np.atleast_2d(np.asarray(v, dtype=np.float64))
     avail = np.ones_like(v) if avail is None else np.atleast_2d(np.asarray(avail, dtype=np.float64))
     v, unavail = np.broadcast_arrays(v, ~(avail > 0))
-    if unavail.all(axis=1).any():
-        raise ValueError("row with no available alternative")
+    if fault := choice_fault(unavail):
+        raise ValueError(fault)
     return v.copy(), unavail
 
 
@@ -385,9 +379,8 @@ def save_model_dict(model: HybridChoiceModel) -> dict:
         "kind": model.kind,
         "alt_labels": list(model.alt_labels),
         "utility": {
-            "intercepts": [_label(a, model.alt_labels) for a in model.utility.intercepts],
-            "terms": [{"param": t.param,
-                       "entries": [[_label(a, model.alt_labels), c] for a, c in t.entries]}
+            "intercepts": list(model.utility.intercepts),
+            "terms": [{"param": t.param, "entries": [list(e) for e in t.entries]}
                       for t in model.utility.terms],
         },
         "partition": {"x": list(model.partition.x), "q": list(model.partition.q)},
@@ -403,8 +396,7 @@ def save_model_dict(model: HybridChoiceModel) -> dict:
     else:
         d["net"] = None
     if model.nests is not None:
-        d["nests"] = {"groups": [[_label(a, model.alt_labels) for a in g]
-                                 for g in model.nests.groups],
+        d["nests"] = {"groups": [list(g) for g in model.nests.groups],
                       "mu": model.nests.mu.tolist(),
                       "fixed": list(model.nests.fixed)}
     else:

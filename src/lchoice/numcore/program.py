@@ -231,11 +231,33 @@ def masked_softmax(v: np.ndarray, unavail: np.ndarray) -> np.ndarray:
     return softmax(v)
 
 
+def choice_fault(unavail: np.ndarray, choice: np.ndarray | None = None) -> str | None:
+    """``"row R: <rule>"`` for the first row that breaks a choice rule, or None.
+
+    The one statement of the rules, checked in this order within a row: the
+    choice code is in [0, I), some alternative is available, the chosen one
+    is available.  Without ``choice`` only the second rule applies.
+    """
+    n_alts = unavail.shape[1]
+    faults = [(unavail.all(axis=1), "no available alternative")]
+    if choice is not None:
+        out = (choice < 0) | (choice >= n_alts)
+        chosen_off = unavail[np.arange(choice.shape[0]), np.where(out, 0, choice)] & ~out
+        faults = [(out, f"choice {{code}} is not in [0, {n_alts})"), *faults,
+                  (chosen_off, "chosen alternative is unavailable")]
+    bad = np.logical_or.reduce([rows for rows, _ in faults])
+    if not bad.any():
+        return None
+    r = int(np.argmax(bad))
+    rule = next(rule for rows, rule in faults if rows[r])
+    return f"row {r}: " + rule.format(code=None if choice is None else choice[r])
+
+
 def probabilities(prog: ModelProgram, v: np.ndarray, avail: np.ndarray) -> np.ndarray:
     """Choice probabilities from utilities, masked by 0/1 availability."""
     unavail = ~(avail > 0)
-    if unavail.all(axis=1).any():
-        raise ValueError("row with no available alternative")
+    if fault := choice_fault(unavail):
+        raise ValueError(fault)
     if prog.use_nests:
         return nested_parts(v, unavail, prog.layout, prog.mu)["probs"]
     return masked_softmax(v.astype(np.float64), unavail)

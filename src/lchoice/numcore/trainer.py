@@ -87,14 +87,9 @@ def fit_program(prog: pr.ModelProgram, data: np.ndarray, avail: np.ndarray,
     n, bs = data.shape[0], config.batch_size
     if avail.shape[0] != n or choice.shape[0] != n:
         raise ValueError("data, avail and choice row counts differ")
-    bad = np.flatnonzero((choice < 0) | (choice >= prog.n_alts))
-    if bad.size:
-        raise ValueError(f"row {bad[0]}: choice {choice[bad[0]]} is not in [0, {prog.n_alts})")
+    if fault := pr.choice_fault(~(avail > 0), choice):  # before np.eye(I)[choice] indexes by it
+        raise ValueError(fault)
     xl, q, unavail, onehot = pr.compile_inputs(prog, data, avail, choice)
-    for bad, what in ((unavail.all(axis=1), "no available alternative"),
-                      (unavail[np.arange(n), choice], "chosen alternative marked unavailable")):
-        if bad.any():
-            raise ValueError(f"row {bad.argmax()}: {what}")
     cell = pr.first_nonfinite(prog, data)
     if cell is not None:
         raise ValueError(f"row {cell[0]}: non-finite value in data column {cell[1]}")

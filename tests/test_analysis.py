@@ -74,6 +74,17 @@ def test_monte_carlo_aggregates_and_is_deterministic():
             "nonreject_ratio_pct"} <= set(tst[0])
 
 
+@pytest.mark.parametrize("zero", ["beta_b", "beta_a"])
+def test_monte_carlo_with_a_zero_true_coefficient_fails_no_replication(zero):
+    # both once failed every replication with "ZeroDivisionError: float division by zero"
+    res = monte_carlo(replace(TINY, **{zero: 0.0}), (binary_zoo(4)[0],), 2, TINY_CFG)
+    assert res.failures == [] and len(res.outcomes) == 2
+    for o in res.outcomes:
+        assert math.isnan(o.errors[zero]) and math.isfinite(o.errors["beta_p"])
+        # with no true ratio there is nothing to test it against
+        assert (o.nonreject_ratio is None) == (zero == "beta_a")
+
+
 def test_monte_carlo_validates_inputs():
     recipes = binary_zoo(4)[:1]
     with pytest.raises(ValueError, match="replications"):

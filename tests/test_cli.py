@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 import yaml
 
-from lchoice import DataSpec, cli, fit_joint
+from lchoice import DataSpec, analysis, cli, fit_joint
+from lchoice.analysis import write_csv_rows
 from lchoice.cli import main
 from lchoice.dataio import (SWISSMETRO_SCALED, generic_schema, load_csv, load_truth,
                             preprocess_swissmetro, swissmetro_schema)
@@ -350,6 +351,64 @@ def test_overlapping_partition_rejected(tmp_path, capsys):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("report, unknown", [
+    ({"ratios": [{"name": "r", "num": "beta_p", "den": "beta_zz"}]}, ["beta_zz"]),
+    ({"references": {"beta_pp": -1.0, "beta_p": -1.0}}, ["beta_pp"]),
+])
+def test_report_names_are_checked_before_the_fit(tmp_path, capsys, report, unknown):
+    # an unknown ratio name once failed after training with "runtime failure: 'beta_zz'",
+    # and a misspelt reference was dropped, so its t-test ran against 0
+    fit_out = tmp_path / "fit"
+    assert main(["estimate", "--config", write_config(tmp_path / "fit.yaml", logit_config()),
+                 "--out-dir", str(fit_out)]) == 0
+    cfg = write_config(tmp_path / "cfg.yaml", logit_config(report=report))
+    out = tmp_path / "runs"
+    for extra in ([], ["--eval-only", str(only_run_dir(fit_out) / "model.json")]):
+        assert main(["estimate", "--config", cfg, "--out-dir", str(out)] + extra) == 2
+        assert f"report names unknown parameters {unknown}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_an_unknown_net_column_exits_2_before_the_fit(tmp_path, capsys):
+    cfg = write_config(tmp_path / "cfg.yaml", lmnl_config(q=("q1", "ghost")))
+    out = tmp_path / "runs"
+    assert main(["estimate", "--config", cfg, "--out-dir", str(out)]) == 2
+    assert "net inputs reference unknown columns ['ghost']" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_yaml_alternatives_are_labels(tmp_path, capsys):
+    # YAML reads the key 1 as an int; it names the label "1", as the string does
+    text = yaml.safe_dump(logit_config()).replace("'1'", "1").replace("'2'", "2")
+    assert "entries:\n      1: p1" in text
+    runs = {}
+    for name, body in (("int", text), ("str", yaml.safe_dump(logit_config()))):
+        (tmp_path / f"{name}.yaml").write_text(body)
+        assert main(["estimate", "--config", str(tmp_path / f"{name}.yaml"),
+                     "--out-dir", str(tmp_path / name)]) == 0
+        runs[name] = (only_run_dir(tmp_path / name) / "report.csv").read_bytes()
+    assert runs["int"] == runs["str"]
+    # an integer that is not a label is no index: it is an unknown alternative
+    cfg = logit_config()
+    cfg["model"]["intercepts"] = [0]
+    out = tmp_path / "runs"
+    assert main(["estimate", "--config", write_config(tmp_path / "zero.yaml", cfg),
+                 "--out-dir", str(out)]) == 2
+    assert "unknown alternative '0'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("mu", [".nan", ".inf"])
+def test_a_non_finite_nest_factor_exits_2(tmp_path, capsys, mu):
+    cfg = logit_config()
+    cfg["model"]["nests"] = {"groups": [["1"], ["2"]], "mu": ["MU", 1.0]}
+    path = tmp_path / "cfg.yaml"
+    path.write_text(yaml.safe_dump(cfg).replace("MU", mu))
+    assert main(["estimate", "--config", str(path), "--out-dir", str(tmp_path / "runs")]) == 2
+    assert "nest factors must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
 def test_missing_dataset_path(tmp_path, capsys):
     cfg_dict = logit_config()
     cfg_dict["dataset"] = {"path": str(tmp_path / "ghost.csv"), "format": "generic",
@@ -548,6 +607,63 @@ def test_experiment_neuron_scan_rejects_a_model_without_a_linear_and_net_part(tm
                  "--widths", "0,3", "--out-dir", str(tmp_path / "runs")]) == 2
     assert "neuron-scan scans an LMNL or LNL model, not 'DNN'" in capsys.readouterr().err
     assert not (tmp_path / "runs").exists()
+
+
+def scan_model_config():
+    cfg = lmnl_config()
+    del cfg["report"]  # an estimate option, which neuron-scan refuses
+    return cfg
+
+
+def test_experiment_neuron_scan_of_a_model_block_over_a_dataset_block(tmp_path):
+    cfg = write_config(tmp_path / "cfg.yaml", scan_model_config())
+    out = tmp_path / "runs"
+    assert main(["experiment", "neuron-scan", "--config", cfg, "--reps", "1",
+                 "--widths", "0,3", "--out-dir", str(out)]) == 0
+    run = only_run_dir(out)
+    with open(run / "result.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["width", "rep", "seed", "metric", "value"]
+    assert {r["width"] for r in rows} == {"0", "3"}
+    assert {r["metric"] for r in rows} == {"ll_train", "ll_test", "asc_1", "beta_p", "beta_a"}
+    md = (run / "result.md").read_text()
+    assert md.startswith("## Width scan") and "| 0 | 1 |" in md and "| 3 | 1 |" in md
+
+
+@pytest.mark.parametrize("with_model, stray", [(True, "scenario"), (False, "dataset")])
+def test_experiment_neuron_scan_refuses_the_data_block_it_would_ignore(tmp_path, capsys,
+                                                                      with_model, stray):
+    # the block the scan does not read once passed silently
+    cfg = scan_model_config() if with_model else {"train": {"epochs": 2}}
+    cfg[stray] = {"name": "binary"} if stray == "scenario" else {"path": "/nonexistent.csv"}
+    path = write_config(tmp_path / "cfg.yaml", cfg)
+    assert main(["experiment", "neuron-scan", "--config", path, "--reps", "1",
+                 "--widths", "0,3", "--out-dir", str(tmp_path / "runs")]) == 2
+    assert f"neuron-scan takes no {stray!r} block" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_experiment_correlation_sweep_tiny(tmp_path):
+    scenario = {"name": "correlated", "n_train": 60, "n_test": 30}
+    train = {"epochs": 2, "batch_size": 30, "dropout": 0.0}
+    cfg = write_config(tmp_path / "cfg.yaml", {"scenario": scenario, "width": 3,
+                                               "s_values": [0.0, 0.8], "train": train})
+    out = tmp_path / "runs"
+    assert main(["experiment", "correlation-sweep", "--config", cfg, "--reps", "1",
+                 "--out-dir", str(out)]) == 0
+    run = only_run_dir(out)
+    with open(run / "result.csv", newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert list(rows[0]) == ["s", "table", "model", "metric", "value"]
+    assert {r["s"] for r in rows} == {"0.0", "0.8"}
+    # the files are the library's sweep at the same settings
+    result = analysis.correlation_bias_sweep(
+        (0.0, 0.8), 1, scenario=DataSpec(scenario="correlated", n_train=60, n_test=30),
+        recipes=analysis.correlation_zoo(width=3), base_config=TrainConfig(**train, seed=0))
+    write_csv_rows(str(tmp_path / "lib.csv"), result.to_csv_rows())
+    assert (run / "result.csv").read_bytes() == (tmp_path / "lib.csv").read_bytes()
+    md = (run / "result.md").read_text()
+    assert md == result.to_markdown() and "by correlation level" in md
 
 
 def test_experiment_sensitivity_round_trip(tmp_path):

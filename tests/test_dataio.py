@@ -13,6 +13,9 @@ from hypothesis import strategies as st
 from lchoice import (
     ChoiceDataset,
     DataError,
+    UtilitySpec,
+    UtilityTerm,
+    build_model,
     correlation_matrix,
     gen_binary,
     generic_schema,
@@ -75,7 +78,7 @@ def test_validate_choices_locates_bad_rows():
 
     out_of_range = tiny_dataset()
     out_of_range.choice[1] = 5
-    with pytest.raises(DataError, match="row 1: choice index out of range"):
+    with pytest.raises(DataError, match=r"row 1: choice 5 is not in \[0, 2\)"):
         out_of_range.validate_choices()
 
     unavailable = tiny_dataset()
@@ -88,7 +91,7 @@ def test_validate_choices_locates_bad_rows():
     nothing_open.avail[0, 0] = 1.0
     nothing_open.choice[0] = 0
     nothing_open.avail[0] = 0.0
-    with pytest.raises(DataError, match="row 0"):
+    with pytest.raises(DataError, match="row 0: no available alternative"):
         nothing_open.validate_choices()
 
 
@@ -495,22 +498,20 @@ def test_correlation_matrix_zero_variance_column():
 
 def test_validate_partition_errors_and_advisories():
     ds = gen_binary(BinaryScenario(n_train=300, n_test=0, seed=7))
-    ok = validate_partition(ds, ("p1", "p2"), ("q1", "q2"))
-    assert ok.ok and not ok.errors
+    assert validate_partition(ds, ("p1", "p2"), ("q1", "q2")) == []
 
-    overlap = validate_partition(ds, ("p1", "q1"), ("q1", "q2"))
-    assert not overlap.ok
-    assert any("interpretability" in e for e in overlap.errors)
-
-    unknown = validate_partition(ds, ("p1",), ("ghost",))
-    assert not unknown.ok
-    assert any("unknown column 'ghost'" in e for e in unknown.errors)
+    # the split's errors are the model's: an overlap at build, an unknown column at compile
+    util = UtilitySpec((UtilityTerm.of("beta_p", {"1": "p1", "2": "q1"}),))
+    with pytest.raises(ValueError, match="interpretability"):
+        build_model("LMNL", ("1", "2"), util, q=("q1", "q2"))
+    ghost = build_model("LMNL", ("1", "2"), util, q=("ghost",))
+    with pytest.raises(ValueError, match=r"unknown columns \['ghost'\]"):
+        ghost.program_for(ds)
 
     # a near-copy of an X column on the net side is flagged but not fatal
     noisy = ds.with_columns(["p1_echo"], ds.col("p1") + 1e-6)
-    advisory = validate_partition(noisy, ("p1",), ("p1_echo",))
-    assert advisory.ok
-    assert any("proxy" in a for a in advisory.advisories)
+    advisories = validate_partition(noisy, ("p1",), ("p1_echo",))
+    assert len(advisories) == 1 and "proxy" in advisories[0]
 
 
 # ------------------------------------------------------------ preprocessors

@@ -89,7 +89,7 @@ def test_scorers_reject_a_bad_choice_code(tmp_path):
                   lambda: hessian_std_errors(m, ds),
                   lambda: build_report(m, ds, None, fit, compute_std_errors=False),
                   lambda: build_report(m, two_alt_dataset(), ds, fit, compute_std_errors=False)):
-        with pytest.raises(DataError, match="row 1: choice index out of range"):
+        with pytest.raises(DataError, match=r"row 1: choice -1 is not in \[0, 2\)"):
             score()
 
 
@@ -143,6 +143,17 @@ def test_relative_errors_hand_values():
     direct = abs(((-1.0 / 0.8) - (-2.0)) / -2.0)
     assert out["bp/ba"] == pytest.approx(direct, abs=1e-12)
     assert out["bp/ba"] == pytest.approx(0.375, abs=1e-12)
+
+
+def test_relative_errors_with_a_zero_denominator_are_nan():
+    # a zero true coefficient once raised ZeroDivisionError in every replication
+    out = relative_errors({"bp": -1.0, "ba": 0.3}, {"bp": -1.0, "ba": 0.0},
+                          ratios=(("bp", "ba"),))
+    assert out["bp"] == 0.0 and math.isnan(out["ba"]) and math.isnan(out["bp/ba"])
+    # an estimated ratio denominator of 0: the estimated ratio is undefined
+    out = relative_errors({"bp": -1.0, "ba": 0.0}, {"bp": -1.0, "ba": 0.5},
+                          ratios=(("bp", "ba"),))
+    assert out["ba"] == 1.0 and math.isnan(out["bp/ba"])
 
 
 def test_relative_errors_skips_missing_estimates():

@@ -144,6 +144,9 @@ def test_nested_unavailable_alternative_gets_zero():
 def test_nest_structure_validation():
     with pytest.raises(ValueError, match="mu >= 1"):
         NestStructure((("a",), ("b",)), mu=np.array([0.5, 1.0]))
+    for mu in (np.nan, np.inf):  # inf once passed, and its fit came back "diverged"
+        with pytest.raises(ValueError, match="must be finite"):
+            NestStructure((("a",), ("b",)), mu=np.array([mu, 1.0]))
     with pytest.raises(ValueError, match="one mu per nest"):
         NestStructure((("a",), ("b",)), mu=np.array([1.0]))
     with pytest.raises(ValueError, match="more than one nest"):
@@ -154,6 +157,19 @@ def test_nest_structure_validation():
         NestStructure((("a", "zzz"),)).resolve(("a", "b"))
     with pytest.raises(ValueError, match="nest 1 has no alternatives"):
         NestStructure((("1", "2"), ()))
+
+
+def test_alternatives_are_named_by_label_only():
+    # an integer once meant an index: intercepts (0,) named "Train" silently
+    labels = ("Train", "SM", "Car")
+    term = UtilityTerm.of("b", {"Train": "x", "Car": "x"})
+    for util in (UtilitySpec((term,), intercepts=(0,)),
+                 UtilitySpec((UtilityTerm.of("b", {"Train": "x", 2: "x"}),))):
+        with pytest.raises(ValueError, match="unknown alternative"):
+            build_model("Logit", labels, util)
+    with pytest.raises(ValueError, match="unknown alternative"):
+        NestStructure(((0, "SM"), ("Car",))).resolve(labels)
+    assert build_model("Logit", labels, UtilitySpec((term,), ("SM",))).param_names == ("asc_SM", "b")
 
 
 def test_singleton_nests_are_pinned_by_default():

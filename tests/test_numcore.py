@@ -15,6 +15,7 @@ from lchoice.models import mnl_probabilities
 from lchoice.numcore import (PROB_FLOOR, TrainConfig, compile_inputs, eval_inputs, fit_program,
                              gradients, input_gradients, loss_value, net_forward, sample_nll)
 from lchoice.numcore import prng
+from lchoice.numcore.program import choice_fault
 
 
 # ---------------------------------------------------------------------------
@@ -109,8 +110,30 @@ def test_softmax_shift_invariance_and_1d_parity():
 
 
 def test_softmax_rejects_fully_unavailable_row():
-    with pytest.raises(ValueError, match="no available"):
-        mnl_probabilities(np.zeros((1, 3)), np.zeros((1, 3)))
+    prog = _featureful_instance(seed=15)[0]
+    avail = np.ones((4, 3))
+    avail[2] = 0.0
+    for probs in (lambda: mnl_probabilities(np.zeros((4, 3)), avail),
+                  lambda: numcore.probabilities(prog, np.zeros((4, 3)), avail)):
+        with pytest.raises(ValueError, match="^row 2: no available alternative$"):
+            probs()
+
+
+def test_choice_fault_names_the_first_faulty_row_and_its_first_rule():
+    unavail = np.zeros((6, 3), dtype=bool)
+    choice = np.array([0, 1, 2, 0, 1, 2])
+    assert choice_fault(unavail, choice) is None and choice_fault(unavail) is None
+    unavail[4] = True  # nothing available, and so the chosen one is not either
+    unavail[3, 0] = True  # the chosen alternative is unavailable
+    assert choice_fault(unavail, choice) == "row 3: chosen alternative is unavailable"
+    assert choice_fault(unavail) == "row 4: no available alternative"
+    choice[4] = 3  # out of range comes first within a row
+    choice[5] = -1
+    unavail[3, 0] = False
+    assert choice_fault(unavail, choice) == "row 4: choice 3 is not in [0, 3)"
+    choice[4] = 1
+    assert choice_fault(unavail, choice) == "row 4: no available alternative"
+    assert choice_fault(unavail[5:], choice[5:]) == "row 0: choice -1 is not in [0, 3)"
 
 
 def test_cross_entropy_uniform_is_log_n():
@@ -167,6 +190,41 @@ def test_stream_ids_come_from_the_table():
            "rng = np.random.default_rng(0)\nfrom numpy.random import default_rng\n"
            "derive_seed(s, StreamId.REPLICATION + r)\nStream(s, StreamId.FIT).draw(3)\n")
     assert sorted(line for line, _ in _stream_id_offences(bad)) == [1, 2, 3, 4]
+
+
+CHOICE_RULES = ("is not in [0,", "no available alternative", "chosen alternative is unavailable")
+
+
+def _choice_rule_spellings(source):
+    """Sorted lines of Python source where a string, docstrings aside, spells a choice rule.
+
+    Each literal part of an f-string is read on its own, so load_csv's located
+    errors (``f"{at}: chosen alternative {label!r} is unavailable"``) spell none.
+    """
+    tree = ast.parse(source)
+    docstrings = {id(node.body[0].value) for node in ast.walk(tree)
+                  if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef))
+                  and node.body and isinstance(node.body[0], ast.Expr)}
+    return sorted({node.lineno for node in ast.walk(tree)
+                   if isinstance(node, ast.Constant) and isinstance(node.value, str)
+                   and id(node) not in docstrings
+                   and any(rule in node.value for rule in CHOICE_RULES)})
+
+
+def test_choice_rules_are_spelt_only_in_program():
+    # a lint: program.choice_fault states the choice rules, and every other check calls it
+    root = Path(prng.__file__).resolve().parents[1]
+    offences = [f"{path.relative_to(root)}:{line}" for path in sorted(root.rglob("*.py"))
+                if path.relative_to(root) != Path("numcore", "program.py")
+                for line in _choice_rule_spellings(path.read_text())]
+    assert offences == []
+    bad = ('"""A docstring may say: no available alternative."""\n'
+           'raise ValueError("row with no available alternative")\n'
+           'raise ValueError(f"row {r}: chosen alternative is unavailable")\n'
+           'raise DataError(f"{at}: chosen alternative {label!r} is unavailable")\n'
+           'msg = f"choice {c} is not in [0, {n})"\n')
+    assert _choice_rule_spellings(bad) == [2, 3, 5]
+    assert _choice_rule_spellings((root / "numcore" / "program.py").read_text()) != []
 
 
 def _build_model_callers(source):
@@ -759,7 +817,7 @@ def test_fit_program_availability_errors_name_the_row():
     with pytest.raises(ValueError, match="row 37: no available alternative"):
         fit_program(prog, data, avail, choice, TrainConfig(epochs=1))
     avail[37] = 1.0
-    with pytest.raises(ValueError, match="row 41: chosen alternative marked unavailable"):
+    with pytest.raises(ValueError, match="row 41: chosen alternative is unavailable"):
         fit_program(prog, data, avail, choice, TrainConfig(epochs=1))
 
 
