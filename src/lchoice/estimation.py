@@ -145,9 +145,10 @@ def hessian_std_errors(model: HybridChoiceModel, ds: ChoiceDataset, *,
     net runs once and each of the 2P points reruns only the linear block.  A
     singular Hessian falls back to the pseudo-inverse with a warning.  Raises
     DataError on a bad choice.  ``_inputs`` is `numcore.eval_inputs` of ``ds``
-    when `build_report` has already run that pass.
+    when `build_report` has already checked ``ds`` and run that pass.
     """
-    ds.validate_choices()
+    if _inputs is None:
+        ds.validate_choices()
     prog = model.program_for(ds)
     n_params = prog.n_params
     if n_params == 0:

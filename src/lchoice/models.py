@@ -99,6 +99,9 @@ class NestStructure:
             raise ValueError(f"nest factors must be finite and satisfy mu >= 1: {self.mu.tolist()}")
         if self.fixed is None:
             self.fixed = tuple(len(g) == 1 for g in self.groups)
+        if len(self.fixed) != len(self.groups):
+            raise ValueError(f"one fixed flag per nest required: {len(self.fixed)} flags "
+                             f"for {len(self.groups)} nests")
 
     def resolve(self, alt_labels: tuple[str, ...]) -> tuple[np.ndarray, np.ndarray]:
         """(alt -> nest index, mu_free) with validation of the partition."""

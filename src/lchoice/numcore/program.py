@@ -12,9 +12,9 @@ each pass puts (``np.putmask``) into a fresh array: -inf into the logit's
 utilities, UNAVAILABLE into the nested logsum argument ``mu_alt * v``, the
 values ``np.where(avail > 0, ...)`` gave, whatever the utility there.
 Entry points taking 0/1 availability build the mask at their door.
-Inference passes (`eval_inputs`) update each hidden layer in place and keep
-no activations.  `linear_utilities`, `net_forward`, `loss_gradients` and
-`backprop` adapt a raw (n, D) batch to the compiled passes.
+Inference passes over a dataset (`eval_inputs`, `input_gradients`) run the
+net in blocks of rows (`_net_blocks`).  `linear_utilities`, `net_forward`,
+`loss_gradients` and `backprop` adapt a raw (n, D) batch to the compiled passes.
 
 Linear terms are stored as three parallel int arrays.  Term ``t`` adds
 ``beta[term_param[t]] * x`` to alternative ``term_alt[t]``, where ``x`` is
@@ -46,6 +46,9 @@ PROB_FLOOR = 1e-12  # floor of a chosen probability inside the log of the NLL
 UNAVAILABLE = -1e300  # mu * V of an unavailable alternative inside the nested logsums
 NET_TENSORS = ("w_in", "w_hidden", "b_hidden", "w_out", "b_out")
 NET_WEIGHTS = ("w_in", "w_hidden", "w_out")  # the matrices the l2 penalty reads
+# floats per hidden activation in an inference pass, 512 KiB of float64: small enough
+# that the blocks reuse heap pages; at 2 MiB glibc trims and refaults them block by block
+EVAL_CELLS = 2**16
 
 
 class NestLayout(NamedTuple):
@@ -120,8 +123,22 @@ def compile_inputs(prog: ModelProgram, data: np.ndarray, avail: np.ndarray,
 
 def eval_inputs(prog: ModelProgram, data: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
     """(X_lin, eval-mode net output or None without a net): one inference pass over ``data``."""
-    v_net = net_output(prog, data[:, prog.q_cols]) if prog.has_net else None
-    return linear_inputs(prog, data), v_net
+    return linear_inputs(prog, data), _net_blocks(prog, data) if prog.has_net else None
+
+
+def _net_blocks(prog: ModelProgram, data: np.ndarray, dv: np.ndarray | None = None) -> np.ndarray:
+    """Eval-mode `net_output` of ``data``, (n, I), in blocks of EVAL_CELLS // H rows.
+
+    With ``dv``, each block is backpropagated instead, into the gradient of
+    sum(dv * V_net) in the net inputs, (n, Dq).  Equals one call over all rows
+    up to BLAS rounding, and bit for bit when the rows fit in one block."""
+    rows = max(1, EVAL_CELLS // prog.hidden_width)
+    out = np.empty((data.shape[0], prog.n_alts if dv is None else prog.q_cols.shape[0]))
+    for r in range(0, data.shape[0], rows):
+        cache = None if dv is None else {}
+        v_net = net_output(prog, data[r:r + rows, prog.q_cols], None, cache)
+        out[r:r + rows] = v_net if dv is None else _input_backward(prog, dv[r:r + rows], cache)
+    return out
 
 
 def first_nonfinite(prog: ModelProgram, data: np.ndarray) -> tuple[int, int] | None:
@@ -385,8 +402,10 @@ def frozen_net_beta_gradient(prog: ModelProgram, xl: np.ndarray, v_net: np.ndarr
     Reads X_lin and the eval-mode net output of `eval_inputs` and 0/1
     availability, compiled once into the mask, so each call costs the linear
     block, `utility_gradients` and one matmul back.  Equals
-    ``gradients(..., reduction="sum")[0]["beta"]`` at that beta bit for bit:
-    the arithmetic is done in the same order.
+    ``gradients(..., reduction="sum")[0]["beta"]`` at that beta bit for bit
+    when the net's rows fit in one block of `eval_inputs` (and always without a
+    net): the arithmetic is then done in the same order.  Across blocks the
+    net output, and so the gradient, may differ by BLAS rounding.
     """
     unavail = ~(avail > 0)
 
@@ -405,8 +424,11 @@ def input_gradients(prog: ModelProgram, data: np.ndarray, dv: np.ndarray) -> np.
     """
     if not prog.has_net:
         return np.zeros((data.shape[0], 0))
-    cache: dict = {}
-    net_output(prog, data[:, prog.q_cols], None, cache)
+    return _net_blocks(prog, data, dv)
+
+
+def _input_backward(prog: ModelProgram, dv: np.ndarray, cache: dict) -> np.ndarray:
+    """Gradient of sum(dv * V_net) with respect to Q from the eval-mode cache of `net_output`."""
     da = dv @ prog.w_out.T
     for layer in range(prog.depth - 1, -1, -1):
         dz = da * (cache["acts"][layer] > 0.0)

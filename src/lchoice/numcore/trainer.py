@@ -30,9 +30,10 @@ import numpy as np
 from . import prng
 from . import program as pr
 
-# uniforms per PRNG call: bounds the mask memory of wide nets and keeps a draw's
-# arrays under glibc's 128 KiB mmap threshold, so they reuse heap pages instead of
-# faulting in fresh ones each epoch
+# uniforms per PRNG call, in whole batches: keeps a draw's arrays under glibc's
+# 128 KiB mmap threshold, so they reuse heap pages instead of faulting in fresh
+# ones each epoch.  A batch whose mask alone exceeds the cap is drawn whole
+# (500 rows x 100 units: 50,000 uniforms per call)
 DRAW_CAP = 16_000
 # Adam's moment decay rates and the floor added to its denominator
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-7

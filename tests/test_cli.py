@@ -409,6 +409,18 @@ def test_a_non_finite_nest_factor_exits_2(tmp_path, capsys, mu):
     assert not (tmp_path / "runs").exists()
 
 
+@pytest.mark.parametrize("fixed", [[False], [False, True, True]])
+def test_a_fixed_flag_count_other_than_the_nest_count_exits_2(tmp_path, capsys, fixed):
+    cfg = logit_config()
+    cfg["model"]["nests"] = {"groups": [["1"], ["2"]], "mu": [1.0, 1.0], "fixed": fixed}
+    out = tmp_path / "runs"
+    assert main(["estimate", "--config", write_config(tmp_path / "cfg.yaml", cfg),
+                 "--out-dir", str(out)]) == 2
+    assert f"one fixed flag per nest required: {len(fixed)} flags for 2 nests" in \
+        capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_missing_dataset_path(tmp_path, capsys):
     cfg_dict = logit_config()
     cfg_dict["dataset"] = {"path": str(tmp_path / "ghost.csv"), "format": "generic",

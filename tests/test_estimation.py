@@ -304,6 +304,23 @@ def test_report_runs_the_net_once_per_dataset(binary_data, monkeypatch):
     assert sorted(calls) == ["test", "train"]
 
 
+def test_fit_checks_each_dataset_once_at_the_door_and_once_in_the_report(monkeypatch):
+    # the Hessian reuses the report's checked training set; it once re-checked it
+    train, test, _ = DataSpec(n_train=200, n_test=50).make(4)
+    m = build_model("LMNL", ("1", "2"), pa_utility(), q=("q1", "q2"), net_width=3, seed=0)
+    checked = []
+    original = ChoiceDataset.validate_choices
+
+    def spy(ds):
+        checked.append(ds.n_rows)
+        return original(ds)
+
+    monkeypatch.setattr(ChoiceDataset, "validate_choices", spy)
+    report = fit_joint(m, train, TrainConfig(epochs=1, batch_size=50), test=test)
+    assert all(p.std_error is not None for p in report.params)
+    assert checked == [200, 50, 200, 50]
+
+
 def test_zero_parameter_model_has_no_std_errors(binary_data):
     train, _ = binary_data
     m = build_model("DNN", ("1", "2"), q=("q1", "q2"), net_width=3, seed=0)

@@ -157,6 +157,10 @@ def test_nest_structure_validation():
         NestStructure((("a", "zzz"),)).resolve(("a", "b"))
     with pytest.raises(ValueError, match="nest 1 has no alternatives"):
         NestStructure((("1", "2"), ()))
+    # one flag for two nests once trained the singleton's mu; three broadcast-failed
+    for fixed, n_flags in (((False,), 1), ((False, True, True), 3)):
+        with pytest.raises(ValueError, match=f"{n_flags} flags for 2 nests"):
+            NestStructure((("a", "b"), ("c",)), mu=np.array([1.5, 1.0]), fixed=fixed)
 
 
 def test_alternatives_are_named_by_label_only():

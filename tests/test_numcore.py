@@ -2,6 +2,7 @@
 
 import ast
 import math
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -14,7 +15,7 @@ from lchoice import numcore
 from lchoice.models import mnl_probabilities
 from lchoice.numcore import (PROB_FLOOR, TrainConfig, compile_inputs, eval_inputs, fit_program,
                              gradients, input_gradients, loss_value, net_forward, sample_nll)
-from lchoice.numcore import prng
+from lchoice.numcore import prng, program
 from lchoice.numcore.program import choice_fault
 
 
@@ -227,8 +228,8 @@ def test_choice_rules_are_spelt_only_in_program():
     assert _choice_rule_spellings((root / "numcore" / "program.py").read_text()) != []
 
 
-def _build_model_callers(source):
-    """(line, enclosing Class.function) of each ``build_model(...)`` call in Python source."""
+def _callers(source, name):
+    """(line, enclosing Class.function) of each ``name(...)`` call in Python source."""
     found = []
 
     def visit(node, scope):
@@ -237,7 +238,7 @@ def _build_model_callers(source):
                 visit(child, scope + (child.name,))
                 continue
             if (isinstance(child, ast.Call)
-                    and getattr(child.func, "attr", getattr(child.func, "id", None)) == "build_model"):
+                    and getattr(child.func, "attr", getattr(child.func, "id", None)) == name):
                 found.append((child.lineno, ".".join(scope)))
             visit(child, scope)
 
@@ -249,12 +250,26 @@ def test_models_above_the_trainer_come_from_a_recipe():
     # a lint: analysis and the CLI build every model through ModelRecipe.build,
     # so a study cannot re-encode a model and drop part of it
     root = Path(prng.__file__).resolve().parents[1]
-    callers = {name: [scope for _, scope in _build_model_callers((root / name).read_text())]
+    callers = {name: [scope for _, scope in _callers((root / name).read_text(), "build_model")]
                for name in ("analysis.py", "cli.py")}
     assert callers == {"analysis.py": ["ModelRecipe.build"], "cli.py": []}
     bad = ("def run():\n    return models.build_model('Logit', labels)\n"
            "class ModelRecipe:\n    def build(self):\n        return build_model(self.kind)\n")
-    assert _build_model_callers(bad) == [(2, "run"), (5, "ModelRecipe.build")]
+    assert _callers(bad, "build_model") == [(2, "run"), (5, "ModelRecipe.build")]
+
+
+def test_eval_mode_net_passes_run_in_blocks():
+    # a lint: every inference pass over a dataset runs the net through the block
+    # loop, so none holds a hidden activation for all rows; the trainer's step
+    # (`gradients`) and the raw-batch adapter `net_forward` see one batch each
+    root = Path(prng.__file__).resolve().parents[1]
+    callers = {path.relative_to(root).as_posix(): [scope for _, scope in
+                                                   _callers(path.read_text(), "net_output")]
+               for path in sorted(root.rglob("*.py"))}
+    assert {k: v for k, v in callers.items() if v} == {
+        "numcore/program.py": ["_net_blocks", "net_forward", "gradients"]}
+    bad = "def predict(prog, q):\n    return pr.net_output(prog, q)\n"
+    assert _callers(bad, "net_output") == [(2, "predict")]
 
 
 # ---------------------------------------------------------------------------
@@ -528,6 +543,53 @@ def test_compiled_mask_matches_where_masking(monkeypatch, scale, with_nests):
         assert got[0].keys() == want[0].keys()
         for name in got[0]:
             assert np.array_equal(got[0][name], want[0][name]), name
+
+
+def _wide_instance(n, width, depth, seed=0):
+    """A plain-logit program with a ``depth``-layer net of ``width`` units over 4 of 6
+    columns, and ``n`` rows of data for it."""
+    rng = np.random.default_rng(seed)
+    n_alts, dq = 2, 4
+    prog = numcore.ModelProgram(
+        n_alts, 3, np.arange(3), np.array([0, 1, 1]), np.array([0, 1, -1]), rng.normal(size=3),
+        np.arange(dq), rng.normal(0.0, 0.5, (dq, width)),
+        rng.normal(0.0, width ** -0.5, (depth - 1, width, width)),
+        rng.normal(0.0, 0.1, (depth, width)), rng.normal(0.0, 0.3, (width, n_alts)),
+        rng.normal(0.0, 0.1, n_alts), *program.single_nest(n_alts), False)
+    return prog, rng.normal(size=(n, 6))
+
+
+def test_eval_pass_within_one_block_is_one_net_output_call():
+    prog, data = _wide_instance(program.EVAL_CELLS // 100, 100, 3)  # exactly one block
+    xl, v_net = eval_inputs(prog, data)
+    assert np.array_equal(v_net, program.net_output(prog, data[:, prog.q_cols]))
+    assert np.array_equal(xl, program.linear_inputs(prog, data))
+
+
+@pytest.mark.parametrize("rows", [1, 7])
+def test_blocked_passes_match_one_call(monkeypatch, rows):
+    prog, data = _wide_instance(3 * 7 + 1, 5, 2)  # at 7 rows a block: 3 blocks and a 1-row tail
+    dv = np.random.default_rng(1).normal(size=(data.shape[0], prog.n_alts))
+    whole = eval_inputs(prog, data)[1], input_gradients(prog, data, dv)  # one block each
+    monkeypatch.setattr(program, "EVAL_CELLS", rows * prog.hidden_width)
+    blocked = eval_inputs(prog, data)[1], input_gradients(prog, data, dv)
+    for got, want in zip(blocked, whole):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12)
+
+
+def test_eval_pass_memory_is_bounded_by_the_block():
+    # deep_wide's shape: one 20,000-row pass once held two 20,000 x 100 activations
+    # (about 31 MiB); a block holds two of at most EVAL_CELLS floats each
+    prog, data = _wide_instance(20_000, 100, 3)
+    tracemalloc.start()
+    try:
+        xl, v_net = eval_inputs(prog, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < xl.nbytes + v_net.nbytes + 3 * program.EVAL_CELLS * 8  # 2.3 MiB
+    one_call = program.net_output(prog, data[:, prog.q_cols])
+    np.testing.assert_allclose(v_net, one_call, rtol=0.0, atol=1e-12)
 
 
 def test_input_gradients_match_finite_differences():
