@@ -1,13 +1,13 @@
 """Experiment drivers: replication campaigns and post-estimation probes.
 
 Every driver takes explicit seeds and returns tidy records, so a rerun with
-the same configuration reproduces the same tables.  Replications are
-independent; `_run_tasks` is the one runner, in this process or, with
-``jobs`` > 1, across a process pool, and it returns results in task order,
-so ``jobs`` changes no number.  A task that raises yields its exception:
-`monte_carlo` records it as a failure (``"<type>: <message>"``) and leaves
-it out of every aggregate, `neuron_scan` re-raises the first one.
-Aggregation always happens in the caller.
+the same configuration reproduces the same tables.  Each replication is one
+`_fit_task` (data, recipe, seed, base config, fit options), run by the one
+runner `_run_tasks` here or, with ``jobs`` > 1, on at most one worker process
+per task, in task order, so ``jobs`` changes no number.  A task that raises
+yields its exception: `monte_carlo` records it, or one its summary raised, as
+a failure (``"<type>: <message>"``) left out of every aggregate; the other
+studies re-raise the first.  Summaries and aggregates are made in the caller.
 """
 
 from __future__ import annotations
@@ -22,8 +22,7 @@ import numpy as np
 
 from . import synthgen
 from .dataio import ChoiceDataset, split
-from .estimation import (BETA_THEN_NET, NET_THEN_BETA, EstimationReport,
-                         fit_joint, fit_sequential, parameter_ratio,
+from .estimation import (EstimationReport, fit_joint, fit_sequential, parameter_ratio,
                          ratio_t_test, relative_errors)
 from .models import (HybridChoiceModel, NestStructure, UtilitySpec,
                      UtilityTerm, build_model, predict_probabilities)
@@ -55,10 +54,12 @@ class ModelRecipe:
                            nests=self.nests, seed=seed)
 
     def fit(self, train: ChoiceDataset, test: ChoiceDataset | None, base: TrainConfig,
-            seed: int, **report_args) -> tuple[HybridChoiceModel, EstimationReport]:
-        """Build the model for ``train``'s alternatives and fit it jointly."""
+            seed: int, order: str | None = None,
+            **report_args) -> tuple[HybridChoiceModel, EstimationReport]:
+        """The model for ``train``'s alternatives, fitted jointly or sequentially in ``order``."""
         model = self.build(train.alt_labels, seed)
-        return model, fit_joint(model, train, replace(base, seed=seed), test=test, **report_args)
+        fit = fit_joint if order is None else partial(fit_sequential, order=order)
+        return model, fit(model, train, replace(base, seed=seed), test=test, **report_args)
 
 
 SPEC_SCENARIOS = ("binary", "correlated", "unobserved", "guevara")
@@ -176,15 +177,28 @@ class RepOutcome:
     nonreject_ratio: bool | None = None
 
 
-def _run_tasks(fn, tasks: list, jobs: int) -> list:
-    """``fn`` over ``tasks``, results in task order; a task that raised yields its exception.
+def _fit_task(task: tuple) -> tuple[EstimationReport, dict]:
+    """(report, truth) of one fit task: (data, recipe, seed, base config, fit options).
 
-    With ``jobs`` > 1 every task is submitted to a pool of that many worker
-    processes up front, and the results are collected in order.
+    ``data`` is a DataSpec drawn at ``seed``, whose truth is the report's
+    references, or a fixed (train, test) pair, which has no truth.
     """
+    data, recipe, seed, base, options = task
+    train, test, truth = data.make(seed) if isinstance(data, DataSpec) else (*data, {})
+    _, report = recipe.fit(train, test, base, seed, references=truth, **options)
+    return report, truth
+
+
+def _run_tasks(tasks: list, jobs: int) -> list:
+    """`_fit_task` of each task, in task order; a task that raised yields its exception.
+
+    A pool forks all its workers at its first submit, so it gets one per task at most.
+    """
+    workers = min(jobs, len(tasks))
     results = []
-    with ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else nullcontext() as pool:
-        calls = [pool.submit(fn, t).result if pool else partial(fn, t) for t in tasks]
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else nullcontext() as pool:
+        calls = [pool.submit(_fit_task, t).result if pool else partial(_fit_task, t)
+                 for t in tasks]
         for call in calls:
             try:
                 results.append(call())
@@ -193,20 +207,24 @@ def _run_tasks(fn, tasks: list, jobs: int) -> list:
     return results
 
 
+def _reports(results: list) -> list[EstimationReport]:
+    """The report of each `_run_tasks` result, raising the first exception among them."""
+    if raised := [r for r in results if isinstance(r, Exception)]:
+        raise raised[0]
+    return [report for report, _ in results]
+
+
 # the coefficient ratio every campaign estimates and tests, when a model has both
 RATIO = ("beta_p", "beta_a")
 
 
-def _run_one(task: tuple) -> RepOutcome:
-    (data, recipe, base_cfg, rep, seed, focus, with_tests) = task
-    train, test, truth = data.make(seed)
-    model, report = recipe.fit(train, test, base_cfg, seed,
-                               compute_std_errors=with_tests, references=truth)
+def _outcome(name: str, rep: int, seed: int, focus: tuple[str, ...],
+             report: EstimationReport, truth: dict) -> RepOutcome:
     est = report.estimates()
     present = [k for k in focus if k in est]
     has_ratio = all(k in est for k in RATIO)
     errors = relative_errors(est, truth, ratios=(RATIO,) if has_ratio else ())
-    out = RepOutcome(recipe.name, rep, seed, report.status,
+    out = RepOutcome(name, rep, seed, report.status,
                      report.ll_train, report.ll_test, report.acc_train,
                      report.acc_test, report.rho2_test, est, errors)
     if has_ratio:
@@ -216,7 +234,7 @@ def _run_one(task: tuple) -> RepOutcome:
         out.nonreject_coeffs = all(r is False for r in rejects)
         out.nonreject_each = {k: r is False for k, r in zip(present, rejects)}
         if has_ratio and truth[RATIO[1]] != 0.0:  # no true ratio to test against otherwise
-            tt = ratio_t_test(est, report.covariance, tuple(model.param_names),
+            tt = ratio_t_test(est, report.covariance, tuple(est),
                               *RATIO, truth[RATIO[0]] / truth[RATIO[1]])
             out.nonreject_ratio = (not tt.reject) if math.isfinite(tt.t_stat) else None
     return out
@@ -246,10 +264,8 @@ class MonteCarloResult:
             reps = self.per_model(name)
             m = {"model": name, "replications": len(reps),
                  "failed": sum(1 for f in self.failures if f["model"] == name)}
-            for key, pick in [("ll_train", lambda o: o.ll_train),
-                              ("ll_test", lambda o: o.ll_test)]:
-                mean, sd = self._agg(name, pick)
-                m[f"{key}_mean"], m[f"{key}_sd"] = mean, sd
+            for key in ("ll_train", "ll_test"):
+                m[f"{key}_mean"], m[f"{key}_sd"] = self._agg(name, lambda o, k=key: getattr(o, k))
             m["acc_train_pct"] = 100.0 * self._agg(name, lambda o: o.acc_train)[0]
             m["acc_test_pct"] = 100.0 * self._agg(name, lambda o: o.acc_test)[0]
             m["rho2_test_mean"] = self._agg(name, lambda o: o.rho2_test)[0]
@@ -341,13 +357,18 @@ def monte_carlo(data: DataSpec, recipes: tuple[ModelRecipe, ...],
         seeds = [derive_seed(seed, StreamId.REPLICATION + r) for r in range(replications)]
     if len(seeds) != replications:
         raise ValueError("need one seed per replication")
-    tasks = [(data, recipe, base_config, rep, seeds[rep], focus, with_tests)
-             for recipe in recipes for rep in range(replications)]
-    results = _run_tasks(_run_one, tasks, jobs)
-    outcomes = [r for r in results if not isinstance(r, Exception)]
-    failures = [{"model": t[1].name, "rep": t[3], "seed": t[4],
-                 "error": f"{type(r).__name__}: {r}"}
-                for t, r in zip(tasks, results) if isinstance(r, Exception)]
+    runs = [(recipe, rep) for recipe in recipes for rep in range(replications)]
+    results = _run_tasks([(data, recipe, seeds[rep], base_config,
+                           {"compute_std_errors": with_tests}) for recipe, rep in runs], jobs)
+    outcomes, failures = [], []
+    for (recipe, rep), result in zip(runs, results):
+        try:
+            if isinstance(result, Exception):
+                raise result
+            outcomes.append(_outcome(recipe.name, rep, seeds[rep], focus, *result))
+        except Exception as exc:  # noqa: BLE001 - the fit's or the summary's
+            failures.append({"model": recipe.name, "rep": rep, "seed": seeds[rep],
+                             "error": f"{type(exc).__name__}: {exc}"})
     return MonteCarloResult(data, tuple(r.name for r in recipes), outcomes,
                             failures, focus)
 
@@ -388,18 +409,6 @@ class NeuronScanResult:
         return markdown_table(self.table(), title="Width scan")
 
 
-def _scan_one(task: tuple) -> dict:
-    (data, recipe, width, rep, seed, base_cfg) = task
-    if isinstance(data, DataSpec):
-        train, test, _ = data.make(seed)
-    else:
-        train, test = data
-    _, report = recipe.fit(train, test, base_cfg, seed, compute_std_errors=False)
-    return {"width": width, "rep": rep, "seed": seed,
-            "ll_train": report.ll_train, "ll_test": report.ll_test,
-            "params": report.estimates()}
-
-
 def neuron_scan(data, recipe: ModelRecipe, widths: tuple[int, ...], replications: int = 1,
                 base_config: TrainConfig | None = None, seed: int = 0,
                 jobs: int = 1) -> NeuronScanResult:
@@ -416,12 +425,12 @@ def neuron_scan(data, recipe: ModelRecipe, widths: tuple[int, ...], replications
     seeds = [derive_seed(seed, StreamId.REPLICATION + r) for r in range(replications)]
     at_width = {w: replace(recipe, net_width=w) if w else replace(recipe, kind="Logit", q=())
                 for w in widths}
-    tasks = [(data, at_width[w], w, rep, seeds[rep], base_config)
-             for w in widths for rep in range(replications)]
-    records = _run_tasks(_scan_one, tasks, jobs)
-    for r in records:
-        if isinstance(r, Exception):
-            raise r
+    runs = [(w, rep) for w in widths for rep in range(replications)]
+    reports = _reports(_run_tasks([(data, at_width[w], seeds[rep], base_config,
+                                    {"compute_std_errors": False}) for w, rep in runs], jobs))
+    records = [{"width": w, "rep": rep, "seed": seeds[rep], "ll_train": r.ll_train,
+                "ll_test": r.ll_test, "params": r.estimates()}
+               for (w, rep), r in zip(runs, reports)]
     return NeuronScanResult(tuple(widths), records)
 
 
@@ -465,11 +474,9 @@ def correlation_bias_sweep(s_values: tuple[float, ...], replications: int,
         raise ValueError("correlation levels must lie in [0, 1]")
     scenario = scenario or DataSpec(scenario="correlated")
     recipes = recipes or correlation_zoo()
-    campaigns = {}
-    for s in s_values:
-        spec = replace(scenario, scenario="correlated", s=s)
-        campaigns[s] = monte_carlo(spec, recipes, replications, base_config,
-                                   seed=seed, with_tests=with_tests, jobs=jobs)
+    campaigns = {s: monte_carlo(replace(scenario, scenario="correlated", s=s), recipes,
+                                replications, base_config, seed=seed, with_tests=with_tests,
+                                jobs=jobs) for s in s_values}
     return CorrelationSweepResult(tuple(s_values), campaigns)
 
 
@@ -597,14 +604,9 @@ class StrategyCompareResult:
         rows = []
         for name in self.order:
             rep = self.reports[name]
-            row = {"strategy": name}
             est = rep.estimates()
-            for p in params:
-                if p in est:
-                    row[p] = est[p]
-            row["ll_train"] = rep.ll_train
-            row["ll_test"] = rep.ll_test
-            rows.append(row)
+            rows.append({"strategy": name, **{p: est[p] for p in params if p in est},
+                         "ll_train": rep.ll_train, "ll_test": rep.ll_test})
         return rows
 
     def to_csv_rows(self) -> list[dict]:
@@ -616,20 +618,18 @@ class StrategyCompareResult:
 
 def strategy_compare(data: DataSpec | None = None, width: int = 100,
                      base_config: TrainConfig | None = None,
-                     seed: int = 0) -> StrategyCompareResult:
+                     seed: int = 0, jobs: int = 1) -> StrategyCompareResult:
     """Sequential (either order) versus joint training on one shared dataset."""
     data = data or DataSpec(scenario="binary", beta_p=-2.0, beta_a=1.0,
                             beta_b=0.5, beta_qc=1.0, n_train=10000, n_test=2000)
     base_config = base_config or TrainConfig()
-    train, test, _ = data.make(derive_seed(seed, StreamId.REPLICATION))
-    cfg = replace(base_config, seed=seed)
-    recipe = binary_lmnl(width)
-    reports = {}
-    for name in (BETA_THEN_NET, NET_THEN_BETA, "joint"):
-        fit = fit_joint if name == "joint" else partial(fit_sequential, order=name)
-        reports[name] = fit(recipe.build(train.alt_labels, seed), train, cfg, test=test,
-                            compute_std_errors=False)
-    return StrategyCompareResult(reports)
+    shared = data.make(derive_seed(seed, StreamId.REPLICATION))[:2]
+    names = StrategyCompareResult.order
+    reports = _reports(_run_tasks(
+        [(shared, binary_lmnl(width), seed, base_config,
+          {"order": None if name == "joint" else name, "compute_std_errors": False})
+         for name in names], jobs))
+    return StrategyCompareResult(dict(zip(names, reports)))
 
 
 # ---------------------------------------------------------------------------

@@ -56,6 +56,7 @@ _EXPERIMENTS = {
     "feature-impact": ("model_file", "dataset"),
     "strategy-compare": ("scenario", "width"),
 }
+_JOBS = ("montecarlo", "neuron-scan", "correlation-sweep", "strategy-compare")  # take --jobs
 _ZOOS = {"binary": analysis.binary_zoo, "correlation": analysis.correlation_zoo,
          "guevara": analysis.guevara_zoo}
 
@@ -308,6 +309,9 @@ def cmd_experiment(args) -> int:
         cfg["replications"] = args.reps
     if args.widths is not None:
         cfg["widths"] = [int(w) for w in args.widths.split(",")]
+    if args.jobs is not None and (kind not in _JOBS or args.jobs < 1):
+        raise ConfigError(f"--jobs must be >= 1 and applies only to {', '.join(_JOBS)}")
+    jobs = args.jobs or 1
     _block({kind: cfg}, kind, ("seed", "train") + _EXPERIMENTS[kind])
     seed = int(cfg.setdefault("seed", args.seed))
     train_cfg = _parse_train(cfg, seed)
@@ -320,7 +324,7 @@ def cmd_experiment(args) -> int:
             raise ConfigError(f"unknown zoo {zoo!r}")
         result = analysis.monte_carlo(
             spec, _ZOOS[zoo](**_given(cfg, width=int)), reps, train_cfg, seed=seed,
-            jobs=args.jobs, **_given(cfg, focus=tuple, with_tests=bool))
+            jobs=jobs, **_given(cfg, focus=tuple, with_tests=bool))
     elif kind == "neuron-scan":
         widths = tuple(int(w) for w in cfg.get("widths", (0, 5, 10, 25, 100)))
         # a model block's data is its `dataset`, the default model's a `scenario`
@@ -336,11 +340,11 @@ def cmd_experiment(args) -> int:
         else:
             recipe, data = analysis.binary_lmnl(), _parse_dataspec(cfg) or DataSpec()
         result = analysis.neuron_scan(data, recipe, widths, reps,
-                                      train_cfg, seed=seed, jobs=args.jobs)
+                                      train_cfg, seed=seed, jobs=jobs)
     elif kind == "correlation-sweep":
         result = analysis.correlation_bias_sweep(
             tuple(float(s) for s in cfg.get("s_values", (0.0, 0.4, 0.8, 1.0))), reps,
-            scenario=_parse_dataspec(cfg), base_config=train_cfg, seed=seed, jobs=args.jobs,
+            scenario=_parse_dataspec(cfg), base_config=train_cfg, seed=seed, jobs=jobs,
             recipes=analysis.correlation_zoo(**_given(cfg, width=int)),
             **_given(cfg, with_tests=bool))
     elif kind in ("sensitivity", "feature-impact"):
@@ -358,7 +362,7 @@ def cmd_experiment(args) -> int:
             result = analysis.feature_impact(model, train)
     else:  # strategy-compare
         result = analysis.strategy_compare(_parse_dataspec(cfg), base_config=train_cfg,
-                                           seed=seed, **_given(cfg, width=int))
+                                           seed=seed, jobs=jobs, **_given(cfg, width=int))
 
     run_dir = _write_run(args.out_dir, cfg, kind, {
         "result.csv": partial(write_csv_rows, rows=result.to_csv_rows()),
@@ -405,7 +409,7 @@ def _build_parser() -> argparse.ArgumentParser:
     exp.add_argument("--config", default=None)
     exp.add_argument("--reps", type=int, default=None, help="override replications")
     exp.add_argument("--widths", default=None, help="comma-separated width list")
-    exp.add_argument("--jobs", type=int, default=1, help="worker processes")
+    exp.add_argument("--jobs", type=int, help="worker processes; the results do not depend on it")
     common(exp)
     exp.set_defaults(func=cmd_experiment)
     return parser

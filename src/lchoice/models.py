@@ -174,10 +174,6 @@ class HybridChoiceModel:
     def n_parameters(self) -> int:
         return int(self.beta.shape[0])
 
-    def clone(self) -> "HybridChoiceModel":
-        other = load_model_dict(save_model_dict(self))
-        return other
-
     def program(self, columns: list[str]) -> ModelProgram:
         """Compile against a column layout; parameter arrays are shared."""
         key = tuple(columns)

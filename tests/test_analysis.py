@@ -2,6 +2,7 @@
 
 import csv
 import math
+from concurrent.futures import Future
 from dataclasses import replace
 
 import numpy as np
@@ -126,6 +127,56 @@ def test_monte_carlo_worker_processes_match_serial_run():
         ("Logit(X1)", 0), ("Logit(X1)", 1), ("LMNL(4,X,Q)", 0), ("LMNL(4,X,Q)", 1)]
     assert pooled.outcomes == serial.outcomes
     assert pooled.failures == serial.failures and len(serial.failures) == 2
+
+
+@pytest.mark.parametrize("jobs", [1, 2])
+def test_monte_carlo_records_a_summary_that_raises_as_a_failure(monkeypatch, jobs):
+    # a replication's summary once raised out of the whole campaign
+    from lchoice import analysis
+
+    def near_zero(*args):
+        raise ZeroDivisionError("denominator coefficient 'beta_a' is ~0")
+
+    monkeypatch.setattr(analysis, "parameter_ratio", near_zero)
+    recipes = (binary_zoo(4)[1], binary_zoo(4)[0])  # DNN has no ratio, Logit(X1) has
+    res = monte_carlo(TINY, recipes, 2, TINY_CFG, with_tests=False, jobs=jobs)
+    assert [o.model for o in res.outcomes] == ["DNN(4,Q)", "DNN(4,Q)"]
+    assert [(f["model"], f["rep"]) for f in res.failures] == [("Logit(X1)", 0), ("Logit(X1)", 1)]
+    assert all(f["error"] == "ZeroDivisionError: denominator coefficient 'beta_a' is ~0"
+               for f in res.failures)
+
+
+def test_the_pool_has_no_more_workers_than_tasks(monkeypatch):
+    # a pool of 8 once forked 8 processes for 3 fits
+    from lchoice import analysis
+    sizes = []
+
+    class RecordingPool:
+        """Stands in for ProcessPoolExecutor: records its size, runs each task here."""
+
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def submit(self, fn, *args):
+            done = Future()
+            done.set_result(fn(*args))
+            return done
+
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", RecordingPool)
+    small = dict(data=DataSpec(n_train=60, n_test=20), width=2, base_config=TINY_CFG)
+    serial = strategy_compare(**small)
+    assert sizes == []
+    pooled = strategy_compare(jobs=8, **small)
+    assert sizes == [3]
+    assert pooled.table() == serial.table()
+    monte_carlo(TINY, binary_zoo(4)[:1], 1, TINY_CFG, with_tests=False, jobs=8)
+    assert sizes == [3]  # the one task ran in this process
 
 
 def test_recipe_fit_goes_through_the_analysis_module_names(monkeypatch):
@@ -379,6 +430,16 @@ def test_strategy_compare_smoke():
     for row in rows:
         assert math.isfinite(row["ll_train"]) and math.isfinite(row["beta_p"])
     assert "beta_then_net" in res.to_markdown()
+
+
+def test_strategy_compare_worker_processes_match_serial_run():
+    kwargs = dict(data=DataSpec(n_train=150, n_test=50), width=3, base_config=TINY_CFG, seed=4)
+    serial = strategy_compare(**kwargs)
+    pooled = strategy_compare(jobs=2, **kwargs)
+    for name in serial.order:
+        a, b = serial.reports[name], pooled.reports[name]
+        assert (a.ll_train, a.ll_test, a.estimates()) == (b.ll_train, b.ll_test, b.estimates())
+        assert np.array_equal(a.trace, b.trace)
 
 
 def test_semi_synthetic_study_smoke():

@@ -513,6 +513,29 @@ def test_a_flag_that_means_nothing_to_the_experiment_is_refused(tmp_path, capsys
     assert not out.exists()
 
 
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_a_job_count_below_one_exits_2(tmp_path, capsys, jobs):
+    # it once ran serially without a word
+    cfg = write_config(tmp_path / "cfg.yaml", MONTECARLO)
+    out = tmp_path / "runs"
+    assert main(["experiment", "montecarlo", "--config", cfg, "--jobs", jobs,
+                 "--out-dir", str(out)]) == 2
+    assert "--jobs must be >= 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kind", ["sensitivity", "feature-impact"])
+def test_jobs_is_refused_by_a_kind_that_runs_in_one_process(tmp_path, capsys, kind):
+    # it was once ignored without a word
+    cfg = write_config(tmp_path / "cfg.yaml", {"model_file": str(tmp_path / "m.json"), "dataset": {
+        "scenario": {"name": "binary", "n_train": 40, "n_test": 10}}})
+    out = tmp_path / "runs"
+    assert main(["experiment", kind, "--config", cfg, "--jobs", "4",
+                 "--out-dir", str(out)]) == 2
+    assert "applies only to montecarlo, neuron-scan" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_a_missing_model_file_exits_2_and_leaves_no_folder(tmp_path, capsys):
     ghost = str(tmp_path / "ghost.json")
     cfg = write_config(tmp_path / "cfg.yaml", logit_config())
@@ -736,6 +759,22 @@ def test_experiment_strategy_compare_tiny(tmp_path):
                  "--out-dir", str(out)]) == 0
     md = (only_run_dir(out) / "result.md").read_text()
     assert "joint" in md and "beta_then_net" in md
+
+
+def test_experiment_strategy_compare_jobs_changes_no_byte(tmp_path):
+    # --jobs was once ignored by strategy-compare
+    cfg = write_config(tmp_path / "cfg.yaml", {
+        "scenario": {"name": "binary", "n_train": 100, "n_test": 40},
+        "width": 3,
+        "train": {"epochs": 2, "batch_size": 50},
+    })
+    csvs = []
+    for jobs in ("1", "2"):
+        out = tmp_path / f"runs{jobs}"
+        assert main(["experiment", "strategy-compare", "--config", cfg, "--jobs", jobs,
+                     "--out-dir", str(out)]) == 0
+        csvs.append((only_run_dir(out) / "result.csv").read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 # ---------------------------------------------------------------------- docs

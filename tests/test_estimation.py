@@ -27,7 +27,8 @@ from lchoice import (
 from lchoice import estimation, numcore
 from lchoice.dataio import ChoiceDataset, DataError, generic_schema, load_csv
 from lchoice.estimation import build_report
-from lchoice.models import NestStructure, UtilitySpec, UtilityTerm
+from lchoice.models import (NestStructure, UtilitySpec, UtilityTerm, load_model_dict,
+                            save_model_dict)
 from lchoice.numcore import FitResult, TrainConfig, program
 
 
@@ -459,7 +460,7 @@ def test_joint_and_sequential_reach_different_points(binary_data, quick_config):
     train, _ = binary_data
     a = build_model("LMNL", ("1", "2"), pa_utility(), q=("q1", "q2"),
                     net_width=4, seed=1)
-    b = a.clone()
+    b = load_model_dict(save_model_dict(a))
     fit_joint(a, train, quick_config, compute_std_errors=False)
     fit_sequential(b, train, quick_config, order=BETA_THEN_NET,
                    compute_std_errors=False)

@@ -400,9 +400,9 @@ def test_load_model_dict_rejects_foreign_payload():
         load_model_dict({"format": "something-else"})
 
 
-def test_clone_is_independent():
+def test_a_loaded_copy_shares_no_array_with_its_source():
     m = fitted_like_model(seed=5)
-    twin = m.clone()
+    twin = load_model_dict(save_model_dict(m))
     m.beta[0] = 99.0
     m.net.w_out[0, 0] = -99.0
     m.nests.mu[0] = 7.0
