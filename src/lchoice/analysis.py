@@ -687,7 +687,8 @@ class SemiSynthResult:
 
 
 def semi_synthetic_study(n: int = 9036, seed: int = 0, width: int = 100,
-                         base_config: TrainConfig | None = None) -> SemiSynthResult:
+                         base_config: TrainConfig | None = None,
+                         jobs: int = 1) -> SemiSynthResult:
     """Coefficient recovery with strong planted nonlinearities in the truth.
 
     Categories span [0, 1.4] (see `gen_semi_synthetic`), which makes the
@@ -701,9 +702,10 @@ def semi_synthetic_study(n: int = 9036, seed: int = 0, width: int = 100,
     train, test = split(ds, 0.8, seed)
     truth = dict(ds.meta["truth"])
     recipes = semi_synth_zoo(width)
-    reports = {r.name: r.fit(train, test, base_config, seed, compute_std_errors=False)[1]
-               for r in recipes}
-    return SemiSynthResult(reports, truth, tuple(r.name for r in recipes))
+    reports = _reports(_run_tasks([((train, test), r, seed, base_config,
+                                    {"compute_std_errors": False}) for r in recipes], jobs))
+    names = tuple(r.name for r in recipes)
+    return SemiSynthResult(dict(zip(names, reports)), truth, names)
 
 
 # ---------------------------------------------------------------------------

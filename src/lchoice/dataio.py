@@ -9,11 +9,11 @@ alternative and a 0-based ``CHOICE`` column.
 from __future__ import annotations
 
 import ast
+import codecs
 import csv
-import io
 import warnings
 from dataclasses import dataclass, field
-from itertools import chain
+from itertools import chain, islice
 
 import numpy as np
 
@@ -23,6 +23,8 @@ from .numcore.program import choice_fault
 SWISSMETRO_SCALED = ("TRAIN_TT", "SM_TT", "CAR_TT", "TRAIN_CO", "SM_CO", "CAR_CO",
                      "TRAIN_HE", "SM_HE")
 CORR_ADVISORY = 0.8  # |corr| between an X and a Q column above which a fit is warned
+LOAD_CELLS = 2**13  # cells `load_csv` holds as strings at once: one block of rows
+READ_BYTES = 2**16  # bytes `load_csv` reads at once while it checks the encoding
 
 
 class DataError(ValueError):
@@ -135,6 +137,35 @@ def _cell_value(cell: str, at: str) -> float:
         raise DataError(f"{at}: non-numeric value {cell.strip()!r}") from None
 
 
+def _line_ends(path: str) -> int:
+    """The count of line ends in the file, once its bytes are known to be UTF-8 text.
+
+    Raises the located DataError of the first byte that is not UTF-8.  The
+    file is read in chunks of READ_BYTES.  Each record but the last ends in a
+    line end (LF, CR or CR LF) and the header is a record, so the count bounds
+    the number of data rows.  A CR LF split between two chunks counts twice,
+    which keeps it a bound.
+    """
+    decoder = codecs.getincrementaldecoder("utf-8")()  # a byte-order mark is UTF-8 too
+    newlines = lone_cr = 0
+    with open(path, "rb") as fh:
+        while True:
+            chunk = fh.read(READ_BYTES)
+            try:
+                decoder.decode(chunk, final=not chunk)
+            except UnicodeDecodeError as exc:
+                # exc.object is this chunk after the bytes held back from the last
+                # one, which are part of one character and so hold no newline
+                line = newlines + exc.object[:exc.start].count(b"\n") + 1
+                raise DataError(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from None
+            if not chunk:
+                return newlines + lone_cr
+            byte = np.frombuffer(chunk, np.uint8)
+            lf, cr = byte == ord("\n"), byte == ord("\r")
+            newlines += int(np.count_nonzero(lf))
+            lone_cr += int(np.count_nonzero(cr) - np.count_nonzero(cr[:-1] & lf[1:]))
+
+
 def load_csv(path: str, schema: CsvSchema, validate: bool = True) -> ChoiceDataset:
     """Read a delimited text file into a dataset; errors carry the offending row and column.
 
@@ -151,95 +182,110 @@ def load_csv(path: str, schema: CsvSchema, validate: bool = True) -> ChoiceDatas
     a missing response, for a preprocessor to drop).  Every column the
     schema does not claim is a feature.
 
-    The first bad row is reported, as ``<path>: row R[, column 'C']: ...``
-    with the header as row 1 and skipped blank rows not counted.
-    Within a row the checks run in the order: field count, features,
-    availability, choice code, code range, chosen alternative available.
+    A byte that is not UTF-8 is reported first, as ``<path>: line L: not
+    UTF-8 text``.  Otherwise the first bad row is reported, as ``<path>: row
+    R[, column 'C']: ...`` with the header as row 1 and skipped blank rows
+    not counted.  Within a row the checks run in the order: field count,
+    features, availability, choice code, code range, chosen alternative
+    available.
+
+    The file is read twice, in fixed chunks: once to check its encoding and
+    count its lines, then in blocks of LOAD_CELLS cells, each checked and
+    converted into the output arrays before the next is read.  So memory is
+    the output arrays and one block, whatever the file's length or width.
     """
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    try:
-        raw.decode("utf-8-sig")  # a check; the rows are decoded as they are read
-    except UnicodeDecodeError as exc:
-        line = exc.object[:exc.start].count(b"\n") + 1
-        raise DataError(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from None
-    text = io.TextIOWrapper(io.BytesIO(raw), encoding="utf-8-sig", newline="")
-    sample = text.readline()
-    if not sample.strip():
-        raise DataError(f"{path}: empty file")
-    delim = _sniff_delimiter(sample)
-    text.seek(0)
-    reader = csv.reader(text, delimiter=delim)
-    header = [h.strip() for h in next(reader)]
-    raw_rows = [r for r in reader if any(map(str.strip, r))]
-    for j, name in enumerate(header):
-        if name in header[:j]:
-            raise DataError(f"{path}: duplicate column {name!r}")
-    if schema.choice_column not in header:
-        raise DataError(f"{path}: missing choice column {schema.choice_column!r}")
-    special = {schema.choice_column}
-    if schema.avail_columns is not None:
-        missing = [c for c in schema.avail_columns if c not in header]
-        if missing:
-            raise DataError(f"{path}: missing availability columns {missing}")
-        special |= set(schema.avail_columns)
-    feat_cols = [h for h in header if h not in special]
-    col_pos = {h: j for j, h in enumerate(header)}
-    av_cols = list(schema.avail_columns or ())
-    n, width, n_alts = len(raw_rows), len(header), len(schema.alt_labels)
+    capacity = _line_ends(path)
+    with open(path, encoding="utf-8-sig", newline="") as text:
+        sample = text.readline()
+        if not sample.strip():
+            raise DataError(f"{path}: empty file")
+        text.seek(0)
+        reader = csv.reader(text, delimiter=_sniff_delimiter(sample))
+        header = [h.strip() for h in next(reader)]
+        for j, name in enumerate(header):
+            if name in header[:j]:
+                raise DataError(f"{path}: duplicate column {name!r}")
+        if schema.choice_column not in header:
+            raise DataError(f"{path}: missing choice column {schema.choice_column!r}")
+        special = {schema.choice_column}
+        if schema.avail_columns is not None:
+            missing = [c for c in schema.avail_columns if c not in header]
+            if missing:
+                raise DataError(f"{path}: missing availability columns {missing}")
+            special |= set(schema.avail_columns)
+        feat_cols = [h for h in header if h not in special]
+        col_pos = {h: j for j, h in enumerate(header)}
+        av_cols = list(schema.avail_columns or ())
+        feat_idx, av_idx = [col_pos[h] for h in feat_cols], [col_pos[h] for h in av_cols]
+        width, n_alts = len(header), len(schema.alt_labels)
 
-    def row_error(i: int, row: list[str]) -> None:
-        """Raise the located error of data row ``i``, if it has one, in the checks' order."""
-        where = f"{path}: row {i + 2}"
-        if len(row) != width:
-            raise DataError(f"{where}: expected {width} fields, got {len(row)}")
-        for name in feat_cols:
-            _cell_value(row[col_pos[name]], f"{where}, column {name!r}")
-        for name in av_cols:
-            cell, at = row[col_pos[name]], f"{where}, column {name!r}"
-            if _cell_value(cell, at) not in (0.0, 1.0):
-                raise DataError(f"{at}: availability {cell.strip()!r} is not 0 or 1")
-        cell, at = row[col_pos[schema.choice_column]], f"{where}, column {schema.choice_column!r}"
-        raw_choice = _cell_value(cell, at)
-        if not (raw_choice.is_integer() and abs(raw_choice) < 2.0 ** 62):  # int64 after the shift
-            raise DataError(f"{at}: choice code {cell.strip()!r} is not a valid integer code")
-        code = int(raw_choice) - schema.choice_base
-        if validate and not 0 <= code < n_alts:
-            raise DataError(f"{at}: choice code {cell.strip()!r} is out of range")
-        if validate and av_cols and float(row[col_pos[av_cols[code]]]) == 0.0:
-            raise DataError(f"{at}: chosen alternative {schema.alt_labels[code]!r} is unavailable")
+        def row_error(i: int, row: list[str]) -> None:
+            """Raise the located error of data row ``i``, if it has one, in the checks' order."""
+            where = f"{path}: row {i + 2}"
+            if len(row) != width:
+                raise DataError(f"{where}: expected {width} fields, got {len(row)}")
+            for name in feat_cols:
+                _cell_value(row[col_pos[name]], f"{where}, column {name!r}")
+            for name in av_cols:
+                cell, at = row[col_pos[name]], f"{where}, column {name!r}"
+                if _cell_value(cell, at) not in (0.0, 1.0):
+                    raise DataError(f"{at}: availability {cell.strip()!r} is not 0 or 1")
+            cell = row[col_pos[schema.choice_column]]
+            at = f"{where}, column {schema.choice_column!r}"
+            raw_choice = _cell_value(cell, at)
+            if not (raw_choice.is_integer() and abs(raw_choice) < 2.0 ** 62):  # int64 after the shift
+                raise DataError(f"{at}: choice code {cell.strip()!r} is not a valid integer code")
+            code = int(raw_choice) - schema.choice_base
+            if validate and not 0 <= code < n_alts:
+                raise DataError(f"{at}: choice code {cell.strip()!r} is out of range")
+            if validate and av_cols and float(row[col_pos[av_cols[code]]]) == 0.0:
+                raise DataError(f"{at}: chosen alternative {schema.alt_labels[code]!r} "
+                                f"is unavailable")
 
-    def first_error(start: int) -> DataError:
-        for i in range(start, n):
+        def first_error(block: list[list[str]], first: int, start: int = 0) -> DataError:
+            """The error of the first bad row of ``block``, whose row 0 is data row ``first``."""
+            for i in range(start, len(block)):
+                try:
+                    row_error(first + i, block[i])
+                except DataError as err:
+                    return err
+            raise AssertionError("a flagged row passed its checks")
+
+        values = np.empty((capacity, len(feat_cols)))
+        avail = np.empty((capacity, n_alts))
+        choice = np.empty(capacity, np.int64)
+        rows = (r for r in reader if any(map(str.strip, r)))
+        n = 0
+        while block := list(islice(rows, max(1, LOAD_CELLS // width))):
+            k = len(block)
+            if any(len(row) != width for row in block):
+                raise first_error(block, n)
             try:
-                row_error(i, raw_rows[i])
-            except DataError as err:
-                return err
-        raise AssertionError("a flagged row passed its checks")
+                table = np.fromiter(map(float, chain.from_iterable(block)), np.float64,
+                                    k * width).reshape(k, width)
+            except ValueError:
+                raise first_error(block, n) from None
+            rows_here = slice(n, n + k)
+            values[rows_here] = table[:, feat_idx]
+            av = table[:, av_idx] if av_cols else np.ones((k, n_alts))
+            bad = ~((av == 0.0) | (av == 1.0)).all(axis=1)
+            avail[rows_here] = av == 1.0
+            raw_choice = table[:, col_pos[schema.choice_column]]
+            integral = (np.abs(raw_choice) < 2.0 ** 62) & (raw_choice == np.trunc(raw_choice))
+            bad |= ~integral
+            code = np.where(integral, raw_choice, 0.0).astype(np.int64) - schema.choice_base
+            choice[rows_here] = code
+            if validate:
+                in_range = (code >= 0) & (code < n_alts)
+                chosen = avail[rows_here][np.arange(k), np.where(in_range, code, 0)]
+                bad |= ~in_range | (chosen == 0.0)
+            if bad.any():
+                raise first_error(block, n, int(np.argmax(bad)))
+            n += k
+            del block  # before the next block is read
 
-    if any(len(row) != width for row in raw_rows):
-        raise first_error(0)
-    try:
-        table = np.fromiter(map(float, chain.from_iterable(raw_rows)), np.float64,
-                            n * width).reshape(n, width)
-    except ValueError:
-        raise first_error(0) from None
-    values = table[:, [col_pos[name] for name in feat_cols]]
-    av = table[:, [col_pos[name] for name in av_cols]] if av_cols else np.ones((n, n_alts))
-    bad = ~((av == 0.0) | (av == 1.0)).all(axis=1)
-    avail = (av == 1.0).astype(np.float64)
-    raw_choice = table[:, col_pos[schema.choice_column]]
-    integral = (np.abs(raw_choice) < 2.0 ** 62) & (raw_choice == np.trunc(raw_choice))
-    bad |= ~integral
-    choice = np.where(integral, raw_choice, 0.0).astype(np.int64) - schema.choice_base
-    if validate:
-        in_range = (choice >= 0) & (choice < n_alts)
-        chosen = avail[np.arange(n), np.where(in_range, choice, 0)]
-        bad |= ~in_range | (chosen == 0.0)
-    if bad.any():
-        raise first_error(int(np.argmax(bad)))
-
-    return ChoiceDataset(feat_cols, values, avail, choice, list(schema.alt_labels))
+    # the spare rows of the line-end bound stay allocated behind these views
+    return ChoiceDataset(feat_cols, values[:n], avail[:n], choice[:n], list(schema.alt_labels))
 
 
 def split(ds: ChoiceDataset, train_fraction: float, seed: int) -> tuple[ChoiceDataset, ChoiceDataset]:

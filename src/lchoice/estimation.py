@@ -352,13 +352,18 @@ def _training_program(model: HybridChoiceModel, train: ChoiceDataset,
                       test: ChoiceDataset | None) -> numcore.ModelProgram:
     """The model's program for ``train``, once both datasets passed its door.
 
-    Raises DataError on an empty training or test set, on a bad choice, or on
+    Raises DataError on an empty training or test set, on a bad choice, on a
+    set whose every row has one available alternative (its null
+    log-likelihood is 0, so the report's rho-squared is undefined), or on
     what `HybridChoiceModel.program_for` rejects, before any training starts.
     """
     for name, ds in zip(("training", "test"), (train,) if test is None else (train, test)):
         if ds.n_rows == 0:
             raise DataError(f"{name} set has no rows")
         ds.validate_choices()
+        if ds.avail.sum() == ds.n_rows:  # each row has its choice available, so one each
+            raise DataError(f"{name} set has no choice variation: every row has "
+                            f"exactly one available alternative")
         model.program_for(ds)
     return model.program(train.columns)
 

@@ -294,7 +294,7 @@ def test_criterion_10_endogeneity_study():
 def test_criterion_11_planted_nonlinearity_recovery():
     """Hybrid recovers planted travel coefficients; both logits miss."""
     t0 = time.perf_counter()
-    study = analysis.semi_synthetic_study(seed=0)
+    study = analysis.semi_synthetic_study(seed=0, jobs=2)
     elapsed = time.perf_counter() - t0
     rows = {r["model"]: r for r in study.table()}
 

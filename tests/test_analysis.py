@@ -453,6 +453,13 @@ def test_semi_synthetic_study_smoke():
     assert "Recovery" in res.to_markdown()
 
 
+def test_semi_synthetic_study_worker_processes_match_serial_run():
+    kwargs = dict(n=300, seed=1, width=3, base_config=TINY_CFG)
+    serial = semi_synthetic_study(**kwargs)
+    pooled = semi_synthetic_study(jobs=2, **kwargs)
+    assert [repr(row) for row in pooled.table()] == [repr(row) for row in serial.table()]
+
+
 # ---------------------------------------------------------- output helpers
 
 

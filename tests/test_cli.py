@@ -377,6 +377,21 @@ def test_an_unknown_net_column_exits_2_before_the_fit(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_a_csv_without_choice_variation_exits_2_before_the_fit(tmp_path, capsys):
+    # every row has one available alternative: once trained to the last epoch,
+    # then failed on "null log-likelihood is zero"
+    ds = DataSpec(n_train=40, n_test=0).dataset(2)
+    ds.avail = np.eye(2)[ds.choice]
+    ds.to_csv(str(tmp_path / "one_open.csv"))
+    cfg = logit_config()
+    cfg["dataset"] = {"path": str(tmp_path / "one_open.csv"), "alternatives": ["1", "2"]}
+    out = tmp_path / "runs"
+    assert main(["estimate", "--config", write_config(tmp_path / "cfg.yaml", cfg),
+                 "--out-dir", str(out)]) == 2
+    assert "set has no choice variation" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_yaml_alternatives_are_labels(tmp_path, capsys):
     # YAML reads the key 1 as an int; it names the label "1", as the string does
     text = yaml.safe_dump(logit_config()).replace("'1'", "1").replace("'2'", "2")

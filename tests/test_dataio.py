@@ -4,6 +4,7 @@ import csv
 import os
 import re
 import tempfile
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from lchoice import (
     build_model,
     correlation_matrix,
     gen_binary,
+    gen_semi_synthetic,
     generic_schema,
     load_csv,
     load_truth,
@@ -29,6 +31,7 @@ from lchoice import (
     swissmetro_schema,
     validate_partition,
 )
+from lchoice import dataio
 from lchoice.dataio import OPTIMA_REQUIRED, SWISSMETRO_SCALED, CsvSchema
 from lchoice.synthgen import BinaryScenario
 
@@ -262,9 +265,16 @@ def test_load_csv_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, bom):
 
 
 def _reference_load_csv(path, schema, validate=True):
-    """The cell-by-cell loader that the column-wise one replaced, kept as its
-    reference: (columns, values, avail, choice), or the DataError it raised."""
-    with open(path, newline="") as fh:
+    """The whole-file, cell-by-cell loader that the blocked one replaced, kept as
+    its reference: (columns, values, avail, choice), or the DataError it raised."""
+    with open(path, "rb") as fh:
+        raw = fh.read()
+    try:
+        raw.decode("utf-8-sig")
+    except UnicodeDecodeError as exc:
+        line = exc.object[:exc.start].count(b"\n") + 1
+        raise DataError(f"{path}: line {line}: not UTF-8 text ({exc.reason})") from None
+    with open(path, encoding="utf-8-sig", newline="") as fh:
         sample = fh.readline()
         if not sample.strip():
             raise DataError(f"{path}: empty file")
@@ -296,7 +306,11 @@ def _reference_load_csv(path, schema, validate=True):
             values[i, j] = parse(row[col_pos[name]], i, name)
         if schema.avail_columns is not None:
             for k, name in enumerate(schema.avail_columns):
-                avail[i, k] = 1.0 if parse(row[col_pos[name]], i, name) > 0 else 0.0
+                cell = row[col_pos[name]]
+                if (entry := parse(cell, i, name)) not in (0.0, 1.0):
+                    raise DataError(f"{path}: row {i + 2}, column {name!r}: "
+                                    f"availability {cell.strip()!r} is not 0 or 1")
+                avail[i, k] = 1.0 if entry > 0 else 0.0
         cell = row[col_pos[schema.choice_column]]
         raw_choice = parse(cell, i, schema.choice_column)
         if not (raw_choice.is_integer() and abs(raw_choice) < 2.0 ** 62):
@@ -310,6 +324,11 @@ def _reference_load_csv(path, schema, validate=True):
             raise DataError(f"{path}: row {i + 2}, column {schema.choice_column!r}: "
                             f"chosen alternative {schema.alt_labels[choice[i]]!r} is unavailable")
     return feat_cols, values, avail, choice
+
+
+# load_csv's block and chunk sizes: as shipped, then small enough that block and
+# chunk boundaries fall inside each test file
+SMALL_BLOCKS = [(dataio.LOAD_CELLS, dataio.READ_BYTES), (1, 1), (12, 7)]
 
 
 def _same_load(path, schema, validate=True):
@@ -329,6 +348,7 @@ def _same_load(path, schema, validate=True):
     return ds
 
 
+@pytest.mark.parametrize("block_cells, chunk_bytes", SMALL_BLOCKS)
 @pytest.mark.parametrize("name, text, schema, validate", [
     ("quoted_and_padded", 'x1,"x2",AV_1,AV_2,CHOICE\n" 2.5 ","-1e3",1," 1 ","1"\n'
      '  7 ,\t0.125\t, 1.0 ,0,0\n', generic_schema(("1", "2")), True),
@@ -350,10 +370,30 @@ def _same_load(path, schema, validate=True):
     ("non_finite_and_underscores", "x1,x2,x3,Choice\nnan,inf,1_000,2\n-Infinity,NaN, 1_0.5 ,0\n",
      optima_schema(), True),
     ("no_rows", "x1,AV_1,AV_2,CHOICE\n", generic_schema(("1", "2")), True),
+    ("cr_line_ends", "x1,AV_1,AV_2,CHOICE\r1.0,1,1,0\r2.0,1,1,1\r", generic_schema(("1", "2")),
+     True),
+    ("utf8_name_crlf", "x\u00e9,AV_1,AV_2,CHOICE\r\n1.0,1,1,0\r\n2.0,1,1,1\r\n3.0,0,1,1\r\n",
+     generic_schema(("1", "2")), True),
+    # with three rows a block, as at 12 cells: rows 7 to 9 are the third block
+    ("bad_row_in_third_block", "x1,AV_1,AV_2,CHOICE\n" + "1.0,1,1,0\n" * 7 + "oops,1,1,0\n"
+     "2.0,1,1,1\n", generic_schema(("1", "2")), True),
+    ("blank_row_on_block_boundary", "x1,AV_1,AV_2,CHOICE\n1,1,1,0\n2,1,1,1\n3,1,0,0\n\n , ,,\n"
+     "4,0,1,1\n5,1,1,0\n6,1,1,1\n7,1,1,0\n", generic_schema(("1", "2")), True),
+    ("avail_error_before_field_count", "x1,AV_1,AV_2,CHOICE\n1,1,1,0\n2,1,2,0\n3,1,1,0\n"
+     "4,1,1\n", generic_schema(("1", "2")), True),
+    ("bad_cell_before_latin1_last_line", "x1,AV_1,AV_2,CHOICE\noops,1,1,0\n2,1,1,0\n3,1,1,0\n"
+     "4,1,1,0\n5,1,1,0 \u00e9\n".encode("latin-1"), generic_schema(("1", "2")), True),
+    ("truncated_last_character", b"x1,AV_1,AV_2,CHOICE\n1.0,1,1,0\n2.0,1,1,1\n\xc3",
+     generic_schema(("1", "2")), True),
+    ("quoted_newline_across_blocks", 'x1,AV_1,AV_2,CHOICE\n1,1,1,0\n2,1,1,1\n"3.5\n",1,1,0\n'
+     '"\n4.5",1,1,"\r\n1"\n5,1,1,0\n', generic_schema(("1", "2")), True),
 ])
-def test_load_csv_matches_the_cell_by_cell_reference(tmp_path, name, text, schema, validate):
+def test_load_csv_matches_the_cell_by_cell_reference(tmp_path, monkeypatch, name, text, schema,
+                                                     validate, block_cells, chunk_bytes):
+    monkeypatch.setattr(dataio, "LOAD_CELLS", block_cells)
+    monkeypatch.setattr(dataio, "READ_BYTES", chunk_bytes)
     path = tmp_path / f"{name}.csv"
-    path.write_bytes(text.encode())
+    path.write_bytes(text if isinstance(text, bytes) else text.encode())
     _same_load(str(path), schema, validate)
 
 
@@ -391,7 +431,26 @@ def test_load_csv_matches_the_reference_on_random_files(data):
         path = os.path.join(tmp, "random.csv")
         with open(path, "w", newline="") as fh:
             fh.write(text)
-        _same_load(path, schema, validate)
+        block_cells, chunk_bytes = data.draw(st.sampled_from(SMALL_BLOCKS), "block sizes")
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(dataio, "LOAD_CELLS", block_cells)
+            mp.setattr(dataio, "READ_BYTES", chunk_bytes)
+            _same_load(path, schema, validate)
+
+
+@pytest.mark.parametrize("n_rows", [9036, 36144])
+def test_load_csv_memory_is_its_arrays_and_one_block(tmp_path, n_rows):
+    # holding the whole file, then every cell as a string, peaked at 11.7 times
+    # the arrays at either length
+    path = tmp_path / "survey.csv"
+    gen_semi_synthetic(n=n_rows, seed=3).to_csv(str(path))
+    tracemalloc.start()
+    try:
+        ds = load_csv(str(path), generic_schema(("Train", "SM", "Car")))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * (ds.values.nbytes + ds.avail.nbytes + ds.choice.nbytes)
 
 
 def test_load_csv_reports_the_first_bad_row(tmp_path):

@@ -470,10 +470,19 @@ def test_joint_and_sequential_reach_different_points(binary_data, quick_config):
 # ------------------------------------------------------------ bad training data
 
 
+def only_the_chosen_available(ds):
+    avail = np.eye(ds.n_alts)[ds.choice]
+    return ChoiceDataset(ds.columns, ds.values, avail, ds.choice, ds.alt_labels)
+
+
 def test_empty_training_set_is_a_data_error(binary_data, quick_config, monkeypatch):
-    # an empty training or test set fails before any training starts
+    # an empty training or test set, or one with no choice to explain, fails
+    # before any training starts; the latter once trained to the last epoch and
+    # then raised "null log-likelihood is zero" from the report
     train, test = binary_data
     empty = train.subset(np.zeros(0, dtype=np.int64))
+    fixed_train, fixed_test = only_the_chosen_available(train), only_the_chosen_available(test)
+    no_variation = "set has no choice variation: every row has exactly one available alternative"
 
     def never(*args, **kwargs):
         raise AssertionError("fit_program reached")
@@ -482,7 +491,10 @@ def test_empty_training_set_is_a_data_error(binary_data, quick_config, monkeypat
     for fit in (fit_joint, fit_sequential):
         for data, held_out, want in ((empty, None, "training set has no rows"),
                                      (empty, test, "training set has no rows"),
-                                     (train, empty, "test set has no rows")):
+                                     (train, empty, "test set has no rows"),
+                                     (fixed_train, None, f"training {no_variation}"),
+                                     (fixed_train, test, f"training {no_variation}"),
+                                     (train, fixed_test, f"test {no_variation}")):
             m = build_model("LMNL", ("1", "2"), pa_utility(), q=("q1", "q2"), net_width=3)
             with pytest.raises(DataError, match=want):
                 fit(m, data, quick_config, test=held_out)
