@@ -166,6 +166,15 @@ def _line_ends(path: str) -> int:
             lone_cr += int(np.count_nonzero(cr) - np.count_nonzero(cr[:-1] & lf[1:]))
 
 
+def _records(reader, path: str):
+    """The rows of a ``csv.reader``, its own errors (such as a field over the
+    field size limit) raised as ``<path>: line L: <reason>``."""
+    try:
+        yield from reader
+    except csv.Error as exc:
+        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def load_csv(path: str, schema: CsvSchema, validate: bool = True) -> ChoiceDataset:
     """Read a delimited text file into a dataset; errors carry the offending row and column.
 
@@ -183,9 +192,10 @@ def load_csv(path: str, schema: CsvSchema, validate: bool = True) -> ChoiceDatas
     schema does not claim is a feature.
 
     A byte that is not UTF-8 is reported first, as ``<path>: line L: not
-    UTF-8 text``.  Otherwise the first bad row is reported, as ``<path>: row
-    R[, column 'C']: ...`` with the header as row 1 and skipped blank rows
-    not counted.  Within a row the checks run in the order: field count,
+    UTF-8 text``, and an error of the csv reader itself, such as a field
+    over its size limit, as ``<path>: line L: <reason>``.  Otherwise the
+    first bad row is reported, as ``<path>: row R[, column 'C']: ...`` with
+    the header as row 1 and skipped blank rows not counted.  Within a row the checks run in the order: field count,
     features, availability, choice code, code range, chosen alternative
     available.
 
@@ -201,7 +211,8 @@ def load_csv(path: str, schema: CsvSchema, validate: bool = True) -> ChoiceDatas
             raise DataError(f"{path}: empty file")
         text.seek(0)
         reader = csv.reader(text, delimiter=_sniff_delimiter(sample))
-        header = [h.strip() for h in next(reader)]
+        records = _records(reader, path)
+        header = [h.strip() for h in next(records)]
         for j, name in enumerate(header):
             if name in header[:j]:
                 raise DataError(f"{path}: duplicate column {name!r}")
@@ -254,7 +265,7 @@ def load_csv(path: str, schema: CsvSchema, validate: bool = True) -> ChoiceDatas
         values = np.empty((capacity, len(feat_cols)))
         avail = np.empty((capacity, n_alts))
         choice = np.empty(capacity, np.int64)
-        rows = (r for r in reader if any(map(str.strip, r)))
+        rows = (r for r in records if any(map(str.strip, r)))
         n = 0
         while block := list(islice(rows, max(1, LOAD_CELLS // width))):
             k = len(block)

@@ -293,9 +293,10 @@ def build_report(model: HybridChoiceModel, train: ChoiceDataset,
 
     A fit whose status is not "ok" gets no standard errors or t-tests: its
     parameters are a rollback point, not an optimum.  Raises DataError on a
-    bad choice in either dataset.
+    bad choice, or on no choice variation, in either dataset.
     """
-    train.validate_choices()
+    for name, ds in _named_sets(train, test):
+        _check_reportable(name, ds)
     prog = model.program_for(train)
     inputs = numcore.eval_inputs(prog, train.values)  # the one net pass over train
     p_train = numcore.probabilities(prog, numcore.utilities(prog, *inputs), train.avail)
@@ -319,7 +320,7 @@ def build_report(model: HybridChoiceModel, train: ChoiceDataset,
             f"training log-likelihood {ll_train:.4f} is not above the null "
             f"log-likelihood {ll0_train:.4f}; the fit has not converged")
     if test is not None:
-        p_test = _scored_probabilities(model, test)
+        p_test = predict_probabilities(model, test)
         report.ll_test = _log_likelihood(p_test, test)
         report.ll0_test = null_log_likelihood(test)
         report.rho2_test = mcfadden_rho2(report.ll_test, report.ll0_test)
@@ -357,15 +358,26 @@ def _training_program(model: HybridChoiceModel, train: ChoiceDataset,
     log-likelihood is 0, so the report's rho-squared is undefined), or on
     what `HybridChoiceModel.program_for` rejects, before any training starts.
     """
-    for name, ds in zip(("training", "test"), (train,) if test is None else (train, test)):
+    for name, ds in _named_sets(train, test):
         if ds.n_rows == 0:
             raise DataError(f"{name} set has no rows")
-        ds.validate_choices()
-        if ds.avail.sum() == ds.n_rows:  # each row has its choice available, so one each
-            raise DataError(f"{name} set has no choice variation: every row has "
-                            f"exactly one available alternative")
+        _check_reportable(name, ds)
         model.program_for(ds)
     return model.program(train.columns)
+
+
+def _named_sets(train: ChoiceDataset, test: ChoiceDataset | None):
+    """(name, dataset) of the training set and, when given, the test set."""
+    return zip(("training", "test"), (train,) if test is None else (train, test))
+
+
+def _check_reportable(name: str, ds: ChoiceDataset) -> None:
+    """DataError on a bad choice, or on a set whose every row has one available
+    alternative: its null log-likelihood is 0, so its rho-squared is undefined."""
+    ds.validate_choices()
+    if ds.avail.sum() == ds.n_rows:  # each row has its choice available, so one each
+        raise DataError(f"{name} set has no choice variation: every row has "
+                        f"exactly one available alternative")
 
 
 def _fit_phases(model: HybridChoiceModel, train: ChoiceDataset, config: TrainConfig,

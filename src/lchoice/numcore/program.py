@@ -5,7 +5,7 @@ terms as index triples, an optional dense representation net, and an
 optional nest assignment.  The functions here are the vectorised numpy
 reference implementation; the trainer calls them batch by batch.
 
-The passes read inputs compiled once per dataset (`compile_inputs`), and
+The passes read inputs compiled from a dataset's rows (`compile_inputs`), and
 `gradients` writes into the arrays it is handed, backpropagating only those
 tensors.  Availability is compiled into a boolean "unavailable" mask that
 each pass puts (``np.putmask``) into a fresh array: -inf into the logit's
@@ -49,6 +49,9 @@ NET_WEIGHTS = ("w_in", "w_hidden", "w_out")  # the matrices the l2 penalty reads
 # floats per hidden activation in an inference pass, 512 KiB of float64: small enough
 # that the blocks reuse heap pages; at 2 MiB glibc trims and refaults them block by block
 EVAL_CELLS = 2**16
+# floats per block of dataset rows `compile_inputs` gathers: under glibc's 128 KiB
+# mmap threshold, so the blocks of an epoch's refill reuse heap pages
+GATHER_CELLS = 16_000
 
 
 class NestLayout(NamedTuple):
@@ -108,17 +111,55 @@ def single_nest(n_alts: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
 def linear_inputs(prog: ModelProgram, data: np.ndarray) -> np.ndarray:
     """X_lin: the columns the terms read, then a column of ones, (n, K+1)."""
-    xl = np.ones((data.shape[0], prog.lin_cols.shape[0] + 1))
-    xl[:, :-1] = data[:, prog.lin_cols]
+    xl = _linear_buffer(prog, data.shape[0])
+    _gather_rows(data, None, ((xl, prog.lin_cols),))
     return xl
 
 
+def _linear_buffer(prog: ModelProgram, n: int) -> np.ndarray:
+    """A row-major (n, K+1) X_lin whose last column, the ones, is already filled."""
+    xl = np.empty((n, prog.lin_cols.shape[0] + 1))
+    xl[:, -1] = 1.0
+    return xl
+
+
+def _gather_rows(data: np.ndarray, rows: np.ndarray | None,
+                 fills: tuple[tuple[np.ndarray, np.ndarray], ...]) -> None:
+    """Write rows ``rows`` of ``data`` (every row when None), in that order, into
+    arrays: each of ``fills`` pairs an (n, k) array with the k data columns it takes.
+
+    The rows are gathered GATHER_CELLS cells at a time, so no copy of ``data`` is made."""
+    n = data.shape[0] if rows is None else rows.shape[0]
+    step = max(1, GATHER_CELLS // max(1, data.shape[1]))
+    fills = [(out, cols.tolist()) for out, cols in fills]
+    for r in range(0, n, step):
+        at = slice(r, r + step)
+        block = data[at] if rows is None else data.take(rows[at], axis=0)
+        for out, cols in fills:
+            for j, c in enumerate(cols):
+                out[at, j] = block[:, c]
+
+
 def compile_inputs(prog: ModelProgram, data: np.ndarray, avail: np.ndarray,
-                   choice: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(X_lin, Q, unavailable mask, one-hot choice): the inputs of `gradients`, built once
-    per dataset.  The mask is True where ``avail > 0`` is not."""
-    return (linear_inputs(prog, data), data[:, prog.q_cols], ~(avail > 0),
-            np.eye(prog.n_alts)[choice])
+                   choice: np.ndarray, rows: np.ndarray | None = None,
+                   out: tuple[np.ndarray, ...] | None = None) -> tuple[np.ndarray, ...]:
+    """(X_lin, Q, unavailable mask, one-hot choice): the inputs of `gradients`.
+
+    Holds rows ``rows`` of the dataset in that order (every row when None).  Q
+    is column-major like ``data[:, q_cols]``, so the net's products round as on
+    a raw batch, and the mask is True where ``avail > 0`` is not.  With ``out``,
+    a previous call's arrays of as many rows, the rows are written into those."""
+    n = data.shape[0] if rows is None else rows.shape[0]
+    if out is None:
+        out = (_linear_buffer(prog, n), np.empty((prog.q_cols.shape[0], n)).T,
+               np.empty((n, prog.n_alts), dtype=bool), np.empty((n, prog.n_alts)))
+    xl, q, unavail, onehot = out
+    _gather_rows(data, rows, ((xl, prog.lin_cols), (q, prog.q_cols)))
+    np.greater(avail if rows is None else avail.take(rows, axis=0), 0.0, out=unavail)
+    np.logical_not(unavail, out=unavail)
+    np.take(np.eye(prog.n_alts), choice if rows is None else choice.take(rows), axis=0,
+            out=onehot)
+    return out
 
 
 def eval_inputs(prog: ModelProgram, data: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -178,18 +219,22 @@ def net_output(prog: ModelProgram, q: np.ndarray, mask: np.ndarray | None = None
     None means eval mode (identity).  A ``cache`` dict, when given, receives
     what `net_backward` needs; without one no activation is kept.
     """
-    a, acts = q, []  # acts: each layer's ReLU output, before dropout
+    a, acts = q, []  # acts: each layer's ReLU output
     for layer in range(prog.depth):
         a = a @ (prog.w_in if layer == 0 else prog.w_hidden[layer - 1])
         a += prog.b_hidden[layer]
         np.maximum(a, 0.0, out=a)
         if cache is not None:
             acts.append(a)
-    a_last = a if mask is None else a * mask
-    r = a_last @ prog.w_out
+    if mask is not None:
+        # in place, so the last of ``acts`` holds the dropped-out activation: where
+        # the mask keeps a unit its sign, and so the backward gate ``a > 0``, is
+        # unchanged, and where it drops one `net_backward` has zeroed the gradient
+        a *= mask
+    r = a @ prog.w_out
     r += prog.b_out
     if cache is not None:
-        cache.update(q=q, acts=acts, a_last=a_last, mask=mask)
+        cache.update(q=q, acts=acts, a_last=a, mask=mask)
     return r
 
 

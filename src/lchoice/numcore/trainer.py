@@ -1,12 +1,13 @@
 """Mini-batch Adam training of a ModelProgram: the one trainer.
 
 Each step is one `program.gradients` call, the gradient the finite-difference
-tests check.  The inputs are compiled once per fit, availability into a
-boolean "unavailable" mask, and permuted once per epoch, so each batch is a
-contiguous slice.  Every trained tensor is a view into one flat vector, its
-gradient a view into another that `gradients` writes (tensors a phase does
-not train are not backpropagated); Adam, the divergence snapshot and the
-rollback are each in-place vector operations.
+tests check.  The fit holds one compiled copy of its inputs (`compile_inputs`:
+availability as a boolean "unavailable" mask, the choice one-hot), refilled in
+place from the dataset once per epoch with that epoch's permutation of the
+rows, so each batch is a contiguous slice.  Every trained tensor is a view
+into one flat vector, its gradient a view into another that `gradients`
+writes (tensors a phase does not train are not backpropagated); Adam, the
+divergence snapshot and the rollback are each in-place vector operations.
 
 Stream contract: the fit reads stream ``StreamId.FIT`` of ``config.seed``
 (`prng`) in order.  Per epoch it takes N permutation keys and then, per batch
@@ -88,9 +89,8 @@ def fit_program(prog: pr.ModelProgram, data: np.ndarray, avail: np.ndarray,
     n, bs = data.shape[0], config.batch_size
     if avail.shape[0] != n or choice.shape[0] != n:
         raise ValueError("data, avail and choice row counts differ")
-    if fault := pr.choice_fault(~(avail > 0), choice):  # before np.eye(I)[choice] indexes by it
+    if fault := pr.choice_fault(~(avail > 0), choice):  # before the one-hot choice indexes by it
         raise ValueError(fault)
-    xl, q, unavail, onehot = pr.compile_inputs(prog, data, avail, choice)
     cell = pr.first_nonfinite(prog, data)
     if cell is not None:
         raise ValueError(f"row {cell[0]}: non-finite value in data column {cell[1]}")
@@ -117,6 +117,7 @@ def fit_program(prog: pr.ModelProgram, data: np.ndarray, avail: np.ndarray,
     work = replace(prog, **views)  # the program, reading the trained tensors from `flat`
     good = flat.copy()
     probs = np.empty((n, prog.n_alts))
+    inputs, chs = None, np.empty(n, dtype=np.int64)  # the epoch's rows, refilled in place
 
     lr, b1, b2, eps = config.learning_rate, ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     b1p = b2p = 1.0
@@ -125,9 +126,8 @@ def fit_program(prog: pr.ModelProgram, data: np.ndarray, avail: np.ndarray,
 
     for epoch in range(config.epochs):
         perm = np.argsort(stream.draw(n))
-        xls, uns, ys, chs = xl[perm], unavail[perm], onehot[perm], choice[perm]
-        # column-major like `data[:, q_cols]`, so the net's products round as on a raw batch
-        qs = q.T.take(perm, axis=1).T
+        xls, qs, uns, ys = inputs = pr.compile_inputs(prog, data, avail, choice, perm, inputs)
+        np.take(choice, perm, out=chs)
         for start in range(0, n, bs):
             b = slice(start, start + bs)  # the last batch stops at n
             mask = None

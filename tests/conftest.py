@@ -1,3 +1,5 @@
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -20,3 +22,16 @@ def quick_config():
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240817)
+
+
+@pytest.fixture(autouse=True)
+def no_worker_left_alive():
+    """Fail a test that leaves a worker process running, as a replication runner
+    whose pool is not shut down would, and stop the worker, so that the next
+    test starts with none: a benchmark run must end with no process left."""
+    yield
+    alive = multiprocessing.active_children()
+    for proc in alive:
+        proc.terminate()
+        proc.join()
+    assert not alive, f"worker processes left running: {alive}"

@@ -15,6 +15,7 @@ from lchoice.cli import main
 from lchoice.dataio import (SWISSMETRO_SCALED, generic_schema, load_csv, load_truth,
                             preprocess_swissmetro, swissmetro_schema)
 from lchoice.numcore import TrainConfig
+from test_dataio import write_unclosed_quote
 
 
 def write_config(path, cfg):
@@ -389,6 +390,38 @@ def test_a_csv_without_choice_variation_exits_2_before_the_fit(tmp_path, capsys)
     assert main(["estimate", "--config", write_config(tmp_path / "cfg.yaml", cfg),
                  "--out-dir", str(out)]) == 2
     assert "set has no choice variation" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_csv_reader_error_exits_2_naming_the_line(tmp_path, capsys):
+    # it once escaped as _csv.Error, a runtime failure with exit code 1
+    path = write_unclosed_quote(tmp_path / "unclosed.csv")
+    cfg = logit_config()
+    cfg["dataset"] = {"path": str(path), "alternatives": ["1", "2"]}
+    out = tmp_path / "runs"
+    assert main(["estimate", "--config", write_config(tmp_path / "cfg.yaml", cfg),
+                 "--out-dir", str(out)]) == 2
+    assert (f"error: {path}: line 3: field larger than field limit (131072)"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_eval_only_without_choice_variation_exits_2_naming_the_set(tmp_path, capsys):
+    # the report door once raised a bare "null log-likelihood is zero"
+    fit_out = tmp_path / "fit"
+    assert main(["estimate", "--config", write_config(tmp_path / "fit.yaml", logit_config()),
+                 "--out-dir", str(fit_out)]) == 0
+    ds = DataSpec(n_train=40, n_test=0).dataset(2)
+    ds.avail = np.eye(2)[ds.choice]
+    ds.to_csv(str(tmp_path / "one_open.csv"))
+    cfg = logit_config()
+    cfg["dataset"] = {"path": str(tmp_path / "one_open.csv"), "alternatives": ["1", "2"]}
+    out = tmp_path / "runs"
+    assert main(["estimate", "--config", write_config(tmp_path / "cfg.yaml", cfg),
+                 "--eval-only", str(only_run_dir(fit_out) / "model.json"),
+                 "--out-dir", str(out)]) == 2
+    assert ("error: training set has no choice variation: every row has exactly one "
+            "available alternative") in capsys.readouterr().err
     assert not out.exists()
 
 

@@ -264,6 +264,21 @@ def test_load_csv_names_the_line_of_a_byte_that_is_not_utf8(tmp_path, bom):
         load_csv(str(path), generic_schema(("1", "2")))
 
 
+def write_unclosed_quote(path):
+    """A file whose row 3 opens a quoted field of 140,000 characters and never closes it."""
+    path.write_text("x1,AV_1,AV_2,CHOICE\n1.0,1,1,0\n\"" + "x" * 140_000 + "\n2.0,1,1,0\n")
+    return path
+
+
+def test_load_csv_names_the_line_of_a_csv_reader_error(tmp_path):
+    # a field over the reader's 131,072-character limit once surfaced as a bare
+    # _csv.Error, without path or line
+    path = write_unclosed_quote(tmp_path / "unclosed.csv")
+    want = f"{path}: line 3: field larger than field limit (131072)"
+    with pytest.raises(DataError, match=re.escape(want)):
+        load_csv(str(path), generic_schema(("1", "2")))
+
+
 def _reference_load_csv(path, schema, validate=True):
     """The whole-file, cell-by-cell loader that the blocked one replaced, kept as
     its reference: (columns, values, avail, choice), or the DataError it raised."""

@@ -643,18 +643,20 @@ def _featureful_instance(seed=5):
     return prog, data, avail, choice
 
 
-def _wide_lmnl_instance(seed=21):
-    """Width-100 LMNL on 1,000 rows: 100,000 dropout uniforms per epoch."""
+def _wide_lmnl_instance(seed=21, n=1000, width=100, depth=1):
+    """LMNL with a ``depth``-layer net, by default width 100 on 1,000 rows: 100,000
+    dropout uniforms per epoch."""
     from lchoice.numcore.program import ModelProgram, single_nest
     rng = np.random.default_rng(seed)
-    n, n_alts, width = 1000, 2, 100
+    n_alts = 2
     term_param = np.array([0, 1, 1], dtype=np.int64)
     term_alt = np.array([1, 0, 1], dtype=np.int64)
     term_col = np.array([-1, 0, 1], dtype=np.int64)
     q_cols = np.array([2, 3, 4], dtype=np.int64)
     prog = ModelProgram(n_alts, 2, term_param, term_alt, term_col, rng.normal(0, 0.3, 2),
-                        q_cols, rng.normal(0, 0.3, (3, width)), np.zeros((0, width, width)),
-                        rng.normal(0, 0.1, (1, width)), rng.normal(0, 0.1, (width, n_alts)),
+                        q_cols, rng.normal(0, 0.3, (3, width)),
+                        rng.normal(0, 0.3, (depth - 1, width, width)),
+                        rng.normal(0, 0.1, (depth, width)), rng.normal(0, 0.1, (width, n_alts)),
                         np.zeros(n_alts), *single_nest(n_alts), False)
     data = rng.normal(0, 1, (n, 5))
     avail = np.ones((n, n_alts))
@@ -675,6 +677,13 @@ def _pinned_fit(case):
         prog, data, avail, choice = _featureful_instance(seed=6)
         cfg = TrainConfig(epochs=4, batch_size=25, dropout=0.2, seed=3, learning_rate=0.01)
         fit = fit_program(prog, data, avail, choice, cfg, train_net=False)
+    elif case == "deep":
+        # dropout on the last of three hidden layers, backpropagated through two
+        # hidden-to-hidden layers; a last batch of 30 rows
+        prog, data, avail, choice = _wide_lmnl_instance(seed=22, n=230, width=20, depth=3)
+        cfg = TrainConfig(epochs=3, batch_size=40, dropout=0.3, l2=1e-4, seed=5,
+                          learning_rate=0.01)
+        fit = fit_program(prog, data, avail, choice, cfg)
     else:
         prog, data, avail, choice = _wide_lmnl_instance()
         cfg = TrainConfig(epochs=2, batch_size=50, dropout=0.2, seed=4, learning_rate=0.01)
@@ -708,6 +717,18 @@ _PINNED = {
         "b_hidden": [0.12027472146438892, 0.03194838628825528],
         "w_out": [1.1276310231369218, 1.8246309360815092],
         "b_out": [0.07652166701805703, 0.010995362385730015],
+    }),
+    # captured from the trainer that kept the compiled inputs beside their permuted
+    # copy and applied dropout to a copy of the last hidden activation
+    "deep": (18, {
+        "trace": [0.735640756953225, 0.7107945116339495, 0.7055370031771361],
+        "beta": [-0.3596627684821734, -0.21588951810832993],
+        "mu": [1.0],
+        "w_in": [2.7722474603354037, 7.268877394319738],
+        "w_hidden": [-8.938242700624567, 56.901160824486766],
+        "b_hidden": [-1.4216427151783226, 0.9230486514538937],
+        "w_out": [0.401013279724607, 0.28336168060804146],
+        "b_out": [6.938893903907228e-18, 0.007109746764620747],
     }),
     "wide": (40, {
         "trace": [0.751344559382999, 0.712079096724],
@@ -750,19 +771,59 @@ def test_trainer_steps_through_gradients(monkeypatch):
     assert sum(calls) == fit.epochs_run * data.shape[0]
 
 
-def test_trainer_compiles_linear_inputs_once_per_fit(monkeypatch):
+def test_trainer_compiles_inputs_once_per_epoch_into_the_same_buffers(monkeypatch):
     from lchoice.numcore import program
     calls = []
-    real = program.linear_inputs
+    real = program.compile_inputs
 
-    def spy(prog, data):
-        calls.append(data.shape[0])
-        return real(prog, data)
+    def spy(prog, data, avail, choice, rows=None, out=None):
+        got = real(prog, data, avail, choice, rows, out)
+        calls.append((np.sort(rows), tuple(id(a) for a in got)))
+        return got
 
-    monkeypatch.setattr(program, "linear_inputs", spy)
+    monkeypatch.setattr(program, "compile_inputs", spy)
     prog, data, avail, choice = _featureful_instance(seed=5)
     fit = fit_program(prog, data, avail, choice, TrainConfig(epochs=3, batch_size=17, seed=2))
-    assert fit.steps == 24 and calls == [data.shape[0]]
+    assert fit.steps == 24 and len(calls) == fit.epochs_run == 3
+    for rows, buffers in calls:
+        assert np.array_equal(rows, np.arange(data.shape[0]))  # a permutation of every row
+        assert buffers == calls[0][1]
+
+
+@pytest.mark.parametrize("cells", [program.GATHER_CELLS, 45])
+def test_trainer_refills_rows_as_compile_inputs_builds_them(monkeypatch, cells):
+    # 45 cells gather the 120 six-column rows 7 at a time, the last block holding one
+    monkeypatch.setattr(program, "GATHER_CELLS", cells)
+    prog, data, avail, choice = _featureful_instance(seed=5)
+    rows = np.random.default_rng(0).permutation(data.shape[0])
+    whole = compile_inputs(prog, data, avail, choice)
+    refilled = compile_inputs(prog, data, avail, choice, rows,
+                              compile_inputs(prog, data, avail, choice, rows[::-1]))
+    for got, want in zip(refilled, whole):
+        assert got.dtype == want.dtype and got.flags.c_contiguous == want.flags.c_contiguous
+        assert np.array_equal(got, want[rows])
+
+
+def test_fit_memory_is_one_copy_of_its_inputs_and_one_step():
+    # keeping the compiled inputs beside their permuted copy, and a dropped-out copy
+    # of the last hidden activation, peaked at 10.4 activations of one step beyond
+    # what is counted here
+    prog, data, avail, choice = _wide_lmnl_instance(seed=1, n=20000, width=100, depth=3)
+    n, batch, width = data.shape[0], 500, prog.hidden_width
+    cfg = TrainConfig(epochs=1, batch_size=batch, dropout=0.2, seed=0, learning_rate=0.01)
+    tracemalloc.start()
+    try:
+        fit_program(prog, data, avail, choice, cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    floats = prog.lin_cols.size + 1 + prog.q_cols.size + prog.n_alts  # X_lin, Q, one-hot
+    inputs = n * (8 * floats + prog.n_alts + 8)  # and the mask and the choice codes
+    per_row = n * (8 * prog.n_alts + 8)  # probabilities for the trace, the permutation
+    params = sum(getattr(prog, k).nbytes for k in ("beta",) + program.NET_TENSORS)
+    # parameters, gradient, two Adam moments, two Adam work vectors, rollback copy
+    # and, per step, three activations, the mask and two backward gradients
+    assert peak <= inputs + per_row + 7 * params + 6.5 * batch * width * 8
 
 
 @pytest.mark.parametrize("train_net", [True, False])
