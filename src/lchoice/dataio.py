@@ -195,9 +195,9 @@ def load_csv(path: str, schema: CsvSchema, validate: bool = True) -> ChoiceDatas
     UTF-8 text``, and an error of the csv reader itself, such as a field
     over its size limit, as ``<path>: line L: <reason>``.  Otherwise the
     first bad row is reported, as ``<path>: row R[, column 'C']: ...`` with
-    the header as row 1 and skipped blank rows not counted.  Within a row the checks run in the order: field count,
-    features, availability, choice code, code range, chosen alternative
-    available.
+    the header as row 1 and skipped blank rows not counted.  Within a row
+    the checks run in the order: field count, features, availability,
+    choice code, code range, chosen alternative available.
 
     The file is read twice, in fixed chunks: once to check its encoding and
     count its lines, then in blocks of LOAD_CELLS cells, each checked and
