@@ -5,7 +5,6 @@ over a disjoint set of columns soaks up the rest of the systematic utility.
 """
 
 from .analysis import (
-    DataSpec,
     ModelRecipe,
     binary_zoo,
     correlation_bias_sweep,
@@ -67,14 +66,6 @@ from .models import (
     systematic_utility,
 )
 from .numcore import TrainConfig, active_backend
-from .synthgen import (
-    BinaryScenario,
-    gen_binary,
-    gen_correlated,
-    gen_guevara,
-    gen_semi_synthetic,
-    gen_with_unobserved,
-    sample_attribute_table,
-)
+from .synthgen import DataSpec, gen_semi_synthetic, sample_attribute_table
 
 __version__ = "0.1.0"

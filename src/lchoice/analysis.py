@@ -29,7 +29,7 @@ from .models import (HybridChoiceModel, NestStructure, UtilitySpec,
 from .numcore import TrainConfig
 from .numcore.prng import StreamId, derive_seed
 from .numcore.program import input_gradients
-from .synthgen import BinaryScenario
+from .synthgen import DataSpec
 
 
 # ---------------------------------------------------------------------------
@@ -60,45 +60,6 @@ class ModelRecipe:
         model = self.build(train.alt_labels, seed)
         fit = fit_joint if order is None else partial(fit_sequential, order=order)
         return model, fit(model, train, replace(base, seed=seed), test=test, **report_args)
-
-
-SPEC_SCENARIOS = ("binary", "correlated", "unobserved", "guevara")
-
-
-@dataclass(frozen=True)
-class DataSpec:
-    """Named synthetic scenario regenerated per replication seed."""
-
-    scenario: str = "binary"  # one of SPEC_SCENARIOS
-    n_train: int = 1000
-    n_test: int = 200
-    beta_p: float = -1.0
-    beta_a: float = 0.5
-    beta_b: float = 0.5
-    beta_qc: float = 1.0
-    s: float = 0.0
-    beta_u: float = 1.0
-
-    def dataset(self, seed: int) -> ChoiceDataset:
-        """All n_train + n_test rows of the scenario at ``seed``, truth in its meta."""
-        if self.scenario == "guevara":
-            return synthgen.gen_guevara(self.n_train + self.n_test, seed)
-        sc = BinaryScenario(self.beta_p, self.beta_a, self.beta_b, self.beta_qc,
-                            self.n_train, self.n_test, seed)
-        if self.scenario == "binary":
-            return synthgen.gen_binary(sc)
-        if self.scenario == "correlated":
-            return synthgen.gen_correlated(sc, self.s)
-        if self.scenario == "unobserved":
-            return synthgen.gen_with_unobserved(sc, self.beta_u)
-        raise ValueError(f"unknown scenario {self.scenario!r}")
-
-    def make(self, seed: int) -> tuple[ChoiceDataset, ChoiceDataset, dict]:
-        """(train, test, truth): the first n_train rows train, the rest test."""
-        ds = self.dataset(seed)
-        rows = np.arange(ds.n_rows)
-        return (ds.subset(rows[:self.n_train]), ds.subset(rows[self.n_train:]),
-                dict(ds.meta["truth"]))
 
 
 def _generic(name: str, col: str) -> UtilityTerm:
@@ -470,13 +431,12 @@ def correlation_bias_sweep(s_values: tuple[float, ...], replications: int,
                            seed: int = 0, with_tests: bool = False,
                            jobs: int = 1) -> CorrelationSweepResult:
     """Relative-error distributions as a net input grows collinear with price."""
-    if any(not 0.0 <= s <= 1.0 for s in s_values):
-        raise ValueError("correlation levels must lie in [0, 1]")
     scenario = scenario or DataSpec(scenario="correlated")
     recipes = recipes or correlation_zoo()
-    campaigns = {s: monte_carlo(replace(scenario, scenario="correlated", s=s), recipes,
-                                replications, base_config, seed=seed, with_tests=with_tests,
-                                jobs=jobs) for s in s_values}
+    # every level's spec is built, and so checked, before the first campaign
+    specs = {s: replace(scenario, scenario="correlated", s=s) for s in s_values}
+    campaigns = {s: monte_carlo(spec, recipes, replications, base_config, seed=seed,
+                                with_tests=with_tests, jobs=jobs) for s, spec in specs.items()}
     return CorrelationSweepResult(tuple(s_values), campaigns)
 
 

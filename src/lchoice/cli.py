@@ -22,13 +22,14 @@ import numpy as np
 import yaml
 
 from . import analysis, synthgen
-from .analysis import SPEC_SCENARIOS, DataSpec, ModelRecipe, write_csv_rows
+from .analysis import ModelRecipe, write_csv_rows
 from .dataio import (DataError, generic_schema, load_csv, optima_schema,
                      preprocess_optima, preprocess_swissmetro, save_truth, split,
                      swissmetro_schema, validate_partition)
 from .estimation import build_report, fit_joint, fit_sequential
 from .models import NestStructure, UtilitySpec, UtilityTerm, load_model, save_model
 from .numcore import FitResult, TrainConfig
+from .synthgen import SCENARIOS, DataSpec
 
 
 class ConfigError(Exception):
@@ -132,10 +133,7 @@ def _parse_dataspec(cfg: dict) -> DataSpec | None:
     if "scenario" not in cfg:
         return None
     block = _block(cfg, "scenario", _SCENARIO)
-    spec = DataSpec(**{"scenario" if k == "name" else k: v for k, v in block.items()})
-    if spec.scenario not in SPEC_SCENARIOS:
-        raise ConfigError(f"unknown scenario {spec.scenario!r}")
-    return spec
+    return DataSpec(**{"scenario" if k == "name" else k: v for k, v in block.items()})
 
 
 # the schema and the preprocessing of each survey file format
@@ -286,8 +284,6 @@ def cmd_estimate(args) -> int:
 
 def cmd_generate(args) -> int:
     name = args.scenario
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
     if name == "semi-synthetic":
         ds = synthgen.gen_semi_synthetic(n=args.n, seed=args.seed)
     else:
@@ -295,7 +291,8 @@ def cmd_generate(args) -> int:
         # guevara has no test block: it writes exactly --n rows
         n_test = 0 if name == "guevara" else args.n_test
         ds = DataSpec(**given | {"n_train": args.n, "n_test": n_test}).dataset(args.seed)
-    stem = out_dir / name
+    stem = Path(args.out_dir) / name
+    stem.parent.mkdir(parents=True, exist_ok=True)
     ds.to_csv(f"{stem}.csv")
     save_truth(f"{stem}.truth.txt", ds.meta.get("truth", {}))
     print(f"generate: {name} rows={ds.n_rows} -> {stem}.csv")
@@ -394,7 +391,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     gen = sub.add_parser("generate", help="write a synthetic dataset + truth sidecar")
     # every DataSpec scenario, plus the one `generate` can only write to a file
-    gen.add_argument("scenario", choices=SPEC_SCENARIOS + ("semi-synthetic",))
+    gen.add_argument("scenario", choices=(*SCENARIOS, "semi-synthetic"))
     gen.add_argument("--n", type=int, default=DataSpec.n_train, help="rows (training block)")
     gen.add_argument("--n-test", type=int, default=DataSpec.n_test)
     for f in fields(DataSpec):

@@ -345,7 +345,11 @@ def build_report(model: HybridChoiceModel, train: ChoiceDataset,
         report.params.append(stat)
     est = report.estimates()
     for name, num, den in ratio_defs:
-        report.ratios[name] = parameter_ratio(est, num, den)
+        try:
+            report.ratios[name] = parameter_ratio(est, num, den)
+        except ZeroDivisionError as exc:  # reported, so the run keeps its other results
+            report.ratios[name] = math.nan
+            report.warnings.append(f"ratio {name!r} is undefined: {exc}")
     return report
 
 

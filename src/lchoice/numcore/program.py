@@ -183,10 +183,16 @@ def _net_blocks(prog: ModelProgram, data: np.ndarray, dv: np.ndarray | None = No
 
 
 def first_nonfinite(prog: ModelProgram, data: np.ndarray) -> tuple[int, int] | None:
-    """(row, data column) of the first non-finite value the program reads, or None."""
-    cols = np.concatenate([prog.lin_cols, prog.q_cols])
-    bad = np.argwhere(~np.isfinite(data[:, cols]))
-    return (int(bad[0, 0]), int(cols[bad[0, 1]])) if bad.size else None
+    """(row, data column) of the first non-finite value the program reads, or None.
+
+    A tie in rows goes to the column met first in lin_cols, then q_cols."""
+    found, rows = None, data.shape[0]
+    for c in np.concatenate([prog.lin_cols, prog.q_cols]).tolist():
+        ok = np.isfinite(data[:rows, c])
+        if not ok.all():
+            rows = int(ok.argmin())
+            found = (rows, c)
+    return found
 
 
 def utilities(prog: ModelProgram, xl: np.ndarray, v_net: np.ndarray | None = None,

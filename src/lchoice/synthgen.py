@@ -1,6 +1,6 @@
 """Synthetic choice data generators with recorded ground truth.
 
-Every generator is a pure function of its scenario and seed (same inputs,
+Every generator is a pure function of its `DataSpec` and seed (same inputs,
 bit-identical dataset) and stores the generating coefficients in the
 dataset's ``meta["truth"]`` so recovery experiments can score themselves.
 Binary scenarios simulate the choice through the logistic of the utility
@@ -10,7 +10,9 @@ generator uses explicit Gumbel(0, 1) draws.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -18,36 +20,61 @@ from .dataio import ChoiceDataset
 from .numcore import prng
 
 
+def _require_count(name: str, n, least: int) -> None:
+    if not isinstance(n, Integral) or isinstance(n, bool) or n < least:
+        raise ValueError(f"{name} must be an integer >= {least}, got {n!r}")
+
+
 @dataclass(frozen=True)
-class BinaryScenario:
-    """Two alternatives: V = bp*p + ba*a + bb*b + bqc*q*c per alternative.
+class DataSpec:
+    """Named synthetic scenario regenerated per replication seed, checked when built.
+
+    binary reads beta_p, beta_a, beta_b and beta_qc; correlated also reads s,
+    unobserved also beta_u; guevara reads only the row counts."""
+
+    scenario: str = "binary"  # a key of SCENARIOS
+    n_train: int = 1000
+    n_test: int = 200
+    beta_p: float = -1.0
+    beta_a: float = 0.5
+    beta_b: float = 0.5
+    beta_qc: float = 1.0
+    s: float = 0.0
+    beta_u: float = 1.0
+
+    def __post_init__(self) -> None:
+        if self.scenario not in SCENARIOS:
+            raise ValueError(f"unknown scenario {self.scenario!r}, not one of {list(SCENARIOS)}")
+        _require_count("n_train", self.n_train, 1)
+        _require_count("n_test", self.n_test, 0)
+        for name in ("beta_p", "beta_a", "beta_b", "beta_qc", "s", "beta_u"):
+            x = getattr(self, name)
+            if not isinstance(x, Real) or isinstance(x, bool) or not math.isfinite(x):
+                raise ValueError(f"{name} must be a finite number, got {x!r}")
+        if not 0.0 <= self.s <= 1.0:
+            raise ValueError(f"correlation level s must be in [0, 1], got {self.s!r}")
+
+    def dataset(self, seed: int) -> ChoiceDataset:
+        """All n_train + n_test rows of the scenario at ``seed``, truth in its meta."""
+        return SCENARIOS[self.scenario](self, seed)
+
+    def make(self, seed: int) -> tuple[ChoiceDataset, ChoiceDataset, dict]:
+        """(train, test, truth): the first n_train rows train, the rest test."""
+        ds = self.dataset(seed)
+        rows = np.arange(ds.n_rows)
+        return (ds.subset(rows[:self.n_train]), ds.subset(rows[self.n_train:]),
+                dict(ds.meta["truth"]))
+
+
+def _binary_variables(spec: DataSpec, seed: int) -> dict[str, np.ndarray]:
+    """Raw per-alternative variables, drawn in a fixed order.
 
     The price-like variable is p = 5 + z + 0.03*wz + noise; the net-side
     feature is q = 2*h + k + noise with k = h + noise, so q carries shared
     structure without touching p.  All base draws and noises are U([-1, 1]).
     """
-
-    beta_p: float = -1.0
-    beta_a: float = 0.5
-    beta_b: float = 0.5
-    beta_qc: float = 1.0
-    n_train: int = 1000
-    n_test: int = 200
-    seed: int = 0
-
-    @property
-    def n_total(self) -> int:
-        return self.n_train + self.n_test
-
-    def truth(self) -> dict:
-        return {"beta_p": self.beta_p, "beta_a": self.beta_a,
-                "beta_b": self.beta_b, "beta_qc": self.beta_qc}
-
-
-def _binary_variables(sc: BinaryScenario) -> dict[str, np.ndarray]:
-    """Raw per-alternative variables, drawn in a fixed order."""
-    rng = prng.Stream(sc.seed, prng.StreamId.BINARY)
-    n = sc.n_total
+    rng = prng.Stream(seed, prng.StreamId.BINARY)
+    n = spec.n_train + spec.n_test
     out: dict[str, np.ndarray] = {}
     for alt in ("1", "2"):
         z = rng.uniform(n, -1, 1)
@@ -69,75 +96,68 @@ def _binary_variables(sc: BinaryScenario) -> dict[str, np.ndarray]:
     return out
 
 
-def _binary_dataset(sc: BinaryScenario, var: dict[str, np.ndarray],
-                    extra_v: tuple[np.ndarray, np.ndarray] | None = None,
+def _binary_dataset(spec: DataSpec, seed: int, var: dict[str, np.ndarray],
+                    extra_v: np.ndarray | None = None,
                     scenario_name: str = "binary",
                     extra_truth: dict | None = None) -> ChoiceDataset:
-    n = sc.n_total
+    """Two alternatives, V = bp*p + ba*a + bb*b + bqc*q*c each, plus ``extra_v`` (n, 2)."""
+    n = spec.n_train + spec.n_test
     v = np.zeros((n, 2))
     for i, alt in enumerate(("1", "2")):
-        v[:, i] = (sc.beta_p * var[f"p{alt}"] + sc.beta_a * var[f"a{alt}"]
-                   + sc.beta_b * var[f"b{alt}"] + sc.beta_qc * var[f"q{alt}"] * var[f"c{alt}"])
+        v[:, i] = (spec.beta_p * var[f"p{alt}"] + spec.beta_a * var[f"a{alt}"]
+                   + spec.beta_b * var[f"b{alt}"] + spec.beta_qc * var[f"q{alt}"] * var[f"c{alt}"])
     if extra_v is not None:
-        v[:, 0] += extra_v[0]
-        v[:, 1] += extra_v[1]
+        v += extra_v
     p1 = 1.0 / (1.0 + np.exp(-(v[:, 0] - v[:, 1])))
     choice = np.where(var["_choice_u"] < p1, 0, 1).astype(np.int64)
-    names: list[str] = []
-    cols: list[np.ndarray] = []
     for alt in ("1", "2"):
-        for base in ("p", "a", "b", "q", "c"):
-            names.append(f"{base}{alt}")
-            cols.append(var[f"{base}{alt}"])
-        names.append(f"qc{alt}")
-        cols.append(var[f"q{alt}"] * var[f"c{alt}"])
-    values = np.stack(cols, axis=1)
-    truth = sc.truth()
+        var[f"qc{alt}"] = var[f"q{alt}"] * var[f"c{alt}"]
+    names = [f"{base}{alt}" for alt in ("1", "2") for base in ("p", "a", "b", "q", "c", "qc")]
+    values = np.stack([var[c] for c in names], axis=1)
+    truth = {"beta_p": spec.beta_p, "beta_a": spec.beta_a,
+             "beta_b": spec.beta_b, "beta_qc": spec.beta_qc}
     if extra_truth:
         truth.update(extra_truth)
-    meta = {"scenario": scenario_name, "seed": sc.seed, "truth": truth}
+    meta = {"scenario": scenario_name, "seed": seed, "truth": truth}
     return ChoiceDataset(names, values, np.ones((n, 2)), choice, ["1", "2"], meta)
 
 
-def gen_binary(sc: BinaryScenario) -> ChoiceDataset:
+def gen_binary(spec: DataSpec, seed: int) -> ChoiceDataset:
     """Baseline binary scenario; columns p,a,b,q,c,qc per alternative."""
-    return _binary_dataset(sc, _binary_variables(sc))
+    return _binary_dataset(spec, seed, _binary_variables(spec, seed))
 
 
-def gen_correlated(sc: BinaryScenario, s: float) -> ChoiceDataset:
+def gen_correlated(spec: DataSpec, seed: int) -> ChoiceDataset:
     """Binary scenario with q replaced by q' = s*p + sqrt(1-s^2)*q.
 
     The substitution happens before utilities are computed, so the unknown
     interaction becomes q'*c.  s = 0 reproduces `gen_binary` exactly; s = 1
     makes the net input a copy of the price variable.
     """
-    if not 0.0 <= s <= 1.0:
-        raise ValueError("correlation level s must be in [0, 1]")
-    var = _binary_variables(sc)
-    if s > 0.0:
-        w = float(np.sqrt(1.0 - s * s))
+    var = _binary_variables(spec, seed)
+    if spec.s > 0.0:
+        w = float(np.sqrt(1.0 - spec.s * spec.s))
         for alt in ("1", "2"):
-            var[f"q{alt}"] = s * var[f"p{alt}"] + w * var[f"q{alt}"]
-    return _binary_dataset(sc, var, scenario_name="correlated",
-                           extra_truth={"s": s})
+            var[f"q{alt}"] = spec.s * var[f"p{alt}"] + w * var[f"q{alt}"]
+    return _binary_dataset(spec, seed, var, scenario_name="correlated",
+                           extra_truth={"s": spec.s})
 
 
-def gen_with_unobserved(sc: BinaryScenario, beta_u: float = 1.0) -> ChoiceDataset:
+def gen_with_unobserved(spec: DataSpec, seed: int) -> ChoiceDataset:
     """Binary scenario plus an unobserved term beta_u * u, u ~ U([-1, 1]).
 
     The u draws shift the utilities but are not emitted as columns, so every
     model faces irreducible unexplained variation.
     """
-    var = _binary_variables(sc)
-    rng = prng.Stream(sc.seed, prng.StreamId.UNOBSERVED)
-    u1 = rng.uniform(sc.n_total, -1, 1)
-    u2 = rng.uniform(sc.n_total, -1, 1)
-    return _binary_dataset(sc, var, extra_v=(beta_u * u1, beta_u * u2),
+    var = _binary_variables(spec, seed)
+    rng = prng.Stream(seed, prng.StreamId.UNOBSERVED)
+    u = np.stack([rng.uniform(spec.n_train + spec.n_test, -1, 1) for _ in range(2)], axis=1)
+    return _binary_dataset(spec, seed, var, extra_v=spec.beta_u * u,
                            scenario_name="unobserved",
-                           extra_truth={"beta_u": beta_u})
+                           extra_truth={"beta_u": spec.beta_u})
 
 
-def gen_guevara(n: int = 1000, seed: int = 0) -> ChoiceDataset:
+def gen_guevara(spec: DataSpec, seed: int) -> ChoiceDataset:
     """Binary scenario with an endogenous price: p = 5 + q + z + 0.03*wz*z + noise.
 
     q enters both the price equation and the utility (coefficient 1), so a
@@ -145,6 +165,7 @@ def gen_guevara(n: int = 1000, seed: int = 0) -> ChoiceDataset:
     coefficient.  All draws are U([-2, 2]); V = -2*p + a + b + q.
     """
     rng = prng.Stream(seed, prng.StreamId.GUEVARA)
+    n = spec.n_train + spec.n_test
     truth = {"beta_p": -2.0, "beta_a": 1.0, "beta_b": 1.0, "beta_q": 1.0}
     names: list[str] = []
     cols: list[np.ndarray] = []
@@ -168,6 +189,10 @@ def gen_guevara(n: int = 1000, seed: int = 0) -> ChoiceDataset:
                          ["1", "2"], meta)
 
 
+SCENARIOS = {"binary": gen_binary, "correlated": gen_correlated,
+             "unobserved": gen_with_unobserved, "guevara": gen_guevara}
+
+
 SEMI_SYNTH_CATS = ("AGE", "DEST", "ORIGIN", "INCOME", "PURPOSE")
 SEMI_SYNTH_LEVEL = {"TT": -1.0, "TC": -2.0}
 
@@ -179,6 +204,7 @@ def sample_attribute_table(n: int, seed: int) -> ChoiceDataset:
     preprocessing produces; category codes span the canonical ranges.  Used
     by `gen_semi_synthetic` when no real attribute table is supplied.
     """
+    _require_count("n", n, 1)
     rng = prng.Stream(seed, prng.StreamId.ATTRIBUTE_TABLE)
     cols = {
         "TT_Train": rng.uniform(n, 0.6, 3.0),

@@ -31,7 +31,6 @@ from lchoice.models import (NestStructure, UtilitySpec, UtilityTerm,
                             nested_probabilities, save_model_dict, systematic_utility)
 from lchoice.numcore import TrainConfig, compile_inputs, gradients, loss_value
 from lchoice.numcore.prng import derive_seed
-from lchoice.synthgen import BinaryScenario, gen_binary
 
 DATA_DIR = Path(__file__).resolve().parents[1] / "data"
 
@@ -155,8 +154,7 @@ def test_criterion_02_nested_reduces_to_plain():
 
 def test_criterion_03_net_blind_to_linear_columns():
     """After a hybrid fit, the net term has exactly zero response to X."""
-    sc = BinaryScenario(n_train=300, n_test=0, seed=21)
-    ds = gen_binary(sc)
+    ds = DataSpec(n_train=300, n_test=0).dataset(21)
     model = build_model("LMNL", ("1", "2"), utility=UtilitySpec(generic_pab()),
                         q=("q1", "c1", "q2", "c2"), net_width=8, seed=4)
     fit_joint(model, ds, TrainConfig(epochs=6, batch_size=50, seed=4),
@@ -187,7 +185,7 @@ def replace_values(ds, values):
 
 def test_criterion_04_trainer_matches_reference_optimizer():
     """On a convex 5-parameter problem the trainer lands on the optimum."""
-    ds = gen_binary(BinaryScenario(n_train=1000, n_test=0, seed=7))
+    ds = DataSpec(n_train=1000, n_test=0).dataset(7)
     utility = five_param_utility()
 
     # full-batch anneal: minibatch noise would leave a ~3e-3 equilibrium

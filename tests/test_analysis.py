@@ -179,6 +179,21 @@ def test_the_pool_has_no_more_workers_than_tasks(monkeypatch):
     assert sizes == [3]  # the one task ran in this process
 
 
+def test_a_bad_scenario_raises_before_any_task(monkeypatch):
+    # a misspelt scenario once ran every replication and recorded each as failed
+    from lchoice import analysis
+    calls = []
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", lambda *a, **k: calls.append("pool"))
+    monkeypatch.setattr(analysis, "_fit_task", lambda task: calls.append("task"))
+    with pytest.raises(ValueError, match="unknown scenario 'binray'"):
+        monte_carlo(DataSpec("binray"), binary_zoo(4), 2, TINY_CFG, jobs=2)
+    # a bad level fails before the good levels' campaigns start
+    with pytest.raises(ValueError, match=r"s must be in \[0, 1\], got 1.2"):
+        correlation_bias_sweep((0.0, 1.2), 1, scenario=TINY, recipes=correlation_zoo(4)[:1],
+                               base_config=TINY_CFG, jobs=2)
+    assert calls == []
+
+
 def test_recipe_fit_goes_through_the_analysis_module_names(monkeypatch):
     # the benchmark times these two by patching the analysis module's names
     from lchoice import analysis
@@ -331,7 +346,7 @@ def test_neuron_scan_keeps_the_recipe_kind_nests_and_depth():
 
 
 def test_correlation_sweep_validates_levels():
-    with pytest.raises(ValueError, match="correlation levels"):
+    with pytest.raises(ValueError, match=r"correlation level s must be in \[0, 1\], got 1.2"):
         correlation_bias_sweep((0.0, 1.2), 1)
 
 

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, run directories, reproducibility."""
 
 import csv
+import math
 import re
 from dataclasses import fields
 from pathlib import Path
@@ -120,6 +121,25 @@ def test_generate_semi_synthetic(tmp_path):
     assert truth == {"b_tt": -1.0, "b_tc": -2.0}
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["binary", "--n", "-3"], "n_train must be an integer >= 1, got -3"),
+    (["guevara", "--n", "0"], "n_train must be an integer >= 1, got 0"),
+    (["unobserved", "--n-test", "-1"], "n_test must be an integer >= 0, got -1"),
+    (["binary", "--s", "1.5"], "correlation level s must be in [0, 1], got 1.5"),
+    (["correlated", "--s", "-0.5"], "correlation level s must be in [0, 1], got -0.5"),
+    (["guevara", "--s", "2"], "correlation level s must be in [0, 1], got 2.0"),
+    (["unobserved", "--beta-u", "inf"], "beta_u must be a finite number, got inf"),
+    (["semi-synthetic", "--n", "0"], "n must be an integer >= 1, got 0"),
+    (["semi-synthetic", "--n", "-3"], "n must be an integer >= 1, got -3"),
+])
+def test_generate_refuses_a_bad_scenario_and_writes_nothing(tmp_path, capsys, argv, message):
+    # --n -3 once wrote 197 rows, and semi-synthetic --n 0 exited with a numpy error
+    out = tmp_path / "data"
+    assert main(["generate", *argv, "--out-dir", str(out)]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not out.exists()
+
+
 # ------------------------------------------------------------------ estimate
 
 
@@ -138,6 +158,27 @@ def test_estimate_run_dir_artifacts(tmp_path, capsys):
     md = (run / "report.md").read_text()
     assert "| beta_p |" in md and "| p_over_a |" in md
     assert "estimate: Logit ll_train=" in capsys.readouterr().out
+
+
+def test_eval_only_reports_a_ratio_over_a_zero_coefficient_as_nan(tmp_path, capsys):
+    # such a ratio once ended the run with exit 1 and no folder
+    cfg = logit_config(report={"std_errors": False,
+                               "ratios": [{"name": "p_over_a", "num": "beta_p", "den": "beta_a"}]})
+    recipe, labels = cli._parse_model(cfg)
+    model = recipe.build(labels, 0)
+    model.beta[:] = 0.0
+    model.beta[model.param_names.index("beta_p")] = -0.5
+    cli.save_model(model, str(tmp_path / "model.json"))
+    path = write_config(tmp_path / "cfg.yaml", cfg)
+    out = tmp_path / "runs"
+    assert main(["estimate", "--config", path, "--out-dir", str(out),
+                 "--eval-only", str(tmp_path / "model.json")]) == 0
+    with open(only_run_dir(out) / "report.csv", newline="") as fh:
+        rows = [(r["section"], r["name"], r["estimate"]) for r in csv.DictReader(fh)
+                if r["section"] in ("ratio", "warning")]
+    assert rows == [("ratio", "p_over_a", "nan"),
+                    ("warning", "ratio 'p_over_a' is undefined: "
+                                "denominator coefficient 'beta_a' is ~0", "")]
 
 
 def test_run_dirs_in_the_same_second_do_not_collide(tmp_path, monkeypatch):
@@ -653,6 +694,36 @@ def test_experiment_montecarlo_tiny(tmp_path):
     with open(run / "result.csv", newline="") as fh:
         rows = list(csv.DictReader(fh))
     assert {"table", "model", "metric", "value"} <= set(rows[0])
+
+
+@pytest.mark.parametrize("kind, scenario, message", [
+    ("montecarlo", {"name": "correlated", "s": 1.5},
+     "correlation level s must be in [0, 1], got 1.5"),
+    ("montecarlo", {"name": "binary", "n_train": -5}, "n_train must be an integer >= 1, got -5"),
+    ("montecarlo", {"name": "binray"}, "unknown scenario 'binray'"),
+    ("neuron-scan", {"name": "binary", "n_test": -1}, "n_test must be an integer >= 0"),
+    ("correlation-sweep", {"n_train": "many"}, "n_train must be an integer >= 1, got 'many'"),
+    ("strategy-compare", {"beta_a": math.inf}, "beta_a must be a finite number, got inf"),
+])
+def test_experiment_refuses_a_bad_scenario_before_any_fit(tmp_path, capsys, monkeypatch,
+                                                          kind, scenario, message):
+    # each of these once ran every replication and recorded it as failed
+    monkeypatch.setattr(analysis, "_run_tasks", lambda *a: pytest.fail("a fit started"))
+    cfg = write_config(tmp_path / "cfg.yaml", {"scenario": scenario,
+                                               "train": {"epochs": 1, "batch_size": 30}})
+    reps = [] if kind == "strategy-compare" else ["--reps", "1"]
+    assert main(["experiment", kind, "--config", cfg, *reps,
+                 "--out-dir", str(tmp_path / "runs")]) == 2
+    assert f"error: {message}" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_estimate_refuses_a_bad_scenario(tmp_path, capsys):
+    cfg_dict = logit_config(n_train=0)
+    cfg = write_config(tmp_path / "cfg.yaml", cfg_dict)
+    assert main(["estimate", "--config", cfg, "--out-dir", str(tmp_path / "runs")]) == 2
+    assert "error: n_train must be an integer >= 1, got 0" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
 
 
 def test_experiment_guevara_zoo_autoselected(tmp_path):

@@ -14,11 +14,11 @@ from hypothesis import strategies as st
 from lchoice import (
     ChoiceDataset,
     DataError,
+    DataSpec,
     UtilitySpec,
     UtilityTerm,
     build_model,
     correlation_matrix,
-    gen_binary,
     gen_semi_synthetic,
     generic_schema,
     load_csv,
@@ -33,7 +33,6 @@ from lchoice import (
 )
 from lchoice import dataio
 from lchoice.dataio import OPTIMA_REQUIRED, SWISSMETRO_SCALED, CsvSchema
-from lchoice.synthgen import BinaryScenario
 
 
 def tiny_dataset():
@@ -112,7 +111,7 @@ def test_subset_and_with_columns():
 
 
 def test_csv_round_trip_is_exact(tmp_path):
-    ds = gen_binary(BinaryScenario(n_train=40, n_test=0, seed=13))
+    ds = DataSpec(n_train=40, n_test=0).dataset(13)
     path = tmp_path / "binary.csv"
     ds.to_csv(str(path))
     back = load_csv(str(path), generic_schema(("1", "2")))
@@ -144,7 +143,7 @@ def test_to_csv_writes_the_bytes_of_the_cell_by_cell_writer(tmp_path):
     ds.to_csv(str(tmp_path / "new.csv"))
     cell_by_cell_to_csv(ds, str(tmp_path / "old.csv"))
     assert (tmp_path / "new.csv").read_bytes() == (tmp_path / "old.csv").read_bytes()
-    sim = gen_binary(BinaryScenario(n_train=30, n_test=5, seed=2))
+    sim = DataSpec(n_train=30, n_test=5).dataset(2)
     sim.to_csv(str(tmp_path / "sim_new.csv"))
     cell_by_cell_to_csv(sim, str(tmp_path / "sim_old.csv"))
     assert (tmp_path / "sim_new.csv").read_bytes() == (tmp_path / "sim_old.csv").read_bytes()
@@ -499,7 +498,7 @@ def test_load_csv_reports_the_first_bad_row(tmp_path):
 
 
 def test_split_sizes_and_disjointness():
-    ds = gen_binary(BinaryScenario(n_train=100, n_test=0, seed=1))
+    ds = DataSpec(n_train=100, n_test=0).dataset(1)
     train, test = split(ds, 0.8, seed=3)
     assert train.n_rows == 80 and test.n_rows == 20
     key = train.values[:, 0].tolist() + test.values[:, 0].tolist()
@@ -507,7 +506,7 @@ def test_split_sizes_and_disjointness():
 
 
 def test_split_rounds_up_fractional_rows():
-    ds = gen_binary(BinaryScenario(n_train=9, n_test=0, seed=2))
+    ds = DataSpec(n_train=9, n_test=0).dataset(2)
     train, test = split(ds, 0.8, seed=0)  # 7.2 rows -> 8
     assert train.n_rows == 8 and test.n_rows == 1
 
@@ -521,7 +520,7 @@ def test_split_canonical_survey_proportions():
 
 
 def test_split_deterministic_and_seed_sensitive():
-    ds = gen_binary(BinaryScenario(n_train=60, n_test=0, seed=5))
+    ds = DataSpec(n_train=60, n_test=0).dataset(5)
     a1, _ = split(ds, 0.5, seed=9)
     a2, _ = split(ds, 0.5, seed=9)
     b1, _ = split(ds, 0.5, seed=10)
@@ -530,7 +529,7 @@ def test_split_deterministic_and_seed_sensitive():
 
 
 def test_split_rejects_an_empty_part():
-    ds = gen_binary(BinaryScenario(n_train=50, n_test=0, seed=1))
+    ds = DataSpec(n_train=50, n_test=0).dataset(1)
     for f in (0.99, 1e-9):
         with pytest.raises(ValueError, match="empty part"):
             split(ds, f, seed=0)
@@ -571,7 +570,7 @@ def test_correlation_matrix_zero_variance_column():
 
 
 def test_validate_partition_errors_and_advisories():
-    ds = gen_binary(BinaryScenario(n_train=300, n_test=0, seed=7))
+    ds = DataSpec(n_train=300, n_test=0).dataset(7)
     assert validate_partition(ds, ("p1", "p2"), ("q1", "q2")) == []
 
     # the split's errors are the model's: an overlap at build, an unknown column at compile

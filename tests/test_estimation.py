@@ -383,6 +383,30 @@ def test_report_flags_rolled_back_fit(binary_data):
     assert any("rolled back" in w for w in report.warnings)
 
 
+def test_report_records_a_ratio_over_a_zero_coefficient_as_nan(binary_data, tmp_path):
+    # such a ratio once raised ZeroDivisionError out of the whole report
+    train, _ = binary_data
+    m = build_model("Logit", ("1", "2"), pa_utility(), seed=0)
+    m.beta[:] = 0.0
+    m.beta[m.param_names.index("beta_p")] = -0.5
+    report = build_report(m, train, None, FitResult("ok", 0, 0, np.zeros(0)),
+                          compute_std_errors=False,
+                          ratio_defs=(("p_over_a", "beta_p", "beta_a"),
+                                      ("a_over_p", "beta_a", "beta_p")))
+    assert math.isnan(report.ratios["p_over_a"]) and report.ratios["a_over_p"] == 0.0  # 0 / -0.5
+    assert report.warnings == ["ratio 'p_over_a' is undefined: "
+                               "denominator coefficient 'beta_a' is ~0"]
+    report.to_csv(str(tmp_path / "report.csv"))
+    with open(tmp_path / "report.csv", newline="") as fh:
+        rows = [r for r in csv.DictReader(fh) if r["section"] in ("ratio", "warning")]
+    assert [(r["section"], r["name"], r["estimate"]) for r in rows] == [
+        ("ratio", "p_over_a", "nan"), ("ratio", "a_over_p", "-0.0"),
+        ("warning", report.warnings[0], "")]
+    assert "| p_over_a | nan |" in report.to_markdown()
+    with pytest.raises(ZeroDivisionError):  # the ratio itself still refuses
+        parameter_ratio(report.estimates(), "beta_p", "beta_a")
+
+
 def test_report_skips_std_errors_of_a_diverged_fit(binary_data):
     train, _ = binary_data
     m = build_model("Logit", ("1", "2"), pa_utility(), seed=0)

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lchoice import gen_binary
+from lchoice import DataSpec
 from lchoice.models import (
     FeaturePartition,
     NestStructure,
@@ -23,7 +23,6 @@ from lchoice.models import (
     save_model_dict,
     systematic_utility,
 )
-from lchoice.synthgen import BinaryScenario
 
 
 def reference_nested(v, mu, groups, avail=None):
@@ -275,8 +274,7 @@ def test_builder_initialization_seeded():
 
 
 def test_fresh_net_contributes_nothing():
-    sc = BinaryScenario(n_train=50, n_test=0, seed=3)
-    ds = gen_binary(sc)
+    ds = DataSpec(n_train=50, n_test=0).dataset(3)
     util = small_utility()
     hybrid = build_model("LMNL", ("1", "2"), util, q=("q1", "q2"), net_width=6, seed=2)
     logit = build_model("Logit", ("1", "2"), util, seed=2)
@@ -288,8 +286,7 @@ def test_fresh_net_contributes_nothing():
 
 def test_net_output_constant_in_linear_columns():
     # the net never reads X, so V(x + dx) - V(x) is exactly the linear move
-    sc = BinaryScenario(n_train=40, n_test=0, seed=5)
-    ds = gen_binary(sc)
+    ds = DataSpec(n_train=40, n_test=0).dataset(5)
     m = build_model("LMNL", ("1", "2"), small_utility(), q=("q1", "q2"),
                     net_width=5, seed=1)
     rng = np.random.default_rng(0)
@@ -310,7 +307,7 @@ def test_predict_probabilities_keeps_no_activation_list():
     # being computed and the one it reads are alive at once
     import tracemalloc
     n, width = 4_000, 100
-    ds = gen_binary(BinaryScenario(n_train=n, n_test=0, seed=4))
+    ds = DataSpec(n_train=n, n_test=0).dataset(4)
     m = build_model("LMNL", ("1", "2"), small_utility(), q=("q1", "c1", "q2", "c2"),
                     net_width=width, net_depth=3, seed=1)
     predict_probabilities(m, ds)  # compile the program outside the measurement
@@ -324,8 +321,7 @@ def test_predict_probabilities_keeps_no_activation_list():
 
 
 def test_program_cached_and_layout_independent():
-    sc = BinaryScenario(n_train=30, n_test=0, seed=8)
-    ds = gen_binary(sc)
+    ds = DataSpec(n_train=30, n_test=0).dataset(8)
     m = build_model("LMNL", ("1", "2"), small_utility(), q=("q1", "q2"),
                     net_width=4, seed=4)
     m.net.w_out[:] = 0.5
@@ -340,8 +336,7 @@ def test_program_cached_and_layout_independent():
 
 
 def test_program_shares_parameter_arrays():
-    sc = BinaryScenario(n_train=20, n_test=0, seed=2)
-    ds = gen_binary(sc)
+    ds = DataSpec(n_train=20, n_test=0).dataset(2)
     m = build_model("Logit", ("1", "2"), small_utility(), seed=0)
     prog = m.program(ds.columns)
     m.beta[:] = [0.0, 1.0, -1.0]
@@ -381,8 +376,7 @@ def test_save_load_dict_round_trip():
     assert np.array_equal(back.net.w_out, m.net.w_out)
     assert back.nests.groups == m.nests.groups
     assert np.array_equal(back.nests.mu, m.nests.mu)
-    sc = BinaryScenario(n_train=25, n_test=0, seed=6)
-    ds = gen_binary(sc)
+    ds = DataSpec(n_train=25, n_test=0).dataset(6)
     assert np.array_equal(predict_probabilities(back, ds), predict_probabilities(m, ds))
 
 

@@ -3,6 +3,7 @@
 import ast
 import math
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -972,6 +973,45 @@ def test_fit_program_ignores_unread_columns():
     assert fit_program(prog, data, avail, choice, TrainConfig(epochs=2)).status == "ok"
 
 
+def _first_nonfinite_by_argwhere(prog, data):
+    """The check as one argwhere over a copy of every column the program reads."""
+    cols = np.concatenate([prog.lin_cols, prog.q_cols])
+    bad = np.argwhere(~np.isfinite(data[:, cols]))
+    return (int(bad[0, 0]), int(cols[bad[0, 1]])) if bad.size else None
+
+
+@settings(max_examples=150, deadline=None)
+@given(rows=st.integers(0, 9),
+       cells=st.lists(st.tuples(st.integers(0, 8), st.integers(0, 6),
+                                st.sampled_from([np.nan, np.inf, -np.inf])), max_size=8))
+def test_first_nonfinite_matches_one_argwhere(rows, cells):
+    from dataclasses import replace
+    prog = _featureful_instance(seed=15)[0]
+    # linear terms read columns 1, 2, 3 and the net 5, 0, 4, in that order; 6 is unread
+    prog = replace(prog, term_col=np.array([-1, 3, 1, 2]), q_cols=np.array([5, 0, 4]))
+    data = np.random.default_rng(rows).normal(size=(rows, 7))
+    for r, c, value in cells:
+        if r < rows:
+            data[r, c] = value
+    assert program.first_nonfinite(prog, data) == _first_nonfinite_by_argwhere(prog, data)
+
+
+def test_first_nonfinite_reads_one_column_at_a_time():
+    # it once copied every column it reads, 0.9 MiB here, to find one cell
+    prog = _featureful_instance(seed=15)[0]  # reads 6 columns
+    n = 20_000
+    data = np.random.default_rng(0).normal(size=(n, 12))
+    data[n - 1, 5] = np.nan
+    tracemalloc.start()
+    try:
+        found = program.first_nonfinite(prog, data)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert found == (n - 1, 5)
+    assert peak <= 3 * n  # two columns' flags, one boolean per row each, are alive at once
+
+
 def test_active_backend_resolution():
     assert numcore.active_backend() == "numpy"
 
@@ -979,26 +1019,81 @@ def test_active_backend_resolution():
 # ---------------------------------------------------------------------------
 # the names the benchmark in perfbench/ reads or wraps
 
+def _perfbench_uses():
+    """What perfbench/*.py takes from lchoice, read from its source with ast.
+
+    Returns ``(reads, wraps)``: (owner, name) of every name imported from an
+    lchoice module and of every attribute read on one, and (owner, name) of
+    every ``tracer.wrap(owner, "name", ...)``, a ``for`` loop's owners each.
+    """
+    import importlib
+
+    def imported(module, name):
+        try:
+            return importlib.import_module(f"{module}.{name}")
+        except ModuleNotFoundError:
+            return getattr(importlib.import_module(module), name, None)
+
+    reads, wraps = [], []
+    for path in sorted((Path(__file__).resolve().parents[1] / "perfbench").glob("*.py")):
+        tree = ast.parse(path.read_text())
+        bound = {}  # local name -> lchoice object
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("lchoice"):
+                for alias in node.names:
+                    reads.append((importlib.import_module(node.module), alias.name))
+                    bound[alias.asname or alias.name] = imported(node.module, alias.name)
+            elif isinstance(node, ast.Import):
+                for alias in node.names:
+                    if alias.name.split(".")[0] == "lchoice":
+                        importlib.import_module(alias.name)
+                        bound[alias.asname or "lchoice"] = importlib.import_module(
+                            alias.name if alias.asname else "lchoice")
+
+        def owner(expr):  # the lchoice object an expression names, or None
+            if isinstance(expr, ast.Name):
+                return bound.get(expr.id)
+            if isinstance(expr, ast.Attribute) and (base := owner(expr.value)) is not None:
+                return getattr(base, expr.attr, None)
+            return None
+
+        calls = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and (base := owner(node.value)) is not None:
+                reads.append((base, node.attr))
+            if (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                    and node.func.attr == "wrap" and getattr(node.func.value, "id", "") == "tracer"):
+                calls.append(node)
+        owners = {call: [call.args[0]] for call in calls}
+        for loop in ast.walk(tree):  # `for owner in (a, b): tracer.wrap(owner, ...)`
+            if isinstance(loop, ast.For) and isinstance(loop.iter, ast.Tuple):
+                for call in ast.walk(loop):
+                    if call in owners and getattr(call.args[0], "id", None) == loop.target.id:
+                        owners[call] = loop.iter.elts
+        wraps += [(owner(expr), call.args[1].value) for call in calls for expr in owners[call]]
+    return reads, wraps
+
+
 def test_benchmark_contract_names_exist():
-    from lchoice import analysis, dataio, estimation, models, synthgen
-    from lchoice.numcore import program
+    from lchoice import analysis
     for name in numcore.__all__:
         assert hasattr(numcore, name), name
-    used = [(numcore, ("active_backend", "gradients", "TrainConfig")),
-            (prng, ("uniforms", "derive_seed")),
-            (program, ("linear_utilities", "net_forward", "loss_gradients", "sample_nll",
-                       "backprop")),
-            (estimation, ("fit_program", "fit_joint", "build_report", "hessian_std_errors")),
-            (analysis, ("fit_joint", "build_model", "monte_carlo")),
-            (models, ("predict_probabilities",)),
-            (dataio, ("load_csv", "split")),
-            (synthgen, ("gen_semi_synthetic",))]
-    for owner, names in used:
-        for name in names:
-            assert callable(getattr(owner, name, None)), f"{owner.__name__}.{name}"
-    # the benchmark wraps class attributes through the class __dict__
-    for cls, name in ((analysis.DataSpec, "make"), (models.HybridChoiceModel, "program")):
-        assert callable(cls.__dict__.get(name)), f"{cls.__name__}.{name}"
+    reads, wraps = _perfbench_uses()
+    for owner, name in reads:
+        assert hasattr(owner, name), f"{owner.__name__}.{name}"
+    # names it once read without a check here
+    for module, name in (("analysis", "binary_zoo"), ("estimation", "null_log_likelihood"),
+                         ("dataio", "generic_schema"), ("synthgen", "SEMI_SYNTH_CATS"),
+                         ("models", "build_model"), ("analysis", "DataSpec")):
+        assert (f"lchoice.{module}", name) in {(o.__name__, n) for o, n in reads}, name
+    assert len(wraps) >= 15
+    for owner, name in wraps:
+        # the benchmark wraps class attributes through the class __dict__
+        found = owner.__dict__.get(name) if isinstance(owner, type) else getattr(owner, name)
+        assert callable(found), f"{owner.__name__}.{name}"
+    assert (analysis.DataSpec, "make") in wraps
+    # perfbench builds DataSpec("binary", n_train, n_test) by position
+    assert [f.name for f in fields(analysis.DataSpec)[:3]] == ["scenario", "n_train", "n_test"]
     # the program attributes the stage replay reads, on a copy rebuilt at another width
     from dataclasses import replace
     prog = _featureful_instance(seed=5)[0]  # width 4, depth 2

@@ -5,33 +5,24 @@ import math
 import numpy as np
 import pytest
 
-from lchoice import (
-    BinaryScenario,
-    DataSpec,
-    gen_binary,
-    gen_correlated,
-    gen_guevara,
-    gen_semi_synthetic,
-    gen_with_unobserved,
-    sample_attribute_table,
-)
+from lchoice import DataSpec, gen_semi_synthetic, sample_attribute_table
 from lchoice.dataio import ChoiceDataset
 from lchoice.numcore.prng import Stream, derive_seed, uniforms
+from lchoice.synthgen import SCENARIOS
 
 
 def test_binary_deterministic_per_seed():
-    sc = BinaryScenario(n_train=200, n_test=50, seed=42)
-    a = gen_binary(sc)
-    b = gen_binary(sc)
+    spec = DataSpec(n_train=200, n_test=50)
+    a = spec.dataset(42)
+    b = spec.dataset(42)
     assert np.array_equal(a.values, b.values)
     assert np.array_equal(a.choice, b.choice)
-    c = gen_binary(BinaryScenario(n_train=200, n_test=50, seed=43))
+    c = spec.dataset(43)
     assert not np.array_equal(a.values, c.values)
 
 
 def test_binary_columns_and_ranges():
-    sc = BinaryScenario(n_train=500, n_test=0, seed=1)
-    ds = gen_binary(sc)
+    ds = DataSpec(n_train=500, n_test=0).dataset(1)
     assert ds.columns == ["p1", "a1", "b1", "q1", "c1", "qc1",
                           "p2", "a2", "b2", "q2", "c2", "qc2"]
     p1 = ds.col("p1")
@@ -45,7 +36,7 @@ def test_binary_columns_and_ranges():
 
 
 def test_scenario_split_row_layout():
-    ds = gen_binary(BinaryScenario(n_train=120, n_test=30, seed=9))
+    ds = DataSpec(n_train=120, n_test=30).dataset(9)
     train, test, _ = DataSpec(n_train=120, n_test=30).make(9)
     assert train.n_rows == 120 and test.n_rows == 30
     assert np.array_equal(train.values, ds.values[:120])
@@ -53,18 +44,16 @@ def test_scenario_split_row_layout():
 
 
 def test_correlated_at_zero_reproduces_binary():
-    sc = BinaryScenario(n_train=150, n_test=0, seed=5)
-    base = gen_binary(sc)
-    zero = gen_correlated(sc, 0.0)
+    base = DataSpec(n_train=150, n_test=0).dataset(5)
+    zero = DataSpec("correlated", n_train=150, n_test=0, s=0.0).dataset(5)
     assert np.array_equal(base.values, zero.values)
     assert np.array_equal(base.choice, zero.choice)
 
 
 def test_correlated_monotone_in_s():
-    sc = BinaryScenario(n_train=4000, n_test=0, seed=3)
     r = []
     for s in (0.0, 0.4, 0.8, 1.0):
-        ds = gen_correlated(sc, s)
+        ds = DataSpec("correlated", n_train=4000, n_test=0, s=s).dataset(3)
         r.append(np.corrcoef(ds.col("p1"), ds.col("q1"))[0, 1])
     assert r[0] < 0.1
     assert r[0] < r[1] < r[2] < r[3]
@@ -72,23 +61,55 @@ def test_correlated_monotone_in_s():
 
 
 def test_correlated_validates_s():
-    sc = BinaryScenario(n_train=10, n_test=0)
     for s in (-0.1, 1.5):
-        with pytest.raises(ValueError, match="s must be in"):
-            gen_correlated(sc, s)
+        with pytest.raises(ValueError, match=r"correlation level s must be in \[0, 1\]"):
+            DataSpec("correlated", n_train=10, n_test=0, s=s)
+
+
+@pytest.mark.parametrize("fields, message", [
+    ({"scenario": "binray"}, r"unknown scenario 'binray', not one of \['binary', "),
+    ({"scenario": "semi-synthetic"}, "unknown scenario"),
+    ({"n_train": 0}, "n_train must be an integer >= 1, got 0"),
+    ({"n_train": -5}, "n_train must be an integer >= 1"),
+    ({"n_train": 10.0}, "n_train must be an integer"),
+    ({"n_train": True}, "n_train must be an integer"),
+    ({"n_test": -1}, "n_test must be an integer >= 0"),
+    ({"n_test": "5"}, "n_test must be an integer"),
+    ({"beta_p": math.nan}, "beta_p must be a finite number, got nan"),
+    ({"beta_qc": -math.inf}, "beta_qc must be a finite number"),
+    ({"beta_u": "1"}, "beta_u must be a finite number"),
+    ({"scenario": "guevara", "s": 1.5}, r"s must be in \[0, 1\], got 1.5"),
+    ({"scenario": "unobserved", "s": -0.2}, r"s must be in \[0, 1\]"),
+    ({"s": math.nan}, "s must be a finite number"),
+])
+def test_dataspec_checks_every_field_when_built(fields, message):
+    with pytest.raises(ValueError, match=message):
+        DataSpec(**fields)
+
+
+def test_each_scenario_is_drawn_by_its_own_generator():
+    for name in SCENARIOS:
+        ds = DataSpec(name, n_train=6, n_test=2, s=0.5).dataset(3)
+        assert ds.meta["scenario"] == name and ds.meta["seed"] == 3 and ds.n_rows == 8
+
+
+def test_dataspec_accepts_its_edges_and_numpy_scalars():
+    for fields in ({"n_train": 1, "n_test": 0}, {"s": 0.0}, {"s": 1.0},
+                   {"n_train": np.int64(5), "beta_p": np.float64(-2.0), "beta_u": 2}):
+        DataSpec(**fields)
 
 
 def test_unobserved_shifts_choices_not_columns():
-    sc = BinaryScenario(n_train=800, n_test=0, seed=2)
-    base = gen_binary(sc)
-    shifted = gen_with_unobserved(sc, beta_u=3.0)
+    base = DataSpec(n_train=800, n_test=0).dataset(2)
+    shifted = DataSpec("unobserved", n_train=800, n_test=0, beta_u=3.0).dataset(2)
     assert np.array_equal(base.values, shifted.values)
     assert not np.array_equal(base.choice, shifted.choice)
     assert shifted.meta["truth"]["beta_u"] == 3.0
 
 
 def test_guevara_price_is_endogenous():
-    ds = gen_guevara(n=4000, seed=0)
+    ds = DataSpec("guevara", n_train=3000, n_test=1000).dataset(0)
+    assert ds.n_rows == 4000
     for alt in ("1", "2"):
         rho = np.corrcoef(ds.col(f"p{alt}"), ds.col(f"q{alt}"))[0, 1]
         assert rho > 0.4  # q enters the price equation with coefficient 1
@@ -112,6 +133,14 @@ def test_attribute_table_marginals():
     assert age.min() >= 1 and age.max() <= 5
     assert ds.col("DEST").max() <= 26 and ds.col("INCOME").min() >= 0
     assert ds.col("PURPOSE").max() <= 9
+
+
+@pytest.mark.parametrize("n", [0, -3, 2.5])
+def test_attribute_table_rejects_a_bad_row_count(n):
+    with pytest.raises(ValueError, match="n must be an integer >= 1"):
+        sample_attribute_table(n, seed=0)
+    with pytest.raises(ValueError, match="n must be an integer >= 1"):
+        gen_semi_synthetic(n=n, seed=0)
 
 
 def test_semi_synthetic_scaled_categories():
