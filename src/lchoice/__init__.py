@@ -25,7 +25,6 @@ from .dataio import (
     correlation_matrix,
     generic_schema,
     load_csv,
-    load_truth,
     optima_schema,
     preprocess_optima,
     preprocess_swissmetro,
@@ -38,11 +37,9 @@ from .estimation import (
     BETA_THEN_NET,
     NET_THEN_BETA,
     EstimationReport,
-    accuracy,
     fit_joint,
     fit_sequential,
     hessian_std_errors,
-    log_likelihood,
     mcfadden_rho2,
     null_log_likelihood,
     parameter_ratio,
@@ -59,8 +56,6 @@ from .models import (
     UtilityTerm,
     build_model,
     load_model,
-    mnl_probabilities,
-    nested_probabilities,
     predict_probabilities,
     save_model,
     systematic_utility,

@@ -313,6 +313,9 @@ def monte_carlo(data: DataSpec, recipes: tuple[ModelRecipe, ...],
     """
     if replications < 1:
         raise ValueError("replications must be >= 1")
+    if data.n_test < 1:
+        raise ValueError(f"a campaign scores every fit on test rows: n_test must be >= 1, "
+                         f"got {data.n_test}")
     base_config = base_config or TrainConfig()
     if seeds is None:
         seeds = [derive_seed(seed, StreamId.REPLICATION + r) for r in range(replications)]

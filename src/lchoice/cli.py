@@ -284,13 +284,17 @@ def cmd_estimate(args) -> int:
 
 def cmd_generate(args) -> int:
     name = args.scenario
+    # the DataSpec flags given, past the scenario and --n; the rest keep DataSpec's defaults
+    given = {f.name: v for f in fields(DataSpec)[2:] if (v := getattr(args, f.name)) is not None}
     if name == "semi-synthetic":
+        if given:
+            raise ConfigError(f"semi-synthetic reads only --n and --seed, not "
+                              f"--{next(iter(given)).replace('_', '-')}")
         ds = synthgen.gen_semi_synthetic(n=args.n, seed=args.seed)
     else:
-        given = {f.name: getattr(args, f.name) for f in fields(DataSpec) if hasattr(args, f.name)}
-        # guevara has no test block: it writes exactly --n rows
-        n_test = 0 if name == "guevara" else args.n_test
-        ds = DataSpec(**given | {"n_train": args.n, "n_test": n_test}).dataset(args.seed)
+        if name == "guevara":
+            given["n_test"] = 0  # guevara has no test block: it writes exactly --n rows
+        ds = DataSpec(name, args.n, **given).dataset(args.seed)
     stem = Path(args.out_dir) / name
     stem.parent.mkdir(parents=True, exist_ok=True)
     ds.to_csv(f"{stem}.csv")
@@ -393,11 +397,9 @@ def _build_parser() -> argparse.ArgumentParser:
     # every DataSpec scenario, plus the one `generate` can only write to a file
     gen.add_argument("scenario", choices=(*SCENARIOS, "semi-synthetic"))
     gen.add_argument("--n", type=int, default=DataSpec.n_train, help="rows (training block)")
-    gen.add_argument("--n-test", type=int, default=DataSpec.n_test)
-    for f in fields(DataSpec):
-        if isinstance(f.default, float):
-            gen.add_argument(f"--{f.name.replace('_', '-')}", type=float, default=f.default,
-                             help=f"DataSpec.{f.name} (default %(default)s)")
+    for f in fields(DataSpec)[2:]:
+        gen.add_argument(f"--{f.name.replace('_', '-')}", type=type(f.default),
+                         help=f"DataSpec.{f.name} (default {f.default})")
     common(gen)
     gen.set_defaults(func=cmd_generate)
 

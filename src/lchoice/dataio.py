@@ -8,7 +8,6 @@ alternative and a 0-based ``CHOICE`` column.
 
 from __future__ import annotations
 
-import ast
 import codecs
 import csv
 import warnings
@@ -417,17 +416,3 @@ def save_truth(path: str, truth: dict) -> None:
     with open(path, "w") as fh:
         for k, v in truth.items():
             fh.write(f"{k}={v!r}\n")
-
-
-def load_truth(path: str) -> dict:
-    out: dict = {}
-    with open(path) as fh:
-        for line in fh:
-            if not line.strip():
-                continue
-            k, _, v = line.partition("=")
-            try:
-                out[k.strip()] = ast.literal_eval(v.strip())
-            except (ValueError, SyntaxError):
-                out[k.strip()] = v.strip()
-    return out

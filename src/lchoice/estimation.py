@@ -41,22 +41,6 @@ def _accuracy(p: np.ndarray, ds: ChoiceDataset) -> float:
     return float((pred == ds.choice).mean())
 
 
-def _scored_probabilities(model: HybridChoiceModel, ds: ChoiceDataset) -> np.ndarray:
-    """Eval-mode probabilities of a dataset whose choices passed `validate_choices`."""
-    ds.validate_choices()
-    return predict_probabilities(model, ds)
-
-
-def log_likelihood(model: HybridChoiceModel, ds: ChoiceDataset) -> float:
-    """Sum over rows of ln P(chosen), eval-mode forward, floored probabilities."""
-    return _log_likelihood(_scored_probabilities(model, ds), ds)
-
-
-def accuracy(model: HybridChoiceModel, ds: ChoiceDataset) -> float:
-    """Share of rows whose highest-probability available alternative was chosen."""
-    return _accuracy(_scored_probabilities(model, ds), ds)
-
-
 def null_log_likelihood(ds: ChoiceDataset) -> float:
     """Equal shares over the available alternatives of each row."""
     return float(-np.log(ds.avail.sum(axis=1)).sum())

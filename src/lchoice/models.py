@@ -16,8 +16,7 @@ import numpy as np
 
 from .dataio import ChoiceDataset, DataError
 from .numcore import prng
-from .numcore.program import (ModelProgram, choice_fault, empty_net, eval_inputs,
-                              first_nonfinite, masked_softmax, nest_layout, nested_parts,
+from .numcore.program import (ModelProgram, empty_net, eval_inputs, first_nonfinite,
                               probabilities, single_nest, utilities)
 
 KIND_LOGIT = "Logit"
@@ -325,45 +324,6 @@ def systematic_utility(model: HybridChoiceModel, ds: ChoiceDataset) -> np.ndarra
     """Eval-mode utilities V = linear + net, (n, I)."""
     prog = model.program_for(ds)
     return utilities(prog, *eval_inputs(prog, ds.values))
-
-
-def _utility_rows(v: np.ndarray, avail: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-    """Utilities as new float64 rows and the unavailable mask, all available by default.
-
-    Raises if a row has no available alternative."""
-    v = np.atleast_2d(np.asarray(v, dtype=np.float64))
-    avail = np.ones_like(v) if avail is None else np.atleast_2d(np.asarray(avail, dtype=np.float64))
-    v, unavail = np.broadcast_arrays(v, ~(avail > 0))
-    if fault := choice_fault(unavail):
-        raise ValueError(fault)
-    return v.copy(), unavail
-
-
-def mnl_probabilities(v: np.ndarray, avail: np.ndarray | None = None) -> np.ndarray:
-    """Availability-masked multinomial logit probabilities from utilities.
-
-    Unavailable alternatives get probability exactly 0.  Raises if a row has
-    no available alternative.
-    """
-    was_1d = np.asarray(v).ndim == 1
-    p = masked_softmax(*_utility_rows(v, avail))
-    return p[0] if was_1d else p
-
-
-def nested_probabilities(v: np.ndarray, nests: NestStructure,
-                         alt_labels: tuple[str, ...],
-                         avail: np.ndarray | None = None) -> np.ndarray:
-    """Two-level nested logit probabilities from utilities.
-
-    Each nest forms a scaled logsum over its available members; nests then
-    compete through their logsums.  At mu = 1 everywhere this reduces to
-    `mnl_probabilities` exactly.
-    """
-    was_1d = np.asarray(v).ndim == 1
-    v, unavail = _utility_rows(v, avail)
-    alt_nest, _ = nests.resolve(alt_labels)
-    p = nested_parts(v, unavail, nest_layout(alt_nest, nests.mu.shape[0]), nests.mu)["probs"]
-    return p[0] if was_1d else p
 
 
 def predict_probabilities(model: HybridChoiceModel, ds: ChoiceDataset) -> np.ndarray:

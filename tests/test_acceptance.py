@@ -23,12 +23,12 @@ import scipy.optimize
 from fd_util import max_rel_error, numeric_gradients, random_instance
 from lchoice import analysis
 from lchoice.analysis import DataSpec
-from lchoice.dataio import (load_csv, optima_schema, preprocess_optima,
+from lchoice.dataio import (ChoiceDataset, load_csv, optima_schema, preprocess_optima,
                             preprocess_swissmetro, split, swissmetro_schema)
 from lchoice.estimation import fit_joint, parameter_ratio
 from lchoice.models import (NestStructure, UtilitySpec, UtilityTerm,
-                            build_model, load_model_dict, mnl_probabilities,
-                            nested_probabilities, save_model_dict, systematic_utility)
+                            build_model, load_model_dict, predict_probabilities,
+                            save_model_dict, systematic_utility)
 from lchoice.numcore import TrainConfig, compile_inputs, gradients, loss_value
 from lchoice.numcore.prng import derive_seed
 
@@ -127,7 +127,7 @@ def test_criterion_01_gradient_oracle():
 
 
 def test_criterion_02_nested_reduces_to_plain():
-    """With every nest factor at 1, nested probabilities are plain ones."""
+    """With every nest factor at 1, an LNL's probabilities are a plain logit's."""
     rng = np.random.default_rng(42)
     checked = 0
     while checked < 1000:
@@ -146,8 +146,17 @@ def test_criterion_02_nested_reduces_to_plain():
         v = rng.normal(0.0, 2.0, (n, n_alts))
         avail = (rng.random((n, n_alts)) > 0.2).astype(np.float64)
         avail[avail.sum(axis=1) == 0, 0] = 1.0
-        p_nested = nested_probabilities(v, nests, labels, avail)
-        p_plain = mnl_probabilities(v, avail)
+        # utility v_i through one unit coefficient; a fresh net's output layer is
+        # zero, so the LNL carries the same utility as the Logit
+        columns = [f"v{i}" for i in range(n_alts)] + ["q"]
+        ds = ChoiceDataset(columns, np.column_stack([v, rng.normal(size=n)]), avail,
+                           avail.argmax(axis=1), labels)
+        utility = UtilitySpec((term("beta_v", dict(zip(labels, columns))),))
+        nested = build_model("LNL", labels, utility, q=("q",), net_width=3, nests=nests)
+        plain = build_model("Logit", labels, utility)
+        nested.beta[:] = plain.beta[:] = 1.0
+        p_nested = predict_probabilities(nested, ds)
+        p_plain = predict_probabilities(plain, ds)
         assert np.abs(p_nested - p_plain).max() < 1e-12
         checked += n
 

@@ -191,6 +191,14 @@ def test_a_bad_scenario_raises_before_any_task(monkeypatch):
     with pytest.raises(ValueError, match=r"s must be in \[0, 1\], got 1.2"):
         correlation_bias_sweep((0.0, 1.2), 1, scenario=TINY, recipes=correlation_zoo(4)[:1],
                                base_config=TINY_CFG, jobs=2)
+    # n_test = 0 once ran every replication and recorded each as failed: "test set has no
+    # rows"; DataSpec itself accepts it, since generate writes such a set
+    no_test = DataSpec("binary", n_train=100, n_test=0)
+    with pytest.raises(ValueError, match=r"n_test must be >= 1, got 0"):
+        monte_carlo(no_test, binary_zoo(5)[:1], 1, TrainConfig(epochs=1), jobs=2)
+    with pytest.raises(ValueError, match=r"n_test must be >= 1, got 0"):
+        correlation_bias_sweep((0.0, 0.5), 1, scenario=no_test, recipes=correlation_zoo(4)[:1],
+                               base_config=TINY_CFG, jobs=2)
     assert calls == []
 
 

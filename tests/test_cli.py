@@ -13,7 +13,7 @@ import yaml
 from lchoice import DataSpec, analysis, cli, fit_joint
 from lchoice.analysis import write_csv_rows
 from lchoice.cli import main
-from lchoice.dataio import (SWISSMETRO_SCALED, generic_schema, load_csv, load_truth,
+from lchoice.dataio import (SWISSMETRO_SCALED, generic_schema, load_csv,
                             preprocess_swissmetro, swissmetro_schema)
 from lchoice.numcore import TrainConfig
 from test_dataio import write_unclosed_quote
@@ -76,8 +76,8 @@ def test_generate_writes_dataset_and_truth(tmp_path, capsys):
                  "--out-dir", str(out), "--seed", "3"])
     assert code == 0
     assert (out / "binary.csv").exists()
-    truth = load_truth(str(out / "binary.truth.txt"))
-    assert truth["beta_p"] == -1.0 and truth["beta_qc"] == 1.0
+    truth = (out / "binary.truth.txt").read_text().splitlines()
+    assert "beta_p=-1.0" in truth and "beta_qc=1.0" in truth
     assert "generate: binary rows=60" in capsys.readouterr().out
 
 
@@ -98,27 +98,31 @@ def test_generate_writes_the_dataspec_dataset(tmp_path):
     assert written.columns == want.columns
     assert np.array_equal(written.values, want.values)
     assert np.array_equal(written.choice, want.choice)
-    assert load_truth(str(out / "correlated.truth.txt")) == want.meta["truth"]
+    assert ((out / "correlated.truth.txt").read_text().splitlines()
+            == [f"{k}={v!r}" for k, v in want.meta["truth"].items()])
     # guevara has no test block: it writes --n rows, whatever --n-test says
     assert main(["generate", "guevara", "--n", "40", "--n-test", "10",
                  "--out-dir", str(out)]) == 0
     assert len((out / "guevara.csv").read_text().splitlines()) == 1 + 40
 
 
-def test_generate_flag_defaults_are_the_dataspec_defaults():
+def test_generate_flag_defaults_are_the_dataspec_defaults(tmp_path):
+    # a flag not given is left to DataSpec, so that semi-synthetic can tell it was not given
     args = cli._build_parser().parse_args(["generate", "binary"])
-    flags = {f.name: getattr(args, {"n_train": "n", "n_test": "n_test"}.get(f.name, f.name))
-             for f in fields(DataSpec) if f.name != "scenario"}
-    assert flags == {f.name: f.default for f in fields(DataSpec) if f.name != "scenario"}
-    assert len(flags) == 8
+    assert args.n == DataSpec.n_train
+    flags = {f.name: getattr(args, f.name) for f in fields(DataSpec)[2:]}
+    assert flags == dict.fromkeys(flags) and len(flags) == 7
+    out = tmp_path / "data"
+    assert main(["generate", "unobserved", "--n", "30", "--out-dir", str(out)]) == 0
+    written = load_csv(str(out / "unobserved.csv"), generic_schema(("1", "2")))
+    assert np.array_equal(written.values, DataSpec("unobserved", 30).dataset(0).values)
 
 
 def test_generate_semi_synthetic(tmp_path):
     out = tmp_path / "semi"
     assert main(["generate", "semi-synthetic", "--n", "60",
                  "--out-dir", str(out)]) == 0
-    truth = load_truth(str(out / "semi-synthetic.truth.txt"))
-    assert truth == {"b_tt": -1.0, "b_tc": -2.0}
+    assert (out / "semi-synthetic.truth.txt").read_text() == "b_tt=-1.0\nb_tc=-2.0\n"
 
 
 @pytest.mark.parametrize("argv, message", [
@@ -131,9 +135,13 @@ def test_generate_semi_synthetic(tmp_path):
     (["unobserved", "--beta-u", "inf"], "beta_u must be a finite number, got inf"),
     (["semi-synthetic", "--n", "0"], "n must be an integer >= 1, got 0"),
     (["semi-synthetic", "--n", "-3"], "n must be an integer >= 1, got -3"),
+    (["semi-synthetic", "--n", "20", "--s", "5", "--beta-p", "nan", "--n-test", "-4"],
+     "semi-synthetic reads only --n and --seed, not --n-test"),
+    (["semi-synthetic", "--beta-u", "1.0"], "semi-synthetic reads only --n and --seed, not --beta-u"),
 ])
 def test_generate_refuses_a_bad_scenario_and_writes_nothing(tmp_path, capsys, argv, message):
-    # --n -3 once wrote 197 rows, and semi-synthetic --n 0 exited with a numpy error
+    # --n -3 once wrote 197 rows, semi-synthetic --n 0 exited with a numpy error, and
+    # semi-synthetic once ignored every scenario flag it does not read
     out = tmp_path / "data"
     assert main(["generate", *argv, "--out-dir", str(out)]) == 2
     assert f"error: {message}" in capsys.readouterr().err
@@ -696,6 +704,9 @@ def test_experiment_montecarlo_tiny(tmp_path):
     assert {"table", "model", "metric", "value"} <= set(rows[0])
 
 
+NO_TEST_ROWS = "a campaign scores every fit on test rows: n_test must be >= 1, got 0"
+
+
 @pytest.mark.parametrize("kind, scenario, message", [
     ("montecarlo", {"name": "correlated", "s": 1.5},
      "correlation level s must be in [0, 1], got 1.5"),
@@ -704,6 +715,8 @@ def test_experiment_montecarlo_tiny(tmp_path):
     ("neuron-scan", {"name": "binary", "n_test": -1}, "n_test must be an integer >= 0"),
     ("correlation-sweep", {"n_train": "many"}, "n_train must be an integer >= 1, got 'many'"),
     ("strategy-compare", {"beta_a": math.inf}, "beta_a must be a finite number, got inf"),
+    ("montecarlo", {"name": "binary", "n_train": 100, "n_test": 0}, NO_TEST_ROWS),
+    ("correlation-sweep", {"n_test": 0}, NO_TEST_ROWS),
 ])
 def test_experiment_refuses_a_bad_scenario_before_any_fit(tmp_path, capsys, monkeypatch,
                                                           kind, scenario, message):

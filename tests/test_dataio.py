@@ -1,5 +1,6 @@
 """Dataset container, CSV IO, splits, and the canonical preprocessors."""
 
+import ast
 import csv
 import os
 import re
@@ -22,7 +23,6 @@ from lchoice import (
     gen_semi_synthetic,
     generic_schema,
     load_csv,
-    load_truth,
     optima_schema,
     preprocess_optima,
     preprocess_swissmetro,
@@ -681,11 +681,7 @@ def test_truth_sidecar_round_trip(tmp_path):
     truth = {"beta_p": -1.0, "beta_qc": 0.5, "n": 1000, "scenario": "binary"}
     path = tmp_path / "truth.txt"
     save_truth(str(path), truth)
-    assert load_truth(str(path)) == truth
-
-
-def test_truth_sidecar_unparseable_value_stays_text(tmp_path):
-    path = tmp_path / "truth.txt"
-    path.write_text("label=plain words\n\nbeta=2.5\n")
-    got = load_truth(str(path))
-    assert got == {"label": "plain words", "beta": 2.5}
+    lines = path.read_text().splitlines()
+    assert lines == ["beta_p=-1.0", "beta_qc=0.5", "n=1000", "scenario='binary'"]
+    # key=repr(value): each value reads back with ast.literal_eval
+    assert {k: ast.literal_eval(v) for k, _, v in (s.partition("=") for s in lines)} == truth

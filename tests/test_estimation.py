@@ -10,12 +10,10 @@ from lchoice import (
     BETA_THEN_NET,
     DataSpec,
     NET_THEN_BETA,
-    accuracy,
     build_model,
     fit_joint,
     fit_sequential,
     hessian_std_errors,
-    log_likelihood,
     mcfadden_rho2,
     null_log_likelihood,
     parameter_ratio,
@@ -60,6 +58,12 @@ def pa_utility():
 # ------------------------------------------------------------------ metrics
 
 
+def unfitted_report(model, train, test=None):
+    """The report of ``model`` as it stands, without standard errors."""
+    return build_report(model, train, test, FitResult("ok", 0, 0, np.zeros(0)),
+                        compute_std_errors=False)
+
+
 def test_log_likelihood_hand_value():
     ds = two_alt_dataset()
     m = unit_beta_model()
@@ -67,7 +71,9 @@ def test_log_likelihood_hand_value():
     expect = (math.log(math.exp(2.0) / (math.exp(2.0) + 1.0))
               + math.log(1.0 / (1.0 + math.exp(3.0)))
               + 0.0)
-    assert abs(log_likelihood(m, ds) - expect) < 1e-12
+    report = unfitted_report(m, ds, ds)
+    assert abs(report.ll_train - expect) < 1e-12
+    assert abs(report.ll_test - expect) < 1e-12
 
 
 def test_accuracy_hand_value():
@@ -75,7 +81,9 @@ def test_accuracy_hand_value():
     m = unit_beta_model()
     # row 0 predicted 0 (correct), row 1 predicted 1 (wrong),
     # row 2 masked argmax is 1 (correct)
-    assert accuracy(m, ds) == pytest.approx(2.0 / 3.0, abs=1e-15)
+    report = unfitted_report(m, ds, ds)
+    assert report.acc_train == pytest.approx(2.0 / 3.0, abs=1e-15)
+    assert report.acc_test == pytest.approx(2.0 / 3.0, abs=1e-15)
 
 
 def test_scorers_reject_a_bad_choice_code(tmp_path):
@@ -85,11 +93,8 @@ def test_scorers_reject_a_bad_choice_code(tmp_path):
     path.write_text("x1,x2,AV_1,AV_2,CHOICE\n2.0,0.0,1,1,0\n0.0,3.0,1,1,-1\n")
     ds = load_csv(str(path), generic_schema(("1", "2")), validate=False)
     m = unit_beta_model()
-    fit = FitResult("ok", 0, 0, np.zeros(0))
-    for score in (lambda: log_likelihood(m, ds), lambda: accuracy(m, ds),
-                  lambda: hessian_std_errors(m, ds),
-                  lambda: build_report(m, ds, None, fit, compute_std_errors=False),
-                  lambda: build_report(m, two_alt_dataset(), ds, fit, compute_std_errors=False)):
+    for score in (lambda: hessian_std_errors(m, ds), lambda: unfitted_report(m, ds),
+                  lambda: unfitted_report(m, two_alt_dataset(), ds)):
         with pytest.raises(DataError, match=r"row 1: choice -1 is not in \[0, 2\)"):
             score()
 
@@ -335,10 +340,10 @@ def test_zero_parameter_model_has_no_std_errors(binary_data):
 def test_fit_improves_log_likelihood(binary_data, quick_config):
     train, test = binary_data
     m = build_model("Logit", ("1", "2"), pa_utility(), seed=0)
-    before = log_likelihood(m, train)
+    before = unfitted_report(m, train).ll_train
     report = fit_joint(m, train, quick_config, test=test, compute_std_errors=False)
     assert report.ll_train > before
-    assert report.ll_train == pytest.approx(log_likelihood(m, train), abs=1e-12)
+    assert report.ll_train == pytest.approx(unfitted_report(m, train).ll_train, abs=1e-12)
 
 
 def test_report_metric_identities(binary_data, quick_config):

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lchoice import DataSpec
+from lchoice import DataSpec, numcore
 from lchoice.models import (
     FeaturePartition,
     NestStructure,
@@ -16,8 +16,6 @@ from lchoice.models import (
     build_model,
     load_model,
     load_model_dict,
-    mnl_probabilities,
-    nested_probabilities,
     predict_probabilities,
     save_model,
     save_model_dict,
@@ -49,6 +47,15 @@ def reference_nested(v, mu, groups, avail=None):
     return p
 
 
+def probabilities_of(v, labels, nests=None, avail=None):
+    """`numcore.probabilities` of bare utilities (n, I), on the program of a built
+    Logit, nested when ``nests`` is given."""
+    model = build_model("Logit", labels, UtilitySpec(intercepts=labels[:1]), nests=nests)
+    v = np.asarray(v, dtype=np.float64)
+    avail = np.ones_like(v) if avail is None else np.asarray(avail, dtype=np.float64)
+    return numcore.probabilities(model.program([]), v, avail)
+
+
 def small_utility():
     return UtilitySpec(
         terms=(
@@ -64,14 +71,14 @@ def small_utility():
 
 def test_mnl_probabilities_hand_value():
     # e^ln2 / (e^ln2 + e^0) = 2/3
-    p = mnl_probabilities(np.array([math.log(2.0), 0.0]))
-    np.testing.assert_allclose(p, [2.0 / 3.0, 1.0 / 3.0], rtol=0, atol=1e-15)
+    p = probabilities_of([[math.log(2.0), 0.0]], ("1", "2"))
+    np.testing.assert_allclose(p, [[2.0 / 3.0, 1.0 / 3.0]], rtol=0, atol=1e-15)
 
 
 def test_mnl_availability_mask():
     v = np.array([[1.0, 5.0, 2.0]])
     avail = np.array([[1.0, 0.0, 1.0]])
-    p = mnl_probabilities(v, avail)
+    p = probabilities_of(v, ("1", "2", "3"), avail=avail)
     assert p[0, 1] == 0.0
     np.testing.assert_allclose(p.sum(), 1.0, rtol=0, atol=1e-15)
     # masked softmax over the two available entries
@@ -83,7 +90,7 @@ def test_nested_probability_frozen_value():
     # three alternatives, nest {1,2} with mu=2 against singleton {3}, V=0:
     # within-nest shares 1/2, nest masses sqrt(2) and 1
     nests = NestStructure((("1", "2"), ("3",)), mu=np.array([2.0, 1.0]))
-    p = nested_probabilities(np.zeros(3), nests, ("1", "2", "3"))
+    p = probabilities_of(np.zeros((1, 3)), ("1", "2", "3"), nests)[0]
     root2 = math.sqrt(2.0)
     expect = np.array([root2 / (root2 + 1) / 2, root2 / (root2 + 1) / 2, 1 / (root2 + 1)])
     assert np.allclose(p, expect, atol=1e-12)
@@ -98,7 +105,7 @@ def test_nested_matches_reference_formula(seed):
     v = rng.normal(0.0, 2.0, size=4)
     mu = np.array([1.0 + rng.uniform(0, 3), 1.0 + rng.uniform(0, 3)])
     nests = NestStructure((("a", "b"), ("c", "d")), mu=mu, fixed=(False, False))
-    p = nested_probabilities(v, nests, ("a", "b", "c", "d"))
+    p = probabilities_of([v], ("a", "b", "c", "d"), nests)[0]
     ref = reference_nested(v, mu, [(0, 1), (2, 3)])
     assert np.allclose(p, ref, atol=1e-12)
     assert abs(p.sum() - 1.0) < 1e-12
@@ -113,8 +120,8 @@ def test_nested_reduces_to_mnl_at_unit_mu(seed):
     avail[avail.sum(axis=1) == 0, 0] = 1.0
     nests = NestStructure((("x", "y"), ("z",)), mu=np.array([1.0, 1.0]),
                           fixed=(False, True))
-    pn = nested_probabilities(v, nests, ("x", "y", "z"), avail)
-    pm = mnl_probabilities(v, avail)
+    pn = probabilities_of(v, ("x", "y", "z"), nests, avail)
+    pm = probabilities_of(v, ("x", "y", "z"), avail=avail)
     assert np.max(np.abs(pn - pm)) < 1e-12
 
 
@@ -123,15 +130,15 @@ def test_nested_shift_invariance():
     v = rng.normal(size=4)
     nests = NestStructure((("a", "b", "c"), ("d",)), mu=np.array([1.7, 1.0]))
     labels = ("a", "b", "c", "d")
-    p0 = nested_probabilities(v, nests, labels)
-    p1 = nested_probabilities(v + 123.4, nests, labels)
+    p0 = probabilities_of([v], labels, nests)
+    p1 = probabilities_of([v + 123.4], labels, nests)
     assert np.allclose(p0, p1, atol=1e-12)
 
 
 def test_nested_unavailable_alternative_gets_zero():
     nests = NestStructure((("a", "b"), ("c",)), mu=np.array([1.5, 1.0]))
     avail = np.array([1.0, 0.0, 1.0])
-    p = nested_probabilities(np.array([0.3, 9.0, -0.2]), nests, ("a", "b", "c"), avail)
+    p = probabilities_of([[0.3, 9.0, -0.2]], ("a", "b", "c"), nests, [avail])[0]
     assert p[1] == 0.0
     ref = reference_nested([0.3, 9.0, -0.2], [1.5, 1.0], [(0, 1), (2,)], avail)
     assert np.allclose(p, ref, atol=1e-12)

@@ -2,6 +2,7 @@
 
 import ast
 import math
+import re
 import tracemalloc
 from dataclasses import fields
 from pathlib import Path
@@ -13,7 +14,6 @@ from hypothesis import strategies as st
 
 from fd_util import max_rel_error, numeric_gradients, random_instance
 from lchoice import numcore
-from lchoice.models import mnl_probabilities
 from lchoice.numcore import (PROB_FLOOR, TrainConfig, compile_inputs, eval_inputs, fit_program,
                              gradients, input_gradients, loss_value, net_forward, sample_nll)
 from lchoice.numcore import prng, program
@@ -90,14 +90,23 @@ def test_counter_addressing_property(seed, start, n):
 # ---------------------------------------------------------------------------
 # softmax / cross entropy
 
+def _plain_program(n_alts):
+    """A plain logit program with no terms: `probabilities` of bare utilities."""
+    from lchoice.numcore.program import ModelProgram, empty_net, single_nest
+    none = np.zeros(0, dtype=np.int64)
+    return ModelProgram(n_alts, 0, none, none, none, np.zeros(0), none,
+                        *empty_net(n_alts), *single_nest(n_alts), False)
+
+
 def test_softmax_two_thirds_one_third():
     # e^ln2 / (e^ln2 + e^0) = 2/3
-    p = mnl_probabilities(np.array([math.log(2.0), 0.0]))
-    np.testing.assert_allclose(p, [2.0 / 3.0, 1.0 / 3.0], rtol=0, atol=1e-15)
+    p = numcore.probabilities(_plain_program(2), np.array([[math.log(2.0), 0.0]]), np.ones((1, 2)))
+    np.testing.assert_allclose(p, [[2.0 / 3.0, 1.0 / 3.0]], rtol=0, atol=1e-15)
 
 
 def test_softmax_masks_unavailable_to_exact_zero():
-    p = mnl_probabilities(np.array([[5.0, 1.0, 3.0]]), np.array([[1.0, 0.0, 1.0]]))
+    p = numcore.probabilities(_plain_program(3), np.array([[5.0, 1.0, 3.0]]),
+                              np.array([[1.0, 0.0, 1.0]]))
     assert p[0, 1] == 0.0
     np.testing.assert_allclose(p.sum(), 1.0, atol=1e-15)
     # renormalises over the available pair
@@ -105,20 +114,19 @@ def test_softmax_masks_unavailable_to_exact_zero():
     np.testing.assert_allclose(p[0, [0, 2]], expect, atol=1e-15)
 
 
-def test_softmax_shift_invariance_and_1d_parity():
-    v = np.array([0.3, -1.2, 2.0])
-    np.testing.assert_allclose(mnl_probabilities(v), mnl_probabilities(v + 123.4), atol=1e-15)
-    np.testing.assert_array_equal(mnl_probabilities(v), mnl_probabilities(v[None, :])[0])
+def test_softmax_shift_invariance_leaves_the_utilities_unchanged():
+    prog, v, avail = _plain_program(3), np.array([[0.3, -1.2, 2.0]]), np.ones((1, 3))
+    p = numcore.probabilities(prog, v, avail)
+    np.testing.assert_allclose(p, numcore.probabilities(prog, v + 123.4, avail), atol=1e-15)
+    assert v.tolist() == [[0.3, -1.2, 2.0]]  # the softmax runs on a copy
 
 
 def test_softmax_rejects_fully_unavailable_row():
-    prog = _featureful_instance(seed=15)[0]
     avail = np.ones((4, 3))
     avail[2] = 0.0
-    for probs in (lambda: mnl_probabilities(np.zeros((4, 3)), avail),
-                  lambda: numcore.probabilities(prog, np.zeros((4, 3)), avail)):
+    for prog in (_plain_program(3), _featureful_instance(seed=15)[0]):  # plain, nested
         with pytest.raises(ValueError, match="^row 2: no available alternative$"):
-            probs()
+            numcore.probabilities(prog, np.zeros((4, 3)), avail)
 
 
 def test_choice_fault_names_the_first_faulty_row_and_its_first_rule():
@@ -1107,6 +1115,43 @@ def test_benchmark_contract_names_exist():
     assert (bare.hidden_width, bare.has_net, bare.depth) == (0, False, 0)
     for name in ("q_cols", "term_col", "mu_free", "n_params", "use_nests", "mu"):
         assert np.array_equal(getattr(wide, name), getattr(prog, name)), name
+
+
+# public names with no reader in src/, perfbench/ or README, each with its reason
+_TEST_ONLY_EXPORTS = {
+    # the loss that the finite-difference oracle in tests/fd_util.py differentiates;
+    # it shares no code with the gradient it checks
+    "loss_value",
+}
+
+
+def test_public_names_have_readers():
+    # an export that only tests call is a second copy of what runs; read by the AST,
+    # since names such as `accuracy` also appear in docstrings
+    import lchoice
+    package = Path(lchoice.__file__).parent
+    init = ast.parse((package / "__init__.py").read_text())
+    exported = {a.name for node in init.body if isinstance(node, ast.ImportFrom)
+                for a in node.names} | set(numcore.__all__)
+    read = set()
+    for path in package.rglob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text())):
+            if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+                read.add(node.id)
+            elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            elif isinstance(node, ast.ImportFrom):
+                read.update(a.name for a in node.names)
+    reads, wraps = _perfbench_uses()
+    read.update(name for _, name in reads + wraps)
+    readme = (package.parents[1] / "README.md").read_text()
+    library_use = readme.split("## Library use", 1)[1].split("\n## ", 1)[0]
+    read.update(name for name in exported if re.search(rf"\b{name}\b", library_use))
+    unread = sorted(exported - read - _TEST_ONLY_EXPORTS)
+    assert not unread, f"exported with no reader: {unread}"
+    assert _TEST_ONLY_EXPORTS <= exported - read
 
 
 def test_benchmark_stage_replay_runs():
