@@ -41,11 +41,11 @@ class StreamId(IntEnum):
     REPLICATION = 100  # + r: the seed of replication r; a one-off study uses r = 0
 
 
-def mix64(z: np.ndarray) -> np.ndarray:
+def mix64(z: np.ndarray, t: np.ndarray | None = None) -> np.ndarray:
     """splitmix64 finalizer on uint64 values; a uint64 array is mixed in place,
-    through one scratch array, any other input in a copy."""
+    through one scratch array (``t`` when given), any other input in a copy."""
     z = np.asarray(z, dtype=np.uint64)
-    t = np.empty_like(z)
+    t = np.empty_like(z) if t is None else t
     with np.errstate(over="ignore"):
         for shift, mul in ((30, _MIX1), (27, _MIX2)):
             z ^= np.right_shift(z, np.uint64(shift), out=t)
@@ -62,13 +62,13 @@ def derive_seed(seed: int, stream: int) -> int:
     return int(mix64(salted))
 
 
-def _states(seed: int, start: int, n: int) -> np.ndarray:
-    """The mixed states of draws ``start .. start+n-1`` of the stream."""
+def _states(seed: int, start: int, n: int, t: np.ndarray | None = None) -> np.ndarray:
+    """The mixed states of draws ``start .. start+n-1`` of the stream (`mix64`'s ``t``)."""
     states = np.arange(start + 1, start + n + 1, dtype=np.uint64)
     with np.errstate(over="ignore"):
         states *= GAMMA
         states += np.uint64(seed)
-    return mix64(states)
+    return mix64(states, t)
 
 
 def uniforms(seed: int, start: int, n: int) -> np.ndarray:
@@ -89,11 +89,16 @@ class Stream:
         self.count += n
         return uniforms(self.seed, self.count - n, n)
 
-    def keep_mask(self, n: int, rate: float) -> np.ndarray:
-        """``(draw(n) >= rate) / (1 - rate)`` for ``rate`` in [0, 1), bit for bit."""
+    def keep_mask(self, n: int, rate: float, out: np.ndarray | None = None) -> np.ndarray:
+        """``(draw(n) >= rate) / (1 - rate)`` for ``rate`` in [0, 1), bit for bit, into
+        ``out`` (n contiguous float64, the mixing scratch too) when given."""
         self.count += n
         z_min = np.uint64(math.ceil(rate * 2.0**53) << 11)  # u >= rate iff z >= z_min
-        return (_states(self.seed, self.count - n, n) >= z_min) / (1.0 - rate)
+        out = np.empty(n) if out is None else out
+        keep = _states(self.seed, self.count - n, n, out.view(np.uint64)) >= z_min
+        out[...] = keep
+        out *= 1.0 / (1.0 - rate)  # 1.0 * (1 / (1 - rate)) is the kept unit the division gives
+        return out
 
     def uniform(self, n: int, low: float, high: float) -> np.ndarray:
         return low + (high - low) * self.draw(n)

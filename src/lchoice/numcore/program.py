@@ -6,9 +6,9 @@ optional nest assignment.  The functions here are the vectorised numpy
 reference implementation; the trainer calls them batch by batch.
 
 The passes read inputs compiled from a dataset's rows (`compile_inputs`), and
-`gradients` writes into the arrays it is handed, backpropagating only those
-tensors.  Availability is compiled into a boolean "unavailable" mask that
-each pass puts (``np.putmask``) into a fresh array: -inf into the logit's
+`gradients` writes into a per-fit `StepWork`, backpropagating only the tensors
+it names.  Availability is compiled into a boolean "unavailable" mask that
+each pass puts (``np.putmask``) into its arrays: -inf into the logit's
 utilities, UNAVAILABLE into the nested logsum argument ``mu_alt * v``, the
 values ``np.where(avail > 0, ...)`` gave, whatever the utility there.
 Entry points taking 0/1 availability build the mask at their door.
@@ -36,6 +36,7 @@ UNAVAILABLE, not -inf, so every logsum is finite and no shift is -inf.
 
 from __future__ import annotations
 
+import copy
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -96,6 +97,42 @@ class ModelProgram:
         self.hidden_width = self.w_in.shape[1]
         self.has_net = self.hidden_width > 0
         self.depth = self.b_hidden.shape[0] if self.has_net else 0
+
+
+class StepWork:
+    """The arrays of a `gradients` step of up to ``rows`` rows, built once per fit: each
+    layer's weights, bias and activation (overwritten by its gradient), a ReLU gate, the
+    net output, softmax row statistic, dV, X_lin.T @ dV, sel @ beta and the gradients
+    ``out`` (new when None).  ``holes`` False skips the availability mask."""
+
+    def __init__(self, prog: ModelProgram, rows: int, out: dict[str, np.ndarray] | None = None,
+                 holes: bool = True):
+        if out is None:
+            names = ("beta",) + NET_TENSORS * prog.has_net + ("mu",) * prog.use_nests
+            out = {k: np.empty_like(getattr(prog, k)) for k in names}
+        self.out, self.holes, self.rows = out, holes, rows
+        weights, width = [prog.w_in, *prog.w_hidden], prog.hidden_width
+        self.acts = [np.empty((rows, width)) for _ in range(prog.depth)]
+        self.layers = list(zip(weights, prog.b_hidden, self.acts))
+        self.backs = [w.T for w in weights[1:]] + [prog.w_out.T]  # dA of layer l = dZ @ backs[l]
+        self.gate = np.empty((rows, width), dtype=bool)
+        self.r, self.dv = np.empty((2, rows, prog.n_alts))
+        self.stat = np.empty((rows, 1))
+        self.xtdv, self.lin_2d = np.empty((2, prog.lin_cols.shape[0] + 1, prog.n_alts))
+        self.lin = self.lin_2d.reshape(-1)
+        self.grad_w = [out["w_in"], *out["w_hidden"]] if "w_out" in out else []
+        self.grad_b = list(out["b_hidden"]) if "w_out" in out else []
+
+    def sized(self, n: int) -> StepWork:
+        """This workspace for an n-row batch: itself, or a copy viewing its first n rows."""
+        if n == self.rows:
+            return self
+        work = copy.copy(self)
+        work.rows, work.gate, work.r, work.dv, work.stat = n, *(
+            a[:n] for a in (self.gate, self.r, self.dv, self.stat))
+        work.acts = [a[:n] for a in self.acts]
+        work.layers = [(w, b, a) for (w, b, _), a in zip(self.layers, work.acts)]
+        return work
 
 
 def empty_net(n_alts: int) -> tuple[np.ndarray, ...]:
@@ -176,9 +213,9 @@ def _net_blocks(prog: ModelProgram, data: np.ndarray, dv: np.ndarray | None = No
     rows = max(1, EVAL_CELLS // prog.hidden_width)
     out = np.empty((data.shape[0], prog.n_alts if dv is None else prog.q_cols.shape[0]))
     for r in range(0, data.shape[0], rows):
-        cache = None if dv is None else {}
-        v_net = net_output(prog, data[r:r + rows, prog.q_cols], None, cache)
-        out[r:r + rows] = v_net if dv is None else _input_backward(prog, dv[r:r + rows], cache)
+        work = None if dv is None else StepWork(prog, min(rows, data.shape[0] - r), {})
+        v_net = net_output(prog, data[r:r + rows, prog.q_cols], None, work)
+        out[r:r + rows] = v_net if dv is None else net_backward(prog, dv[r:r + rows], work, q=True)
     return out
 
 
@@ -207,9 +244,10 @@ def utilities(prog: ModelProgram, xl: np.ndarray, v_net: np.ndarray | None = Non
 
 
 def linear_block_grad(prog: ModelProgram, xl: np.ndarray, dv: np.ndarray,
-                      out: np.ndarray | None = None) -> np.ndarray:
-    """dbeta = sel.T @ vec(X_lin.T @ dv), (P,): the adjoint of the linear block of `utilities`."""
-    return np.matmul(prog.sel.T, (xl.T @ dv).ravel(), out=out)
+                      out: np.ndarray | None = None, xtdv: np.ndarray | None = None):
+    """dbeta = sel.T @ vec(X_lin.T @ dv), (P,): the adjoint of the linear block of
+    `utilities`, through ``xtdv`` for X_lin.T @ dv when given."""
+    return np.matmul(prog.sel.T, np.matmul(xl.T, dv, out=xtdv).ravel(), out=out)
 
 
 def linear_utilities(prog: ModelProgram, data: np.ndarray) -> np.ndarray:
@@ -218,37 +256,35 @@ def linear_utilities(prog: ModelProgram, data: np.ndarray) -> np.ndarray:
 
 
 def net_output(prog: ModelProgram, q: np.ndarray, mask: np.ndarray | None = None,
-               cache: dict | None = None) -> np.ndarray:
+               work: StepWork | None = None) -> np.ndarray:
     """Representation-net outputs (n, I) from the net inputs Q, (n, Dq).
 
-    ``mask`` is an inverted-dropout mask for the last hidden activation;
-    None means eval mode (identity).  A ``cache`` dict, when given, receives
-    what `net_backward` needs; without one no activation is kept.
-    """
-    a, acts = q, []  # acts: each layer's ReLU output
-    for layer in range(prog.depth):
-        a = a @ (prog.w_in if layer == 0 else prog.w_hidden[layer - 1])
-        a += prog.b_hidden[layer]
+    ``mask`` is an inverted-dropout mask for the last hidden activation; None
+    means eval mode (identity).  Only a workspace ``work`` of n rows keeps the
+    activations, for `net_backward`."""
+    a = q
+    for w, b, act in work.layers if work else zip([prog.w_in, *prog.w_hidden], prog.b_hidden,
+                                                  [None] * prog.depth):
+        a = np.matmul(a, w, out=act)
+        a += b
         np.maximum(a, 0.0, out=a)
-        if cache is not None:
-            acts.append(a)
     if mask is not None:
-        # in place, so the last of ``acts`` holds the dropped-out activation: where
-        # the mask keeps a unit its sign, and so the backward gate ``a > 0``, is
-        # unchanged, and where it drops one `net_backward` has zeroed the gradient
+        # in place, so the last activation is the dropped-out one: where the mask
+        # keeps a unit its sign, and so the backward gate ``a > 0``, is unchanged,
+        # and where it drops one `net_backward` has zeroed the gradient
         a *= mask
-    r = a @ prog.w_out
+    if work is not None:
+        work.q, work.mask = q, mask  # what `net_backward` reads
+    r = np.matmul(a, prog.w_out, out=None if work is None else work.r)
     r += prog.b_out
-    if cache is not None:
-        cache.update(q=q, acts=acts, a_last=a, mask=mask)
     return r
 
 
 def net_forward(prog: ModelProgram, data: np.ndarray,
-                mask: np.ndarray | None = None) -> tuple[np.ndarray, dict]:
-    """`net_output` of a raw (n, D) batch, plus its cache."""
-    cache: dict = {}
-    return net_output(prog, data[:, prog.q_cols], mask, cache), cache
+                mask: np.ndarray | None = None) -> tuple[np.ndarray, StepWork]:
+    """`net_output` of a raw (n, D) batch, plus the workspace `backprop` reads."""
+    work = StepWork(prog, data.shape[0])
+    return net_output(prog, data[:, prog.q_cols], mask, work), work
 
 
 def nest_layout(alt_nest: np.ndarray, n_nests: int) -> NestLayout:
@@ -265,8 +301,9 @@ def nested_parts(v: np.ndarray, unavail: np.ndarray, layout: NestLayout,
                  mu: np.ndarray) -> dict:
     """Per-nest logsums over mu (``scaled``) and probability pieces of the two-level formula.
 
-    ``probs`` is exactly 0 where ``unavail``: through ``p_cond`` in a nest with an
-    available member, through ``p_nest`` in a nest without one."""
+    The probabilities, ``(p_nest @ member.T) * p_cond``, are exactly 0 where
+    ``unavail``: through ``p_cond`` in a nest with an available member, through
+    ``p_nest`` in a nest without one."""
     member, member_t = layout.member, layout.member.T
     mu_alt = member @ mu
     s_arg = mu_alt * v
@@ -278,25 +315,24 @@ def nested_parts(v: np.ndarray, unavail: np.ndarray, layout: NestLayout,
     p_nest = softmax(scaled.copy())
     s_arg -= ln_s @ member_t
     p_cond = np.exp(s_arg, out=s_arg)
-    return {"scaled": scaled, "p_nest": p_nest, "p_cond": p_cond,
-            "probs": (p_nest @ member_t) * p_cond, "mu_alt": mu_alt}
+    return {"scaled": scaled, "p_nest": p_nest, "p_cond": p_cond, "mu_alt": mu_alt}
 
 
-def softmax(z: np.ndarray) -> np.ndarray:
-    """Row-wise exp-normalise ``z`` in place, each row shifted by its max before the exp."""
-    z -= np.maximum.reduce(z, axis=1, keepdims=True)
+def _row_reduce(ufunc: np.ufunc, z: np.ndarray, out: np.ndarray | None) -> np.ndarray:
+    """``ufunc.reduce(z, axis=1, keepdims=True)`` bit for bit; two columns take one
+    binary call, which costs less than the reduction (wider rows do not)."""
+    if z.shape[1] == 2:
+        return ufunc(z[:, :1], z[:, 1:], out=out)
+    return ufunc.reduce(z, axis=1, keepdims=True, out=out)
+
+
+def softmax(z: np.ndarray, stat: np.ndarray | None = None) -> np.ndarray:
+    """Row-wise exp-normalise ``z`` in place, each row shifted by its max before the exp;
+    the row max and then the row sum go into ``stat``, (n, 1), when given."""
+    z -= _row_reduce(np.maximum, z, stat)
     np.exp(z, out=z)
-    z /= np.add.reduce(z, axis=1, keepdims=True)
+    z /= _row_reduce(np.add, z, stat)
     return z
-
-
-def masked_softmax(v: np.ndarray, unavail: np.ndarray) -> np.ndarray:
-    """Multinomial logit probabilities over the available alternatives, (n, I), into ``v``.
-
-    Exactly 0 where ``unavail``.  Rows are not checked for an available
-    alternative: callers check."""
-    np.putmask(v, unavail, -np.inf)
-    return softmax(v)
 
 
 def choice_fault(unavail: np.ndarray, choice: np.ndarray | None = None) -> str | None:
@@ -327,8 +363,11 @@ def probabilities(prog: ModelProgram, v: np.ndarray, avail: np.ndarray) -> np.nd
     if fault := choice_fault(unavail):
         raise ValueError(fault)
     if prog.use_nests:
-        return nested_parts(v, unavail, prog.layout, prog.mu)["probs"]
-    return masked_softmax(v.astype(np.float64), unavail)
+        parts = nested_parts(v, unavail, prog.layout, prog.mu)
+        return (parts["p_nest"] @ prog.layout.member.T) * parts["p_cond"]
+    v = v.astype(np.float64)
+    np.putmask(v, unavail, -np.inf)
+    return softmax(v)
 
 
 def sample_nll(probs: np.ndarray, choice: np.ndarray) -> np.ndarray:
@@ -347,28 +386,32 @@ def loss_value(prog: ModelProgram, data: np.ndarray, avail: np.ndarray,
 
 
 def utility_gradients(prog: ModelProgram, v: np.ndarray, unavail: np.ndarray,
-                      onehot: np.ndarray) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
+                      onehot: np.ndarray, work: StepWork | None = None,
+                      ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Per-row d(-ln P_chosen)/dV and d/dmu (None without nests), and the probabilities.
 
-    Reads the mask and the one-hot choice of `compile_inputs`; the plain logit
-    overwrites ``v`` with its probabilities, the nested logit zeroes it where
-    unavailable, so a non-finite utility there leaves d/dmu finite.  Rows are
-    not checked for an available alternative: callers check once, at entry.
+    Reads the mask and the one-hot choice of `compile_inputs` and overwrites ``v``
+    with the probabilities (the nested logit first reads it with 0 where unavailable,
+    so a non-finite utility there leaves d/dmu finite).  Rows are not checked for an
+    available alternative: callers check once, at entry.
     """
     if not prog.use_nests:
-        p = masked_softmax(v, unavail)
-        return p - onehot, None, p
+        if work is None or work.holes:
+            np.putmask(v, unavail, -np.inf)
+        p = softmax(v, None if work is None else work.stat)
+        return np.subtract(p, onehot, out=None if work is None else work.dv), None, p
     lay = prog.layout
     parts = nested_parts(v, unavail, lay, prog.mu)
-    p, p_nest, p_cond, mu_alt = (parts[k] for k in ("probs", "p_nest", "p_cond", "mu_alt"))
+    p_nest, p_cond, mu_alt = (parts[k] for k in ("p_nest", "p_cond", "mu_alt"))
     np.putmask(v, unavail, 0.0)  # p_cond is 0 there; 0 * inf would make d/dmu NaN
-    # the chosen nest's terms through the one-hot choice (mu is constant within a nest)
-    dv = p + p_cond * (onehot @ (lay.same_nest * (mu_alt - 1.0))) - onehot * mu_alt
     nest_star = onehot @ lay.member
     # expected utility within each nest, availability already folded into p_cond
     ebar = (p_cond * v) @ lay.member
     g = (ebar - parts["scaled"]) / prog.mu
     dmu = (p_nest - nest_star) * g + nest_star * ebar - (onehot * v) @ lay.member
+    p = np.multiply(p_nest @ lay.member.T, p_cond, out=v)
+    # the chosen nest's terms through the one-hot choice (mu is constant within a nest)
+    dv = p + p_cond * (onehot @ (lay.same_nest * (mu_alt - 1.0))) - onehot * mu_alt
     return dv, dmu, p
 
 
@@ -382,63 +425,70 @@ def loss_gradients(prog: ModelProgram, v: np.ndarray, avail: np.ndarray,
     return dv, np.zeros((v.shape[0], prog.mu.shape[0])) if dmu is None else dmu, p
 
 
-def net_backward(prog: ModelProgram, dv: np.ndarray, cache: dict, l2: float,
-                 out: dict[str, np.ndarray]) -> None:
-    """Write the net-weight gradients into ``out`` from already-scaled utility gradients."""
-    acts, mask = cache["acts"], cache["mask"]
-    np.matmul(cache["a_last"].T, dv, out=out["w_out"])
-    np.add.reduce(dv, axis=0, out=out["b_out"])
-    da = dv @ prog.w_out.T
-    if mask is not None:
-        da *= mask
+def net_backward(prog: ModelProgram, dv: np.ndarray, work: StepWork, l2: float = 0.0,
+                 q: bool = False) -> np.ndarray | None:
+    """Backpropagate scaled utility gradients through the workspace's last `net_output`
+    into its net-weight gradients, or with ``q`` return only the gradient in Q; each
+    activation is overwritten by the gradient there once its ReLU gate is taken."""
+    acts, gate, out = work.acts, work.gate, work.out
+    if not q:
+        np.matmul(acts[-1].T, dv, out=out["w_out"])
+        np.add.reduce(dv, axis=0, out=out["b_out"])
+    da = dv
     for layer in range(prog.depth - 1, -1, -1):
-        dz = da
-        dz *= acts[layer] > 0.0
-        np.add.reduce(dz, axis=0, out=out["b_hidden"][layer])
-        if layer == 0:
-            np.matmul(cache["q"].T, dz, out=out["w_in"])
-        else:
-            np.matmul(acts[layer - 1].T, dz, out=out["w_hidden"][layer - 1])
-            da = dz @ prog.w_hidden[layer - 1].T
+        dz = acts[layer]
+        np.greater(dz, 0.0, out=gate)
+        np.matmul(da, work.backs[layer], out=dz)
+        if work.mask is not None and layer == prog.depth - 1:
+            dz *= work.mask
+        dz *= gate
+        if not q:
+            np.add.reduce(dz, axis=0, out=work.grad_b[layer])
+            np.matmul((work.q if layer == 0 else acts[layer - 1]).T, dz, out=work.grad_w[layer])
+        da = dz
+    if q:
+        return da @ prog.w_in.T
     if l2:
         for k in NET_WEIGHTS:
             out[k] += 2.0 * l2 * getattr(prog, k)
 
 
 def backprop(prog: ModelProgram, data: np.ndarray, dv: np.ndarray,
-             cache: dict, l2: float = 0.0) -> dict[str, np.ndarray]:
-    """Parameter gradients of a raw (n, D) batch from already-scaled ``dv``."""
+             work: StepWork, l2: float = 0.0) -> dict[str, np.ndarray]:
+    """Parameter gradients of a raw (n, D) batch from scaled ``dv`` and its `net_forward`."""
     g = {"beta": linear_block_grad(prog, linear_inputs(prog, data), dv)}
     if prog.has_net:
-        g.update((k, np.empty_like(getattr(prog, k))) for k in NET_TENSORS)
-        net_backward(prog, dv, cache, l2, g)
+        net_backward(prog, dv, work, l2)
+        g.update((k, work.out[k]) for k in NET_TENSORS)
     return g
 
 
 def gradients(prog: ModelProgram, xl: np.ndarray, q: np.ndarray, unavail: np.ndarray,
               onehot: np.ndarray, l2: float = 0.0, mask: np.ndarray | None = None,
               reduction: str = "mean", out: dict[str, np.ndarray] | None = None,
+              work: StepWork | None = None, probs: np.ndarray | None = None,
               ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """(gradient of the loss per parameter tensor, probabilities), from `compile_inputs`.
 
-    Writes into the arrays of ``out`` and backpropagates only the tensors it
-    names, so a step handed no net arrays runs no net backward; None means
-    every tensor, in new arrays.  ``reduction`` "mean" is the training loss,
+    Writes into the gradients of ``work``, a `StepWork` of ``prog`` (a new one
+    on ``out`` when None), backpropagating only the tensors they name, and the
+    probabilities into ``probs`` when given.  ``reduction`` "mean" is the training loss,
     mean CE plus the l2 penalty, and each trainer step is this call; "sum" is
     the summed negative log-likelihood (no l2), which inference uses.
     """
-    if out is None:
-        names = ("beta",) + NET_TENSORS * prog.has_net + ("mu",) * prog.use_nests
-        out = {k: np.empty_like(getattr(prog, k)) for k in names}
-    cache = {} if "w_out" in out else None
-    v = utilities(prog, xl, net_output(prog, q, mask, cache) if prog.has_net else None)
-    dv, dmu, p = utility_gradients(prog, v, unavail, onehot)
-    scale, l2 = (v.shape[0], l2) if reduction == "mean" else (1, 0.0)
+    work = StepWork(prog, xl.shape[0], out) if work is None else work.sized(xl.shape[0])
+    out, n = work.out, xl.shape[0]
+    np.matmul(prog.sel, prog.beta, out=work.lin)
+    v = np.matmul(xl, work.lin_2d, out=probs)
+    if prog.has_net:
+        v += net_output(prog, q, mask, work)
+    dv, dmu, p = utility_gradients(prog, v, unavail, onehot, work)
+    scale, l2 = (n, l2) if reduction == "mean" else (1, 0.0)
     dv /= scale
     if "beta" in out:
-        linear_block_grad(prog, xl, dv, out["beta"])
-    if cache is not None:
-        net_backward(prog, dv, cache, l2, out)
+        linear_block_grad(prog, xl, dv, out["beta"], work.xtdv)
+    if "w_out" in out:
+        net_backward(prog, dv, work, l2)
     if "mu" in out:
         dmu /= scale
         np.multiply(np.add.reduce(dmu, axis=0), prog.mu_free > 0, out=out["mu"])
@@ -476,12 +526,3 @@ def input_gradients(prog: ModelProgram, data: np.ndarray, dv: np.ndarray) -> np.
     if not prog.has_net:
         return np.zeros((data.shape[0], 0))
     return _net_blocks(prog, data, dv)
-
-
-def _input_backward(prog: ModelProgram, dv: np.ndarray, cache: dict) -> np.ndarray:
-    """Gradient of sum(dv * V_net) with respect to Q from the eval-mode cache of `net_output`."""
-    da = dv @ prog.w_out.T
-    for layer in range(prog.depth - 1, -1, -1):
-        dz = da * (cache["acts"][layer] > 0.0)
-        da = dz @ (prog.w_in if layer == 0 else prog.w_hidden[layer - 1]).T
-    return da

@@ -6,8 +6,9 @@ availability as a boolean "unavailable" mask, the choice one-hot), refilled in
 place from the dataset once per epoch with that epoch's permutation of the
 rows, so each batch is a contiguous slice.  Every trained tensor is a view
 into one flat vector, its gradient a view into another that `gradients`
-writes (tensors a phase does not train are not backpropagated); Adam, the
-divergence snapshot and the rollback are each in-place vector operations.
+writes through one `program.StepWork` per fit (tensors a phase does not train
+are not backpropagated).  Adam stacks its two moments as one (2, P) array; it,
+the divergence snapshot and the rollback are in-place vector operations.
 
 Stream contract: the fit reads stream ``StreamId.FIT`` of ``config.seed``
 (`prng`) in order.  Per epoch it takes N permutation keys and then, per batch
@@ -24,7 +25,7 @@ from __future__ import annotations
 
 import math
 import numbers
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
@@ -38,6 +39,7 @@ from . import program as pr
 DRAW_CAP = 16_000
 # Adam's moment decay rates and the floor added to its denominator
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-7
+_FIELD_KINDS = {"int": (numbers.Integral, "an integer"), "float": (numbers.Real, "a real number")}
 
 
 def active_backend() -> str:
@@ -57,10 +59,10 @@ class TrainConfig:
     learning_rate: float = 0.001
 
     def __post_init__(self) -> None:
-        for name in ("epochs", "batch_size", "seed"):
-            value = getattr(self, name)
-            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
-                raise ValueError(f"{name} must be an integer, got {value!r}")
+        for f in fields(self):  # a bool is neither an int nor a float here
+            (kind, what), value = _FIELD_KINDS[f.type], getattr(self, f.name)
+            if isinstance(value, bool) or not isinstance(value, kind):
+                raise ValueError(f"{f.name} must be {what}, got {value!r}")
         if self.epochs < 0 or self.batch_size < 1:
             raise ValueError("epochs must be >= 0 and batch_size >= 1")
         if not 0.0 <= self.dropout < 1.0:
@@ -108,49 +110,56 @@ def fit_program(prog: pr.ModelProgram, data: np.ndarray, avail: np.ndarray,
     names += ["mu"] if fit_mu else []
     tensors = [getattr(prog, k) for k in names]
     flat = np.concatenate([a.ravel() for a in tensors] + [np.zeros(0)])
-    # gradient, Adam moments and two Adam work vectors, laid out like `flat`
-    grad, m1, m2, step, denom = np.zeros((5, flat.size))
+    grad = np.zeros(flat.size)  # laid out like `flat`, as are Adam's rows below
+    moments, adam = np.zeros((2, 2, flat.size))  # (m1, m2) and two work rows
     bounds = np.cumsum([a.size for a in tensors])[:-1]
     views, grads = ({k: part.reshape(a.shape)
                      for k, part, a in zip(names, np.split(vec, bounds), tensors)}
                     for vec in (flat, grad))
-    work = replace(prog, **views)  # the program, reading the trained tensors from `flat`
+    trained = replace(prog, **views)  # the program, reading the trained tensors from `flat`
+    work = pr.StepWork(trained, min(bs, n), grads, holes=not (avail > 0).all())
     good = flat.copy()
     probs = np.empty((n, prog.n_alts))
     inputs, chs = None, np.empty(n, dtype=np.int64)  # the epoch's rows, refilled in place
+    batches = []  # per batch: first row, views of `inputs` and `probs`, mask, workspace
+    mask_cells = np.empty(min(rows_per_draw, n) * width * dropout_on)  # one draw's masks
+    masks = mask_cells.reshape(-1, width) if dropout_on else None
 
     lr, b1, b2, eps = config.learning_rate, ADAM_BETA1, ADAM_BETA2, ADAM_EPS
     b1p = b2p = 1.0
+    decay, corr = np.array([[b1], [b2]]), np.empty((2, 1))  # corr: 1 - b**t, bias corrections
+    rates, (adam1, adam2) = 1.0 - decay, adam
     trace = np.full(config.epochs, np.nan)
     status, epochs_run = "ok", 0
 
     for epoch in range(config.epochs):
         perm = np.argsort(stream.draw(n))
-        xls, qs, uns, ys = inputs = pr.compile_inputs(prog, data, avail, choice, perm, inputs)
+        inputs = pr.compile_inputs(prog, data, avail, choice, perm, inputs)
         np.take(choice, perm, out=chs)
-        for start in range(0, n, bs):
-            b = slice(start, start + bs)  # the last batch stops at n
-            mask = None
-            if dropout_on:
-                at = start % rows_per_draw
-                if at == 0:
-                    rows = min(rows_per_draw, n - start)
-                    masks = stream.keep_mask(rows * width, config.dropout).reshape(rows, width)
-                mask = masks[at:at + bs]
-            _, probs[b] = pr.gradients(work, xls[b], qs[b], uns[b], ys[b], l2, mask, out=grads)
+        if not batches:  # every epoch refills the same buffers, so their views last the fit
+            for start in range(0, n, bs):
+                b, at, rows = slice(start, start + bs), start % rows_per_draw, min(bs, n - start)
+                batches.append((start, [a[b] for a in inputs], probs[b],
+                                masks[at:at + rows] if dropout_on else None, work.sized(rows)))
+        for start, batch, batch_probs, mask, batch_work in batches:
+            if dropout_on and start % rows_per_draw == 0:
+                cells = min(rows_per_draw, n - start) * width
+                stream.keep_mask(cells, config.dropout, out=mask_cells[:cells])
+            pr.gradients(trained, *batch, l2, mask, work=batch_work, probs=batch_probs)
 
             # Adam: m1 = b1*m1 + (1-b1)*g, m2 = b2*m2 + ((1-b2)*g)*g,
             # flat -= (lr*(m1/c1)) / (sqrt(m2/c2) + eps), in that order of operations
-            b1p *= b1
-            b2p *= b2
-            m1 *= b1
-            m1 += np.multiply(grad, 1.0 - b1, out=step)
-            m2 *= b2
-            m2 += np.multiply(np.multiply(grad, 1.0 - b2, out=step), grad, out=step)
-            np.sqrt(np.divide(m2, 1.0 - b2p, out=denom), out=denom)
-            denom += eps
-            np.multiply(np.divide(m1, 1.0 - b1p, out=step), lr, out=step)
-            flat -= np.divide(step, denom, out=step)
+            b1p, b2p = b1p * b1, b2p * b2
+            corr[0, 0], corr[1, 0] = 1.0 - b1p, 1.0 - b2p
+            moments *= decay
+            np.multiply(grad, rates, out=adam)
+            adam2 *= grad
+            moments += adam
+            np.divide(moments, corr, out=adam)
+            np.sqrt(adam2, out=adam2)
+            adam2 += eps
+            np.multiply(adam1, lr, out=adam1)
+            flat -= np.divide(adam1, adam2, out=adam1)
             if fit_mu:
                 np.maximum(views["mu"], 1.0, out=views["mu"])
 

@@ -362,6 +362,19 @@ def test_negative_learning_rate_is_a_config_error(tmp_path, capsys):
     assert "bad train block: learning_rate" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, value", [("learning_rate", True), ("l2", True),
+                                           ("dropout", "0.2")])
+def test_a_non_real_rate_is_a_config_error(tmp_path, capsys, option, value):
+    # `learning_rate: true` once trained at rate 1.0, and `dropout: "0.2"` failed
+    # with a bare comparison error
+    cfg = write_config(tmp_path / "cfg.yaml", logit_config(train={"epochs": 2, option: value}))
+    assert main(["estimate", "--config", cfg,
+                 "--out-dir", str(tmp_path / "runs")]) == 2
+    assert (f"bad train block: {option} must be a real number, got {value!r}"
+            in capsys.readouterr().err)
+    assert not (tmp_path / "runs").exists()
+
+
 @pytest.mark.parametrize("option", ["l2", "eps"])
 def test_infinite_l2_or_eps_is_a_config_error(tmp_path, capsys, option):
     # eps=inf once fitted "ok" without moving, l2=inf came back "diverged";

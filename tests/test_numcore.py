@@ -1,6 +1,7 @@
 """Unit tests for the numeric core: PRNG, softmax and NLL, gradients, the trainer."""
 
 import ast
+import gc
 import math
 import re
 import tracemalloc
@@ -127,6 +128,21 @@ def test_softmax_rejects_fully_unavailable_row():
     for prog in (_plain_program(3), _featureful_instance(seed=15)[0]):  # plain, nested
         with pytest.raises(ValueError, match="^row 2: no available alternative$"):
             numcore.probabilities(prog, np.zeros((4, 3)), avail)
+
+
+@pytest.mark.parametrize("n_alts", range(1, 10))
+def test_softmax_folds_rows_in_numpys_reduction_order(n_alts):
+    # the row max and row sum of two columns are one binary call each; a numpy whose
+    # reductions add in another order fails here, not as drift in the pinned fits
+    rng = np.random.default_rng(n_alts)
+    z = rng.normal(0.0, 30.0, (257, n_alts))
+    z[rng.random(z.shape) < 0.3] = -np.inf  # masked entries
+    z[np.arange(257), rng.integers(0, n_alts, 257)] = rng.normal(0.0, 30.0, 257)
+    want = z - np.maximum.reduce(z, axis=1, keepdims=True)
+    np.exp(want, out=want)
+    want /= np.add.reduce(want, axis=1, keepdims=True)
+    assert np.array_equal(program.softmax(z.copy()), want)
+    assert np.array_equal(program.softmax(z.copy(), np.empty((257, 1))), want)
 
 
 def test_choice_fault_names_the_first_faulty_row_and_its_first_rule():
@@ -304,8 +320,15 @@ def test_train_config_validation():
                 dict(batch_size="50"), dict(seed=1.5), dict(seed=None)):
         with pytest.raises(ValueError):
             TrainConfig(**bad)
+    # a bool once trained as 1.0 and a string failed with a bare comparison error
+    for name in ("dropout", "l2", "learning_rate"):
+        for value in (True, False, "0.2", None, 1j):
+            with pytest.raises(ValueError, match=f"^{name} must be a real number, got "):
+                TrainConfig(**{name: value})
     ok = TrainConfig(epochs=np.int64(3), batch_size=np.int32(10), seed=np.uint64(7))
     assert ok.epochs == 3 and ok.batch_size == 10 and ok.seed == 7
+    ok = TrainConfig(dropout=np.float32(0.25), l2=0, learning_rate=np.float64(0.5))
+    assert (ok.dropout, ok.l2, ok.learning_rate) == (0.25, 0, 0.5)
 
 
 def _logit_instance(seed=3):
@@ -331,9 +354,13 @@ def test_adam_first_step_is_learning_rate_sized():
     np.testing.assert_allclose(prog.beta, beta0 - 0.01 * np.sign(g), rtol=0, atol=1e-5)
 
 
-def test_adam_matches_reference_updates():
+@pytest.mark.parametrize("holes", [False, True])
+def test_adam_matches_reference_updates(holes):
     # full-batch steps of the trainer against Adam written from the formula
     prog, data, avail, choice = _logit_instance()
+    if holes:  # a fit with holes masks every step
+        rows = np.arange(0, data.shape[0], 3)
+        avail[rows, (choice[rows] + 1) % 3] = 0.0
     beta0 = prog.beta.copy()
     cfg = TrainConfig(epochs=5, batch_size=1000, learning_rate=0.05)
     lr, b1, b2, eps = cfg.learning_rate, 0.9, 0.999, 1e-7
@@ -499,7 +526,7 @@ def _where_masked_gradients(prog, avail):
         e = np.exp(z - z.max(axis=1, keepdims=True))
         return e / e.sum(axis=1, keepdims=True)
 
-    def reference(prog, v, unavail, onehot):
+    def reference(prog, v, unavail, onehot, work=None):
         if not prog.use_nests:
             p = softmax(np.where(avail > 0, v, -np.inf))
             return p - onehot, None, p
@@ -816,7 +843,7 @@ def test_trainer_refills_rows_as_compile_inputs_builds_them(monkeypatch, cells):
 def test_fit_memory_is_one_copy_of_its_inputs_and_one_step():
     # keeping the compiled inputs beside their permuted copy, and a dropped-out copy
     # of the last hidden activation, peaked at 10.4 activations of one step beyond
-    # what is counted here
+    # what is counted here; a new array per pass, 6.09
     prog, data, avail, choice = _wide_lmnl_instance(seed=1, n=20000, width=100, depth=3)
     n, batch, width = data.shape[0], 500, prog.hidden_width
     cfg = TrainConfig(epochs=1, batch_size=batch, dropout=0.2, seed=0, learning_rate=0.01)
@@ -831,8 +858,91 @@ def test_fit_memory_is_one_copy_of_its_inputs_and_one_step():
     per_row = n * (8 * prog.n_alts + 8)  # probabilities for the trace, the permutation
     params = sum(getattr(prog, k).nbytes for k in ("beta",) + program.NET_TENSORS)
     # parameters, gradient, two Adam moments, two Adam work vectors, rollback copy
-    # and, per step, three activations, the mask and two backward gradients
-    assert peak <= inputs + per_row + 7 * params + 6.5 * batch * width * 8
+    # and the step's workspace: three activations, each overwritten by its backward
+    # gradient, and an eighth of one for the ReLU gate; the mask buffer, and the
+    # mask draw's states and flags (1.125): 5.25 activations, 5.51 measured
+    assert peak <= inputs + per_row + 7 * params + 5.75 * batch * width * 8
+
+
+def test_a_fit_leaves_no_reference_cycle():
+    # a workspace that held itself lived on until the cycle collector ran: peak RSS
+    # grew by 128 KiB with each lmnl_small estimate
+    prog, data, avail, choice = _featureful_instance(seed=5)  # a short last batch
+    gc.collect()
+    gc.disable()
+    try:
+        fit_program(prog, data, avail, choice, TrainConfig(epochs=2, batch_size=17, seed=2))
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
+
+
+def test_draw_grouping_leaves_a_fit_unchanged(monkeypatch):
+    # masks drawn per batch, per two batches (the last draw shorter than the
+    # buffer) and per epoch read the same stream, so the fits are equal bit for bit
+    from lchoice.numcore import trainer
+    fits = []
+    for cap in (1, 2 * 40 * 20, trainer.DRAW_CAP):
+        monkeypatch.setattr(trainer, "DRAW_CAP", cap)
+        prog, data, avail, choice = _wide_lmnl_instance(seed=22, n=230, width=20, depth=2)
+        cfg = TrainConfig(epochs=2, batch_size=40, dropout=0.3, seed=5, learning_rate=0.01)
+        fit = fit_program(prog, data, avail, choice, cfg)
+        fits.append([fit.trace] + [getattr(prog, k) for k in ("beta",) + program.NET_TENSORS])
+    for got in fits[1:]:
+        for a, b in zip(got, fits[0]):
+            assert np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("case", ["lmnl_dropout", "nested_holes", "logit", "frozen_net"])
+def test_a_reused_workspace_changes_nothing(case):
+    # one workspace through a full batch, the short last batch and a full batch
+    # again: each step's gradients and probabilities equal a fresh call's
+    if case == "logit":
+        prog, data, avail, choice = _logit_instance()  # 40 rows, no net
+        rows = np.arange(0, data.shape[0], 3)
+        avail[rows, (choice[rows] + 1) % 3] = 0.0  # holes the choices keep clear of
+    elif case == "lmnl_dropout":
+        prog, data, avail, choice = _wide_lmnl_instance(n=120, width=6, depth=2)
+    else:  # free mu, availability holes
+        prog, data, avail, choice = _featureful_instance(seed=5)
+    names = ["beta"] + list(program.NET_TENSORS) * (prog.has_net and case != "frozen_net")
+    names += ["mu"] * prog.use_nests
+    inputs = compile_inputs(prog, data, avail, choice)
+    n, bs, rng = data.shape[0], 17, np.random.default_rng(0)
+    out = {k: np.empty_like(getattr(prog, k)) for k in names}
+    work = program.StepWork(prog, bs, out, holes=bool(inputs[2].any()))
+    for b in (slice(0, bs), slice(n - n % bs, n), slice(bs, 2 * bs)):
+        rows = b.stop - b.start
+        mask = None
+        if case == "lmnl_dropout":
+            mask = np.where(rng.random((rows, prog.hidden_width)) < 0.3, 0.0, 1 / 0.7)
+        batch = [a[b] for a in inputs]
+        probs = np.full((rows, prog.n_alts), np.nan)
+        got, p = gradients(prog, *batch, 1e-3, mask, work=work, probs=probs)
+        fresh = {k: np.empty_like(getattr(prog, k)) for k in names}
+        want, want_p = gradients(prog, *batch, 1e-3, mask, out=fresh)
+        assert p is probs and np.array_equal(p, want_p)
+        assert got is out and got.keys() == want.keys()
+        for k in names:
+            assert np.array_equal(got[k], want[k]), k
+
+
+def test_a_warm_workspace_step_allocates_less_than_one_activation():
+    # deep_wide's step: 500 rows, three layers of 100 units, dropout
+    prog, data = _wide_instance(500, 100, 3)
+    rng = np.random.default_rng(0)
+    inputs = compile_inputs(prog, data, np.ones((500, 2)), rng.integers(0, 2, 500))
+    mask = np.where(rng.random((500, 100)) < 0.2, 0.0, 1.25)
+    work, probs = program.StepWork(prog, 500, holes=False), np.empty((500, 2))
+    gradients(prog, *inputs, 0.0, mask, work=work, probs=probs)
+    tracemalloc.start()
+    try:
+        gradients(prog, *inputs, 0.0, mask, work=work, probs=probs)
+        current, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - current < 500 * 100 * 8
+    assert peak < 500 * 100 * 8
 
 
 @pytest.mark.parametrize("train_net", [True, False])
