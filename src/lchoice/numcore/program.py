@@ -5,13 +5,16 @@ terms as index triples, an optional dense representation net, and an
 optional nest assignment.  The functions here are the vectorised numpy
 reference implementation; the trainer calls them batch by batch.
 
-The passes read inputs compiled from a dataset's rows (`compile_inputs`), and
-`gradients` writes into a per-fit `StepWork`, backpropagating only the tensors
-it names.  Availability is compiled into a boolean "unavailable" mask that
-each pass puts (``np.putmask``) into its arrays: -inf into the logit's
-utilities, UNAVAILABLE into the nested logsum argument ``mu_alt * v``, the
-values ``np.where(avail > 0, ...)`` gave, whatever the utility there.
-Entry points taking 0/1 availability build the mask at their door.
+The passes read inputs compiled from a dataset's rows (`compile_inputs`).  The
+training `step` runs a `Batch`, bound once to a per-fit `StepWork`, and writes
+only the gradients the workspace names; `gradients` binds one and runs it.
+Products into parameter- or utility-shaped arrays are `np.dot` calls, which
+dispatch faster than `np.matmul`; those into (rows, width) activations stay
+`np.matmul`, faster there.  Availability is compiled into a boolean
+"unavailable" mask that each pass puts (``np.putmask``) into its arrays: -inf
+into the logit's utilities, UNAVAILABLE into the nested logsum argument
+``mu_alt * v``, the values ``np.where(avail > 0, ...)`` gave, whatever the
+utility there.  Entry points taking 0/1 availability build the mask at their door.
 Inference passes over a dataset (`eval_inputs`, `input_gradients`) run the
 net in blocks of rows (`_net_blocks`).  `linear_utilities`, `net_forward`,
 `loss_gradients` and `backprop` adapt a raw (n, D) batch to the compiled passes.
@@ -20,7 +23,7 @@ Linear terms are stored as three parallel int arrays.  Term ``t`` adds
 ``beta[term_param[t]] * x`` to alternative ``term_alt[t]``, where ``x`` is
 ``data[:, term_col[t]]`` or constant 1 when ``term_col[t]`` is -1 (an
 alternative-specific constant).  The program compiles them into a selection
-matrix ``sel``, so the linear block is one matmul each way (`linear_inputs`
+matrix ``sel``, so the linear block is one product each way (`linear_inputs`
 gives X_lin): V_lin = X_lin @ reshape(sel @ beta), dbeta = sel.T @ vec(X_lin.T @ dV).
 
 The nest assignment is compiled once too, into a `NestLayout`: the one-hot
@@ -36,7 +39,6 @@ UNAVAILABLE, not -inf, so every logsum is finite and no shift is -inf.
 
 from __future__ import annotations
 
-import copy
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -100,39 +102,63 @@ class ModelProgram:
 
 
 class StepWork:
-    """The arrays of a `gradients` step of up to ``rows`` rows, built once per fit: each
-    layer's weights, bias and activation (overwritten by its gradient), a ReLU gate, the
-    net output, softmax row statistic, dV, X_lin.T @ dV, sel @ beta and the gradients
-    ``out`` (new when None).  ``holes`` False skips the availability mask."""
+    """What every batch of a training step of up to ``rows`` rows shares, built once per
+    fit: each layer's activation (overwritten by its gradient), a ReLU gate, the net output,
+    softmax row statistic, dV, X_lin.T @ dV, sel @ beta, the gradients ``out`` (new when
+    None), sel.T, the weights' transposes, ``mu_free > 0`` and `cut`'s views for a full
+    batch, with the hidden layers' input transposes.  ``holes`` False skips the mask."""
 
     def __init__(self, prog: ModelProgram, rows: int, out: dict[str, np.ndarray] | None = None,
                  holes: bool = True):
         if out is None:
             names = ("beta",) + NET_TENSORS * prog.has_net + ("mu",) * prog.use_nests
             out = {k: np.empty_like(getattr(prog, k)) for k in names}
-        self.out, self.holes, self.rows = out, holes, rows
-        weights, width = [prog.w_in, *prog.w_hidden], prog.hidden_width
-        self.acts = [np.empty((rows, width)) for _ in range(prog.depth)]
-        self.layers = list(zip(weights, prog.b_hidden, self.acts))
-        self.backs = [w.T for w in weights[1:]] + [prog.w_out.T]  # dA of layer l = dZ @ backs[l]
+        self.out, self.holes, self.rows, self.net = out, holes, rows, "w_out" in out
+        self.beta, self.mu = out.get("beta"), out.get("mu")  # None where not trained
+        self.sel_t, self.mu_free = prog.sel.T, prog.mu_free > 0
+        self.fold = prog.n_alts == 2 and not prog.use_nests  # softmax rows of two columns
+        width, weights = prog.hidden_width, [prog.w_in, *prog.w_hidden]
+        acts = [np.empty((rows, width)) for _ in range(prog.depth)]
+        self.layers = list(zip(weights, prog.b_hidden, acts))
+        self.backs = [w.T for w in weights[1:]] + [prog.w_out.T]  # dA = dZ @ backs[l]
+        self.grad_w = [out["w_in"], *out["w_hidden"]] if self.net else [None] * prog.depth
+        self.grad_b = list(out["b_hidden"]) if self.net else [None] * prog.depth
         self.gate = np.empty((rows, width), dtype=bool)
         self.r, self.dv = np.empty((2, rows, prog.n_alts))
         self.stat = np.empty((rows, 1))
         self.xtdv, self.lin_2d = np.empty((2, prog.lin_cols.shape[0] + 1, prog.n_alts))
-        self.lin = self.lin_2d.reshape(-1)
-        self.grad_w = [out["w_in"], *out["w_hidden"]] if "w_out" in out else []
-        self.grad_b = list(out["b_hidden"]) if "w_out" in out else []
+        self.xtdv_flat, self.lin = self.xtdv.reshape(-1), self.lin_2d.reshape(-1)
+        self.full = self.cut(rows)
 
-    def sized(self, n: int) -> StepWork:
-        """This workspace for an n-row batch: itself, or a copy viewing its first n rows."""
-        if n == self.rows:
-            return self
-        work = copy.copy(self)
-        work.rows, work.gate, work.r, work.dv, work.stat = n, *(
-            a[:n] for a in (self.gate, self.r, self.dv, self.stat))
-        work.acts = [a[:n] for a in self.acts]
-        work.layers = [(w, b, a) for (w, b, _), a in zip(self.layers, work.acts)]
-        return work
+    def cut(self, n: int) -> tuple:
+        """(layers, backward layers from the last, last activation's transpose, ReLU gate,
+        net output, dV, row statistic) of an n-row batch: views of the first n rows."""
+        layers = [(w, bias, act[:n]) for w, bias, act in self.layers]
+        acts = [act for _, _, act in layers]
+        ins_t = [None] + [a.T for a in acts[:-1]]  # layer 0 reads each batch's own Q
+        back = list(zip(acts, self.backs, self.grad_b, self.grad_w, ins_t))[::-1]
+        return (layers, back, acts[-1].T if acts else None,
+                *(a[:n] for a in (self.gate, self.r, self.dv, self.stat)))
+
+
+class Batch:
+    """One batch bound to a `StepWork`, once: its inputs of `compile_inputs`, X_lin.T, its
+    probability rows (None: no utilities) with their two columns when the softmax folds
+    them, its dropout mask, and the workspace's arrays cut to its rows.  `step` runs it."""
+
+    __slots__ = ("work", "rows", "xl", "xl_t", "q", "unavail", "onehot", "probs", "cols",
+                 "mask", "layers", "backward", "last_t", "gate", "r", "dv", "stat")
+
+    def __init__(self, work: StepWork, xl: np.ndarray | None, q: np.ndarray,
+                 unavail: np.ndarray | None, onehot: np.ndarray | None,
+                 probs: np.ndarray | None = None, mask: np.ndarray | None = None):
+        self.work, self.rows, self.xl, self.q, self.unavail, self.onehot, self.probs, self.mask = (
+            work, q.shape[0], xl, q, unavail, onehot, probs, mask)
+        self.xl_t = None if xl is None else xl.T
+        self.cols = (probs[:, :1], probs[:, 1:]) if work.fold and probs is not None else None
+        self.layers, back, self.last_t, self.gate, self.r, self.dv, self.stat = (
+            work.full if q.shape[0] == work.rows else work.cut(q.shape[0]))
+        self.backward = back and (*back[:-1], (*back[-1][:-1], q.T))
 
 
 def empty_net(n_alts: int) -> tuple[np.ndarray, ...]:
@@ -213,9 +239,10 @@ def _net_blocks(prog: ModelProgram, data: np.ndarray, dv: np.ndarray | None = No
     rows = max(1, EVAL_CELLS // prog.hidden_width)
     out = np.empty((data.shape[0], prog.n_alts if dv is None else prog.q_cols.shape[0]))
     for r in range(0, data.shape[0], rows):
-        work = None if dv is None else StepWork(prog, min(rows, data.shape[0] - r), {})
-        v_net = net_output(prog, data[r:r + rows, prog.q_cols], None, work)
-        out[r:r + rows] = v_net if dv is None else net_backward(prog, dv[r:r + rows], work, q=True)
+        q = data[r:r + rows, prog.q_cols]
+        b = None if dv is None else Batch(StepWork(prog, q.shape[0], {}), None, q, None, None)
+        v_net = net_output(prog, q, None, b)
+        out[r:r + rows] = v_net if dv is None else net_backward(prog, dv[r:r + rows], b, q=True)
     return out
 
 
@@ -236,18 +263,17 @@ def utilities(prog: ModelProgram, xl: np.ndarray, v_net: np.ndarray | None = Non
               beta: np.ndarray | None = None) -> np.ndarray:
     """V = X_lin @ reshape(sel @ beta), (n, I), plus the net output ``v_net`` when given.
 
-    ``beta`` defaults to the program's."""
-    v = xl @ (prog.sel @ (prog.beta if beta is None else beta)).reshape(-1, prog.n_alts)
+    ``beta`` defaults to the program's.  Its products are `step`'s, as `np.dot` calls."""
+    v = np.dot(xl, np.dot(prog.sel, prog.beta if beta is None else beta).reshape(-1, prog.n_alts))
     if v_net is not None:
         v += v_net
     return v
 
 
-def linear_block_grad(prog: ModelProgram, xl: np.ndarray, dv: np.ndarray,
-                      out: np.ndarray | None = None, xtdv: np.ndarray | None = None):
+def linear_block_grad(prog: ModelProgram, xl: np.ndarray, dv: np.ndarray) -> np.ndarray:
     """dbeta = sel.T @ vec(X_lin.T @ dv), (P,): the adjoint of the linear block of
-    `utilities`, through ``xtdv`` for X_lin.T @ dv when given."""
-    return np.matmul(prog.sel.T, np.matmul(xl.T, dv, out=xtdv).ravel(), out=out)
+    `utilities`, by `step`'s products."""
+    return np.dot(prog.sel.T, np.dot(xl.T, dv).ravel())
 
 
 def linear_utilities(prog: ModelProgram, data: np.ndarray) -> np.ndarray:
@@ -256,35 +282,34 @@ def linear_utilities(prog: ModelProgram, data: np.ndarray) -> np.ndarray:
 
 
 def net_output(prog: ModelProgram, q: np.ndarray, mask: np.ndarray | None = None,
-               work: StepWork | None = None) -> np.ndarray:
+               b: Batch | None = None) -> np.ndarray:
     """Representation-net outputs (n, I) from the net inputs Q, (n, Dq).
 
     ``mask`` is an inverted-dropout mask for the last hidden activation; None
-    means eval mode (identity).  Only a workspace ``work`` of n rows keeps the
+    means eval mode (identity).  Only a `Batch` ``b`` of this Q and mask keeps the
     activations, for `net_backward`."""
     a = q
-    for w, b, act in work.layers if work else zip([prog.w_in, *prog.w_hidden], prog.b_hidden,
-                                                  [None] * prog.depth):
+    for w, bias, act in b.layers if b else zip([prog.w_in, *prog.w_hidden], prog.b_hidden,
+                                               [None] * prog.depth):
         a = np.matmul(a, w, out=act)
-        a += b
+        a += bias
         np.maximum(a, 0.0, out=a)
     if mask is not None:
         # in place, so the last activation is the dropped-out one: where the mask
         # keeps a unit its sign, and so the backward gate ``a > 0``, is unchanged,
         # and where it drops one `net_backward` has zeroed the gradient
         a *= mask
-    if work is not None:
-        work.q, work.mask = q, mask  # what `net_backward` reads
-    r = np.matmul(a, prog.w_out, out=None if work is None else work.r)
+    r = np.dot(a, prog.w_out, out=None if b is None else b.r)
     r += prog.b_out
     return r
 
 
 def net_forward(prog: ModelProgram, data: np.ndarray,
-                mask: np.ndarray | None = None) -> tuple[np.ndarray, StepWork]:
-    """`net_output` of a raw (n, D) batch, plus the workspace `backprop` reads."""
-    work = StepWork(prog, data.shape[0])
-    return net_output(prog, data[:, prog.q_cols], mask, work), work
+                mask: np.ndarray | None = None) -> tuple[np.ndarray, Batch]:
+    """`net_output` of a raw (n, D) batch, plus the bound batch `backprop` reads."""
+    q = data[:, prog.q_cols]
+    b = Batch(StepWork(prog, data.shape[0]), None, q, None, None, None, mask)
+    return net_output(prog, q, mask, b), b
 
 
 def nest_layout(alt_nest: np.ndarray, n_nests: int) -> NestLayout:
@@ -298,8 +323,9 @@ def nest_layout(alt_nest: np.ndarray, n_nests: int) -> NestLayout:
 
 
 def nested_parts(v: np.ndarray, unavail: np.ndarray, layout: NestLayout,
-                 mu: np.ndarray) -> dict:
-    """Per-nest logsums over mu (``scaled``) and probability pieces of the two-level formula.
+                 mu: np.ndarray) -> tuple[np.ndarray, ...]:
+    """(scaled, p_nest, p_cond, mu_alt): per-nest logsums over mu and the probability
+    pieces of the two-level formula.
 
     The probabilities, ``(p_nest @ member.T) * p_cond``, are exactly 0 where
     ``unavail``: through ``p_cond`` in a nest with an available member, through
@@ -315,23 +341,18 @@ def nested_parts(v: np.ndarray, unavail: np.ndarray, layout: NestLayout,
     p_nest = softmax(scaled.copy())
     s_arg -= ln_s @ member_t
     p_cond = np.exp(s_arg, out=s_arg)
-    return {"scaled": scaled, "p_nest": p_nest, "p_cond": p_cond, "mu_alt": mu_alt}
+    return scaled, p_nest, p_cond, mu_alt
 
 
-def _row_reduce(ufunc: np.ufunc, z: np.ndarray, out: np.ndarray | None) -> np.ndarray:
-    """``ufunc.reduce(z, axis=1, keepdims=True)`` bit for bit; two columns take one
-    binary call, which costs less than the reduction (wider rows do not)."""
-    if z.shape[1] == 2:
-        return ufunc(z[:, :1], z[:, 1:], out=out)
-    return ufunc.reduce(z, axis=1, keepdims=True, out=out)
-
-
-def softmax(z: np.ndarray, stat: np.ndarray | None = None) -> np.ndarray:
+def softmax(z: np.ndarray, stat: np.ndarray | None = None,
+            cols: tuple[np.ndarray, np.ndarray] | None = None) -> np.ndarray:
     """Row-wise exp-normalise ``z`` in place, each row shifted by its max before the exp;
-    the row max and then the row sum go into ``stat``, (n, 1), when given."""
-    z -= _row_reduce(np.maximum, z, stat)
+    the row max and then the row sum go into ``stat``, (n, 1), when given.  With ``cols``,
+    z's two columns as (n, 1) views, each is one binary call of the two, bit for bit the
+    reduction and cheaper (wider rows are not)."""
+    z -= np.maximum(*cols, out=stat) if cols else np.maximum.reduce(z, 1, keepdims=True, out=stat)
     np.exp(z, out=z)
-    z /= _row_reduce(np.add, z, stat)
+    z /= np.add(*cols, out=stat) if cols else np.add.reduce(z, 1, keepdims=True, out=stat)
     return z
 
 
@@ -363,8 +384,8 @@ def probabilities(prog: ModelProgram, v: np.ndarray, avail: np.ndarray) -> np.nd
     if fault := choice_fault(unavail):
         raise ValueError(fault)
     if prog.use_nests:
-        parts = nested_parts(v, unavail, prog.layout, prog.mu)
-        return (parts["p_nest"] @ prog.layout.member.T) * parts["p_cond"]
+        _, p_nest, p_cond, _ = nested_parts(v, unavail, prog.layout, prog.mu)
+        return (p_nest @ prog.layout.member.T) * p_cond
     v = v.astype(np.float64)
     np.putmask(v, unavail, -np.inf)
     return softmax(v)
@@ -386,28 +407,27 @@ def loss_value(prog: ModelProgram, data: np.ndarray, avail: np.ndarray,
 
 
 def utility_gradients(prog: ModelProgram, v: np.ndarray, unavail: np.ndarray,
-                      onehot: np.ndarray, work: StepWork | None = None,
+                      onehot: np.ndarray, b: Batch | None = None,
                       ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
     """Per-row d(-ln P_chosen)/dV and d/dmu (None without nests), and the probabilities.
 
     Reads the mask and the one-hot choice of `compile_inputs` and overwrites ``v``
     with the probabilities (the nested logit first reads it with 0 where unavailable,
-    so a non-finite utility there leaves d/dmu finite).  Rows are not checked for an
-    available alternative: callers check once, at entry.
+    so a non-finite utility there leaves d/dmu finite), dV into a bound batch ``b``'s.
+    Rows are not checked for an available alternative: callers check once, at entry.
     """
     if not prog.use_nests:
-        if work is None or work.holes:
+        if b is None or b.work.holes:
             np.putmask(v, unavail, -np.inf)
-        p = softmax(v, None if work is None else work.stat)
-        return np.subtract(p, onehot, out=None if work is None else work.dv), None, p
+        stat, cols, dv = (None, None, None) if b is None else (b.stat, b.cols, b.dv)
+        return np.subtract(softmax(v, stat, cols), onehot, out=dv), None, v
     lay = prog.layout
-    parts = nested_parts(v, unavail, lay, prog.mu)
-    p_nest, p_cond, mu_alt = (parts[k] for k in ("p_nest", "p_cond", "mu_alt"))
+    scaled, p_nest, p_cond, mu_alt = nested_parts(v, unavail, lay, prog.mu)
     np.putmask(v, unavail, 0.0)  # p_cond is 0 there; 0 * inf would make d/dmu NaN
     nest_star = onehot @ lay.member
     # expected utility within each nest, availability already folded into p_cond
     ebar = (p_cond * v) @ lay.member
-    g = (ebar - parts["scaled"]) / prog.mu
+    g = (ebar - scaled) / prog.mu
     dmu = (p_nest - nest_star) * g + nest_star * ebar - (onehot * v) @ lay.member
     p = np.multiply(p_nest @ lay.member.T, p_cond, out=v)
     # the chosen nest's terms through the one-hot choice (mu is constant within a nest)
@@ -425,26 +445,26 @@ def loss_gradients(prog: ModelProgram, v: np.ndarray, avail: np.ndarray,
     return dv, np.zeros((v.shape[0], prog.mu.shape[0])) if dmu is None else dmu, p
 
 
-def net_backward(prog: ModelProgram, dv: np.ndarray, work: StepWork, l2: float = 0.0,
+def net_backward(prog: ModelProgram, dv: np.ndarray, b: Batch, l2: float = 0.0,
                  q: bool = False) -> np.ndarray | None:
-    """Backpropagate scaled utility gradients through the workspace's last `net_output`
-    into its net-weight gradients, or with ``q`` return only the gradient in Q; each
-    activation is overwritten by the gradient there once its ReLU gate is taken."""
-    acts, gate, out = work.acts, work.gate, work.out
+    """Backpropagate scaled utility gradients through a bound batch's last `net_output`
+    into its workspace's net-weight gradients, or with ``q`` return only the gradient in
+    Q; each activation is overwritten by the gradient there once its ReLU gate is taken."""
+    out, gate, mask = b.work.out, b.gate, b.mask
     if not q:
-        np.matmul(acts[-1].T, dv, out=out["w_out"])
+        np.dot(b.last_t, dv, out=out["w_out"])
         np.add.reduce(dv, axis=0, out=out["b_out"])
     da = dv
-    for layer in range(prog.depth - 1, -1, -1):
-        dz = acts[layer]
+    for dz, back, grad_b, grad_w, in_t in b.backward:
         np.greater(dz, 0.0, out=gate)
-        np.matmul(da, work.backs[layer], out=dz)
-        if work.mask is not None and layer == prog.depth - 1:
-            dz *= work.mask
+        np.matmul(da, back, out=dz)
+        if mask is not None:  # the last layer's, the first one met
+            dz *= mask
+            mask = None
         dz *= gate
         if not q:
-            np.add.reduce(dz, axis=0, out=work.grad_b[layer])
-            np.matmul((work.q if layer == 0 else acts[layer - 1]).T, dz, out=work.grad_w[layer])
+            np.add.reduce(dz, axis=0, out=grad_b)
+            np.dot(in_t, dz, out=grad_w)
         da = dz
     if q:
         return da @ prog.w_in.T
@@ -454,13 +474,36 @@ def net_backward(prog: ModelProgram, dv: np.ndarray, work: StepWork, l2: float =
 
 
 def backprop(prog: ModelProgram, data: np.ndarray, dv: np.ndarray,
-             work: StepWork, l2: float = 0.0) -> dict[str, np.ndarray]:
+             b: Batch, l2: float = 0.0) -> dict[str, np.ndarray]:
     """Parameter gradients of a raw (n, D) batch from scaled ``dv`` and its `net_forward`."""
     g = {"beta": linear_block_grad(prog, linear_inputs(prog, data), dv)}
     if prog.has_net:
-        net_backward(prog, dv, work, l2)
-        g.update((k, work.out[k]) for k in NET_TENSORS)
+        net_backward(prog, dv, b, l2)
+        g.update((k, b.work.out[k]) for k in NET_TENSORS)
     return g
+
+
+def step(prog: ModelProgram, b: Batch, l2: float = 0.0, scale: int = 1) -> np.ndarray:
+    """One training step of a bound batch: the utilities, then the probabilities, into its
+    probability rows, which it returns, and the loss gradient into its workspace's, for the
+    tensors that name.  The loss is the CE summed over the rows divided by ``scale``, plus
+    the l2 penalty."""
+    work = b.work
+    np.dot(prog.sel, prog.beta, out=work.lin)
+    v = np.dot(b.xl, work.lin_2d, out=b.probs)
+    if prog.has_net:
+        v += net_output(prog, b.q, b.mask, b)
+    dv, dmu, p = utility_gradients(prog, v, b.unavail, b.onehot, b)
+    dv /= scale
+    if work.beta is not None:
+        np.dot(b.xl_t, dv, out=work.xtdv)
+        np.dot(work.sel_t, work.xtdv_flat, out=work.beta)
+    if work.net:
+        net_backward(prog, dv, b, l2)
+    if work.mu is not None:
+        dmu /= scale
+        np.multiply(np.add.reduce(dmu, axis=0), work.mu_free, out=work.mu)
+    return p
 
 
 def gradients(prog: ModelProgram, xl: np.ndarray, q: np.ndarray, unavail: np.ndarray,
@@ -470,29 +513,19 @@ def gradients(prog: ModelProgram, xl: np.ndarray, q: np.ndarray, unavail: np.nda
               ) -> tuple[dict[str, np.ndarray], np.ndarray]:
     """(gradient of the loss per parameter tensor, probabilities), from `compile_inputs`.
 
-    Writes into the gradients of ``work``, a `StepWork` of ``prog`` (a new one
-    on ``out`` when None), backpropagating only the tensors they name, and the
-    probabilities into ``probs`` when given.  ``reduction`` "mean" is the training loss,
-    mean CE plus the l2 penalty, and each trainer step is this call; "sum" is
-    the summed negative log-likelihood (no l2), which inference uses.
+    Binds the batch to ``work``, a `StepWork` of ``prog`` (a new one on ``out`` when
+    None), and runs the trainer's `step`: the gradients of the tensors it names, and
+    the probabilities into ``probs`` when given.  ``reduction`` "mean" is the training
+    loss, mean CE plus the l2 penalty; "sum" is the summed negative log-likelihood (no
+    l2), which inference uses.
     """
-    work = StepWork(prog, xl.shape[0], out) if work is None else work.sized(xl.shape[0])
-    out, n = work.out, xl.shape[0]
-    np.matmul(prog.sel, prog.beta, out=work.lin)
-    v = np.matmul(xl, work.lin_2d, out=probs)
-    if prog.has_net:
-        v += net_output(prog, q, mask, work)
-    dv, dmu, p = utility_gradients(prog, v, unavail, onehot, work)
-    scale, l2 = (n, l2) if reduction == "mean" else (1, 0.0)
-    dv /= scale
-    if "beta" in out:
-        linear_block_grad(prog, xl, dv, out["beta"], work.xtdv)
-    if "w_out" in out:
-        net_backward(prog, dv, work, l2)
-    if "mu" in out:
-        dmu /= scale
-        np.multiply(np.add.reduce(dmu, axis=0), prog.mu_free > 0, out=out["mu"])
-    return out, p
+    if reduction not in ("mean", "sum"):
+        raise ValueError(f"reduction must be 'mean' or 'sum', got {reduction!r}")
+    n = xl.shape[0]
+    work = StepWork(prog, n, out) if work is None else work
+    probs = np.empty((n, prog.n_alts)) if probs is None else probs
+    b = Batch(work, xl, q, unavail, onehot, probs, mask)
+    return work.out, step(prog, b, *((l2, n) if reduction == "mean" else (0.0, 1)))
 
 
 def frozen_net_beta_gradient(prog: ModelProgram, xl: np.ndarray, v_net: np.ndarray | None,

@@ -1,14 +1,16 @@
 """Mini-batch Adam training of a ModelProgram: the one trainer.
 
-Each step is one `program.gradients` call, the gradient the finite-difference
-tests check.  The fit holds one compiled copy of its inputs (`compile_inputs`:
-availability as a boolean "unavailable" mask, the choice one-hot), refilled in
-place from the dataset once per epoch with that epoch's permutation of the
-rows, so each batch is a contiguous slice.  Every trained tensor is a view
-into one flat vector, its gradient a view into another that `gradients`
-writes through one `program.StepWork` per fit (tensors a phase does not train
-are not backpropagated).  Adam stacks its two moments as one (2, P) array; it,
-the divergence snapshot and the rollback are in-place vector operations.
+Each step is `program.step` of a `program.Batch`, bound once per fit: its views
+of the epoch buffers, its probability rows and its dropout mask.  It is the step
+`program.gradients` runs, the gradient the finite-difference tests check.  The
+fit holds one compiled copy of its inputs (`compile_inputs`: availability as a
+boolean "unavailable" mask, the choice one-hot), refilled in place from the
+dataset once per epoch with that epoch's permutation of the rows, so each batch
+is a contiguous slice.  Every trained tensor is a view into one flat vector, its
+gradient a view into another that the step writes through one `program.StepWork`
+per fit (tensors a phase does not train are not backpropagated).  Adam stacks
+its two moments as one (2, P) array; it, the divergence snapshot and the
+rollback are in-place vector operations.
 
 Stream contract: the fit reads stream ``StreamId.FIT`` of ``config.seed``
 (`prng`) in order.  Per epoch it takes N permutation keys and then, per batch
@@ -90,7 +92,12 @@ def fit_program(prog: pr.ModelProgram, data: np.ndarray, avail: np.ndarray,
     choice = np.ascontiguousarray(choice, dtype=np.int64)
     n, bs = data.shape[0], config.batch_size
     if avail.shape[0] != n or choice.shape[0] != n:
-        raise ValueError("data, avail and choice row counts differ")
+        raise ValueError(f"data, avail and choice row counts differ: shapes {data.shape}, "
+                         f"{avail.shape} and {choice.shape}")
+    reads = int(np.concatenate([prog.lin_cols, prog.q_cols, [-1]]).max()) + 1
+    if n == 0 or data.ndim != 2 or data.shape[1] < reads or avail.shape != (n, prog.n_alts):
+        raise ValueError(f"data of shape {data.shape}, avail of shape {avail.shape}: the program"
+                         f" needs a row, {reads} data columns and {prog.n_alts} alternatives")
     if fault := pr.choice_fault(~(avail > 0), choice):  # before the one-hot choice indexes by it
         raise ValueError(fault)
     cell = pr.first_nonfinite(prog, data)
@@ -121,7 +128,7 @@ def fit_program(prog: pr.ModelProgram, data: np.ndarray, avail: np.ndarray,
     good = flat.copy()
     probs = np.empty((n, prog.n_alts))
     inputs, chs = None, np.empty(n, dtype=np.int64)  # the epoch's rows, refilled in place
-    batches = []  # per batch: first row, views of `inputs` and `probs`, mask, workspace
+    batches = []  # per batch: its first row and its `program.Batch`
     mask_cells = np.empty(min(rows_per_draw, n) * width * dropout_on)  # one draw's masks
     masks = mask_cells.reshape(-1, width) if dropout_on else None
 
@@ -139,13 +146,13 @@ def fit_program(prog: pr.ModelProgram, data: np.ndarray, avail: np.ndarray,
         if not batches:  # every epoch refills the same buffers, so their views last the fit
             for start in range(0, n, bs):
                 b, at, rows = slice(start, start + bs), start % rows_per_draw, min(bs, n - start)
-                batches.append((start, [a[b] for a in inputs], probs[b],
-                                masks[at:at + rows] if dropout_on else None, work.sized(rows)))
-        for start, batch, batch_probs, mask, batch_work in batches:
+                batches.append((start, pr.Batch(work, *(a[b] for a in inputs), probs[b],
+                                                masks[at:at + rows] if dropout_on else None)))
+        for start, batch in batches:
             if dropout_on and start % rows_per_draw == 0:
                 cells = min(rows_per_draw, n - start) * width
                 stream.keep_mask(cells, config.dropout, out=mask_cells[:cells])
-            pr.gradients(trained, *batch, l2, mask, work=batch_work, probs=batch_probs)
+            pr.step(trained, batch, l2, batch.rows)
 
             # Adam: m1 = b1*m1 + (1-b1)*g, m2 = b2*m2 + ((1-b2)*g)*g,
             # flat -= (lr*(m1/c1)) / (sqrt(m2/c2) + eps), in that order of operations

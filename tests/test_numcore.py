@@ -132,8 +132,9 @@ def test_softmax_rejects_fully_unavailable_row():
 
 @pytest.mark.parametrize("n_alts", range(1, 10))
 def test_softmax_folds_rows_in_numpys_reduction_order(n_alts):
-    # the row max and row sum of two columns are one binary call each; a numpy whose
-    # reductions add in another order fails here, not as drift in the pinned fits
+    # given its two columns, the row max and row sum of a two-column z are one binary
+    # call each; a numpy whose reductions add in another order fails here, not as
+    # drift in the pinned fits
     rng = np.random.default_rng(n_alts)
     z = rng.normal(0.0, 30.0, (257, n_alts))
     z[rng.random(z.shape) < 0.3] = -np.inf  # masked entries
@@ -143,6 +144,10 @@ def test_softmax_folds_rows_in_numpys_reduction_order(n_alts):
     want /= np.add.reduce(want, axis=1, keepdims=True)
     assert np.array_equal(program.softmax(z.copy()), want)
     assert np.array_equal(program.softmax(z.copy(), np.empty((257, 1))), want)
+    if n_alts == 2:
+        z2 = z.copy()
+        assert np.array_equal(program.softmax(z2, np.empty((257, 1)), (z2[:, :1], z2[:, 1:])),
+                              want)
 
 
 def test_choice_fault_names_the_first_faulty_row_and_its_first_rule():
@@ -285,14 +290,14 @@ def test_models_above_the_trainer_come_from_a_recipe():
 
 def test_eval_mode_net_passes_run_in_blocks():
     # a lint: every inference pass over a dataset runs the net through the block
-    # loop, so none holds a hidden activation for all rows; the trainer's step
-    # (`gradients`) and the raw-batch adapter `net_forward` see one batch each
+    # loop, so none holds a hidden activation for all rows; the trainer's bound
+    # `step` and the raw-batch adapter `net_forward` see one batch each
     root = Path(prng.__file__).resolve().parents[1]
     callers = {path.relative_to(root).as_posix(): [scope for _, scope in
                                                    _callers(path.read_text(), "net_output")]
                for path in sorted(root.rglob("*.py"))}
     assert {k: v for k, v in callers.items() if v} == {
-        "numcore/program.py": ["_net_blocks", "net_forward", "gradients"]}
+        "numcore/program.py": ["_net_blocks", "net_forward", "step"]}
     bad = "def predict(prog, q):\n    return pr.net_output(prog, q)\n"
     assert _callers(bad, "net_output") == [(2, "predict")]
 
@@ -398,6 +403,15 @@ def test_l2_gradient_matches_finite_differences():
     g, _ = gradients(prog, *compile_inputs(prog, data, avail, choice), l2=0.05)
     fd = numeric_gradients(prog, data, avail, choice, l2=0.05)
     assert max_rel_error(g, fd) < 1e-4
+
+
+@pytest.mark.parametrize("reduction", ["Mean", "SUM", "", "none"])
+def test_gradients_refuse_an_unknown_reduction(reduction):
+    # "Mean" once gave the summed NLL without l2, 50 times the mean's gradient
+    prog, data, avail, choice = _logit_instance()
+    inputs = compile_inputs(prog, data[:50], avail[:50], choice[:50])
+    with pytest.raises(ValueError, match=f"reduction must be 'mean' or 'sum', got '{reduction}'"):
+        gradients(prog, *inputs, l2=0.01, reduction=reduction)
 
 
 def test_l2_penalty_adds_exactly():
@@ -789,22 +803,42 @@ def test_trainer_trajectory_is_pinned(case):
 
 
 def test_trainer_steps_through_gradients(monkeypatch):
-    # every step trains on the gradient the finite-difference tests check
+    # every step trains on the gradient the finite-difference tests check: the
+    # trainer's bound step writes what `gradients` gives on the same batch and mask
     from lchoice.numcore import program
-    calls = []
-    real = program.gradients
+    cfg = TrainConfig(epochs=3, batch_size=17, dropout=0.2, seed=2, l2=1e-3)
+    calls, nested = [], []
+    real = program.step
 
-    def spy(*args, **kwargs):
-        calls.append(args[1].shape[0])
-        return real(*args, **kwargs)
+    def spy(prog, b, l2=0.0, scale=1):
+        p = real(prog, b, l2, scale)
+        if nested:  # the step of the `gradients` call below
+            return p
+        nested.append(b)
+        try:
+            fresh = {k: np.empty_like(g) for k, g in b.work.out.items()}
+            want, want_p = gradients(prog, b.xl, b.q, b.unavail, b.onehot, cfg.l2, b.mask,
+                                     out=fresh)
+        finally:
+            nested.clear()
+        assert p is b.probs and np.array_equal(p, want_p)
+        assert want.keys() == {"beta", *program.NET_TENSORS, *["mu"] * prog.use_nests}
+        for k, g in b.work.out.items():
+            assert np.array_equal(g, want[k]), k
+        calls.append(b.rows)
+        return p
 
-    monkeypatch.setattr(program, "gradients", spy)
-    prog, data, avail, choice = _featureful_instance(seed=5)
-    cfg = TrainConfig(epochs=3, batch_size=17, dropout=0.2, seed=2)
-    fit = fit_program(prog, data, avail, choice, cfg)
-    assert prog.use_nests and fit.status == "ok"
-    assert len(calls) == fit.steps
-    assert sum(calls) == fit.epochs_run * data.shape[0]
+    monkeypatch.setattr(program, "step", spy)
+    lmnl = _wide_lmnl_instance(n=120, width=6, depth=2)  # two alternatives: a folded softmax
+    rows = np.arange(0, 120, 3)
+    lmnl[2][rows, 1 - lmnl[3][rows]] = 0.0
+    for prog, data, avail, choice in (_featureful_instance(seed=5), lmnl):  # nested; plain
+        calls.clear()
+        fit = fit_program(prog, data, avail, choice, cfg)
+        assert fit.status == "ok" and (avail == 0).any()
+        assert len(calls) == fit.steps
+        assert sum(calls) == fit.epochs_run * data.shape[0]
+        assert sorted(set(calls)) == [data.shape[0] % 17, 17]  # a short last batch
 
 
 def test_trainer_compiles_inputs_once_per_epoch_into_the_same_buffers(monkeypatch):
@@ -1049,6 +1083,28 @@ def test_fit_program_input_validation():
     holed[1, choice[1]] = 0.0
     with pytest.raises(ValueError, match="unavailable"):
         fit_program(prog, data, holed, choice, cfg)
+
+
+def test_fit_program_refuses_no_rows():
+    # raised ZeroDivisionError from the trace's mean over the rows
+    prog, data, avail, choice = _featureful_instance(seed=15)
+    with pytest.raises(ValueError, match=r"data of shape \(0, 6\), .*: the program needs a row"):
+        fit_program(prog, data[:0], avail[:0], choice[:0], TrainConfig(epochs=1))
+
+
+def test_fit_program_refuses_data_narrower_than_the_columns_it_reads():
+    # raised IndexError from the non-finite check's column index
+    prog, data, avail, choice = _featureful_instance(seed=15)  # reads columns 0 to 5
+    with pytest.raises(ValueError, match=r"data of shape \(120, 3\), .* 6 data columns"):
+        fit_program(prog, data[:, :3], avail, choice, TrainConfig(epochs=1))
+
+
+def test_fit_program_refuses_availability_of_another_width():
+    # raised numpy's "operands could not be broadcast together" from the step
+    prog, data, avail, choice = _featureful_instance(seed=15)  # three alternatives
+    choice = np.minimum(choice, 1)
+    with pytest.raises(ValueError, match=r"avail of shape \(120, 2\): .* 3 alternatives"):
+        fit_program(prog, data, np.ones((120, 2)), choice, TrainConfig(epochs=1))
 
 
 def test_fit_program_availability_errors_name_the_row():
