@@ -27,18 +27,19 @@ matrix ``sel``, so the linear block is one product each way (`linear_inputs`
 gives X_lin): V_lin = X_lin @ reshape(sel @ beta), dbeta = sel.T @ vec(X_lin.T @ dV).
 
 The nest assignment is compiled once too, into a `NestLayout`: the one-hot
-alternative-to-nest matrix ``member``, the same-nest matrix and the
-alternatives in nest order.  Nested quantities move between alternatives and
-nests by products with ``member`` and its transpose, and the chosen nest's
-terms are read by products with the one-hot choice.  Each nest's logsum is
-shifted by the max over its own members, one ``np.maximum.reduceat`` over
-the nest-ordered columns: a shift by the row max would underflow a nest that
-sits far below it.  An unavailable alternative enters the logsums at
-UNAVAILABLE, not -inf, so every logsum is finite and no shift is -inf.
+alternative-to-nest matrix ``member`` and the alternatives in nest order.  Each
+nest's logsum ln S_m of s = mu_alt * V is shifted by the max c_m over its own
+members, one ``np.maximum.reduceat`` over the nest-ordered columns: a shift by
+the row max would underflow a nest far below it.  An unavailable alternative
+enters at UNAVAILABLE, not -inf, so every logsum is finite.  P(i|m) is
+exp(s_i - c_m) / S_m; d/dmu, (M,), sums dV_i ln P(i|m) / mu_m**2 over rows and
+i in m (the chain rule in s).  The step, `probabilities` and the frozen-net
+gradient run the one `nested_pass`.
 """
 
 from __future__ import annotations
 
+from collections import namedtuple
 from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
@@ -59,7 +60,7 @@ GATHER_CELLS = 16_000
 
 class NestLayout(NamedTuple):
     member: np.ndarray  # (I, M) one-hot alternative-to-nest matrix
-    same_nest: np.ndarray  # (I, I) member @ member.T, 1 where two alternatives share a nest
+    member_t: np.ndarray  # (M, I) its transpose
     order: np.ndarray  # (I,) alternatives sorted by nest, stably
     start: np.ndarray  # (M,) position in `order` of each nest's first alternative
 
@@ -104,9 +105,10 @@ class ModelProgram:
 class StepWork:
     """What every batch of a training step of up to ``rows`` rows shares, built once per
     fit: each layer's activation (overwritten by its gradient), a ReLU gate, the net output,
-    softmax row statistic, dV, X_lin.T @ dV, sel @ beta, the gradients ``out`` (new when
-    None), sel.T, the weights' transposes, ``mu_free > 0`` and `cut`'s views for a full
-    batch, with the hidden layers' input transposes.  ``holes`` False skips the mask."""
+    softmax row statistic, dV, X_lin.T @ dV, sel @ beta, the nested pass's `NestWork`, the
+    gradients ``out`` (new when None), sel.T, the weights' transposes, ``mu_free > 0`` and
+    `cut`'s views for a full batch, with the hidden layers' input transposes.  ``holes``
+    False skips the mask."""
 
     def __init__(self, prog: ModelProgram, rows: int, out: dict[str, np.ndarray] | None = None,
                  holes: bool = True):
@@ -128,17 +130,20 @@ class StepWork:
         self.stat = np.empty((rows, 1))
         self.xtdv, self.lin_2d = np.empty((2, prog.lin_cols.shape[0] + 1, prog.n_alts))
         self.xtdv_flat, self.lin = self.xtdv.reshape(-1), self.lin_2d.reshape(-1)
+        self.nest = NestWork.of(prog, rows) if prog.use_nests else None
+        self.decay = None  # 2 * l2 * W of each of NET_WEIGHTS, from the first step with l2
         self.full = self.cut(rows)
 
     def cut(self, n: int) -> tuple:
-        """(layers, backward layers from the last, last activation's transpose, ReLU gate,
-        net output, dV, row statistic) of an n-row batch: views of the first n rows."""
+        """(layers, backward layers from the last, last activation's transpose, ReLU gate, net
+        output, dV, row statistic, `NestWork`) of an n-row batch: views of the first n rows."""
         layers = [(w, bias, act[:n]) for w, bias, act in self.layers]
         acts = [act for _, _, act in layers]
         ins_t = [None] + [a.T for a in acts[:-1]]  # layer 0 reads each batch's own Q
         back = list(zip(acts, self.backs, self.grad_b, self.grad_w, ins_t))[::-1]
         return (layers, back, acts[-1].T if acts else None,
-                *(a[:n] for a in (self.gate, self.r, self.dv, self.stat)))
+                *(a[:n] for a in (self.gate, self.r, self.dv, self.stat)),
+                self.nest and self.nest.cut(n))
 
 
 class Batch:
@@ -147,7 +152,7 @@ class Batch:
     them, its dropout mask, and the workspace's arrays cut to its rows.  `step` runs it."""
 
     __slots__ = ("work", "rows", "xl", "xl_t", "q", "unavail", "onehot", "probs", "cols",
-                 "mask", "layers", "backward", "last_t", "gate", "r", "dv", "stat")
+                 "mask", "layers", "backward", "last_t", "gate", "r", "dv", "stat", "nest")
 
     def __init__(self, work: StepWork, xl: np.ndarray | None, q: np.ndarray,
                  unavail: np.ndarray | None, onehot: np.ndarray | None,
@@ -156,7 +161,7 @@ class Batch:
             work, q.shape[0], xl, q, unavail, onehot, probs, mask)
         self.xl_t = None if xl is None else xl.T
         self.cols = (probs[:, :1], probs[:, 1:]) if work.fold and probs is not None else None
-        self.layers, back, self.last_t, self.gate, self.r, self.dv, self.stat = (
+        self.layers, back, self.last_t, self.gate, self.r, self.dv, self.stat, self.nest = (
             work.full if q.shape[0] == work.rows else work.cut(q.shape[0]))
         self.backward = back and (*back[:-1], (*back[-1][:-1], q.T))
 
@@ -318,30 +323,48 @@ def nest_layout(alt_nest: np.ndarray, n_nests: int) -> NestLayout:
         raise ValueError("every nest needs at least one alternative")
     member = (alt_nest[:, None] == np.arange(n_nests)).astype(np.float64)
     order = np.argsort(alt_nest, kind="stable")
-    return NestLayout(member, member @ member.T, order,
+    return NestLayout(member, member.T, order,
                       np.searchsorted(alt_nest[order], np.arange(n_nests)))
 
 
-def nested_parts(v: np.ndarray, unavail: np.ndarray, layout: NestLayout,
-                 mu: np.ndarray) -> tuple[np.ndarray, ...]:
-    """(scaled, p_nest, p_cond, mu_alt): per-nest logsums over mu and the probability
-    pieces of the two-level formula.
+class NestWork(namedtuple("NestWork", "s e t c sums ln_s stat cols mu_alt col_sum mu_tmp dmu")):
+    """`nested_pass`'s arrays for ``rows`` rows, the step's bound once per fit.  (rows, I):
+    s = mu_alt * V masked; e = exp(s - c), then P(i|m) (s itself without ``grads``); a
+    scratch.  (rows, M): c, each nest's shift, then dV's nest factor; the nest sums, then
+    P(m); the logsums.  The nest softmax's row statistic and two columns it folds (M = 2);
+    (I,) mu_alt and a column sum; (M,) a scratch and d/dmu.  `cut` views the first n rows."""
 
-    The probabilities, ``(p_nest @ member.T) * p_cond``, are exactly 0 where
-    ``unavail``: through ``p_cond`` in a nest with an available member, through
-    ``p_nest`` in a nest without one."""
-    member, member_t = layout.member, layout.member.T
-    mu_alt = member @ mu
-    s_arg = mu_alt * v
-    np.putmask(s_arg, unavail, UNAVAILABLE)
-    c = np.maximum.reduceat(s_arg.take(layout.order, axis=1), layout.start, axis=1)
-    e = s_arg - c @ member_t
-    ln_s = c + np.log(np.exp(e, out=e) @ member)
-    scaled = ln_s / mu
-    p_nest = softmax(scaled.copy())
-    s_arg -= ln_s @ member_t
-    p_cond = np.exp(s_arg, out=s_arg)
-    return scaled, p_nest, p_cond, mu_alt
+    @classmethod
+    def of(cls, prog: ModelProgram, rows: int, grads: bool = True) -> NestWork:
+        s, t, n_nests = np.empty((rows, prog.n_alts)), np.empty((rows, prog.n_alts)), len(prog.mu)
+        return cls(s, np.empty_like(s) if grads else s, t, *np.empty((3, rows, n_nests)),
+                   np.empty((rows, 1)), None, *np.empty((2, prog.n_alts)), *np.empty((2, n_nests))
+                   ).cut(rows)
+
+    def cut(self, n: int) -> NestWork:
+        rows = [a[:n] for a in self[:7]]
+        cols = (rows[4][:, :1], rows[4][:, 1:]) if rows[4].shape[1] == 2 else None
+        return NestWork(*rows, cols, *self[8:])
+
+
+def nested_pass(prog: ModelProgram, v: np.ndarray, unavail: np.ndarray, nw: NestWork,
+                holes: bool = True) -> np.ndarray:
+    """The nested logit's probabilities of utilities ``v``, written over ``v`` and returned;
+    ``nw`` keeps s, P(i|m), P(m) and the logsums.  ``holes`` False skips the mask.  They are
+    exactly 0 where ``unavail``: through P(i|m) in a nest with an available member, through
+    P(m) in one without."""
+    (s, e, t, c, sums, ln_s), lay, mu = nw[:6], prog.layout, prog.mu
+    np.multiply(v, np.dot(lay.member, mu, out=nw.mu_alt), out=s)
+    if holes:
+        np.putmask(s, unavail, UNAVAILABLE)
+    np.maximum.reduceat(s.take(lay.order, axis=1, out=t, mode="clip"), lay.start, axis=1, out=c)
+    np.subtract(s, np.dot(c, lay.member_t, out=t), out=e)
+    np.exp(e, out=e)
+    np.log(np.dot(e, lay.member, out=sums), out=ln_s)
+    ln_s += c
+    e /= np.dot(sums, lay.member_t, out=t)
+    softmax(np.divide(ln_s, mu, out=sums), nw.stat, nw.cols)
+    return np.multiply(np.dot(sums, lay.member_t, out=t), e, out=v)
 
 
 def softmax(z: np.ndarray, stat: np.ndarray | None = None,
@@ -384,8 +407,9 @@ def probabilities(prog: ModelProgram, v: np.ndarray, avail: np.ndarray) -> np.nd
     if fault := choice_fault(unavail):
         raise ValueError(fault)
     if prog.use_nests:
-        _, p_nest, p_cond, _ = nested_parts(v, unavail, prog.layout, prog.mu)
-        return (p_nest @ prog.layout.member.T) * p_cond
+        nw = NestWork.of(prog, v.shape[0], False)
+        np.copyto(nw.t, v)  # t, scratch after v's first read, takes the probabilities
+        return nested_pass(prog, nw.t, unavail, nw)
     v = v.astype(np.float64)
     np.putmask(v, unavail, -np.inf)
     return softmax(v)
@@ -409,29 +433,33 @@ def loss_value(prog: ModelProgram, data: np.ndarray, avail: np.ndarray,
 def utility_gradients(prog: ModelProgram, v: np.ndarray, unavail: np.ndarray,
                       onehot: np.ndarray, b: Batch | None = None,
                       ) -> tuple[np.ndarray, np.ndarray | None, np.ndarray]:
-    """Per-row d(-ln P_chosen)/dV and d/dmu (None without nests), and the probabilities.
+    """Per-row d(-ln P_chosen)/dV, d/dmu summed over the rows, (M,), and the probabilities.
 
-    Reads the mask and the one-hot choice of `compile_inputs` and overwrites ``v``
-    with the probabilities (the nested logit first reads it with 0 where unavailable,
-    so a non-finite utility there leaves d/dmu finite), dV into a bound batch ``b``'s.
-    Rows are not checked for an available alternative: callers check once, at entry.
+    Reads the mask and one-hot choice of `compile_inputs`; overwrites ``v`` with the
+    probabilities, dV into a bound batch ``b``'s.  d/dmu is None without nests and for a
+    workspace that trains no mu; it reads the masked s = mu_alt * V, so a non-finite utility
+    where unavailable leaves it finite.  Callers check rows for an available one at entry.
     """
     if not prog.use_nests:
         if b is None or b.work.holes:
             np.putmask(v, unavail, -np.inf)
         stat, cols, dv = (None, None, None) if b is None else (b.stat, b.cols, b.dv)
         return np.subtract(softmax(v, stat, cols), onehot, out=dv), None, v
-    lay = prog.layout
-    scaled, p_nest, p_cond, mu_alt = nested_parts(v, unavail, lay, prog.mu)
-    np.putmask(v, unavail, 0.0)  # p_cond is 0 there; 0 * inf would make d/dmu NaN
-    nest_star = onehot @ lay.member
-    # expected utility within each nest, availability already folded into p_cond
-    ebar = (p_cond * v) @ lay.member
-    g = (ebar - scaled) / prog.mu
-    dmu = (p_nest - nest_star) * g + nest_star * ebar - (onehot * v) @ lay.member
-    p = np.multiply(p_nest @ lay.member.T, p_cond, out=v)
-    # the chosen nest's terms through the one-hot choice (mu is constant within a nest)
-    dv = p + p_cond * (onehot @ (lay.same_nest * (mu_alt - 1.0))) - onehot * mu_alt
+    lay, nw = prog.layout, NestWork.of(prog, v.shape[0]) if b is None else b.nest
+    p = nested_pass(prog, v, unavail, nw, b is None or b.work.holes)
+    (s, e, t, c, nest_p, ln_s), dv = nw[:6], np.empty_like(p) if b is None else b.dv
+    # dV_i = P(i|m) (P(m) + [m = m*] (mu_m - 1)) - [i = i*] mu_m, for i in nest m, m* chosen
+    np.multiply(np.dot(onehot, lay.member, out=c), np.subtract(prog.mu, 1.0, out=nw.mu_tmp),
+                out=c)
+    c += nest_p
+    np.multiply(np.dot(c, lay.member_t, out=t), e, out=dv)
+    dv -= np.multiply(onehot, nw.mu_alt, out=t)
+    if b is not None and b.work.mu is None:
+        return dv, None, p
+    np.subtract(s, np.dot(ln_s, lay.member_t, out=t), out=t)  # ln P(i|m)
+    t *= dv
+    dmu = np.dot(np.add.reduce(t, axis=0, out=nw.col_sum), lay.member, out=nw.dmu)
+    dmu /= np.multiply(prog.mu, prog.mu, out=nw.mu_tmp)
     return dv, dmu, p
 
 
@@ -439,10 +467,10 @@ def loss_gradients(prog: ModelProgram, v: np.ndarray, avail: np.ndarray,
                    choice: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """`utility_gradients` of raw utilities, 0/1 availability and choice codes.
 
-    Leaves ``v`` as it was; d/dmu is zeros for the plain logit."""
+    Leaves ``v`` as it was; d/dmu, summed over the rows, is zeros for the plain logit."""
     dv, dmu, p = utility_gradients(prog, v.astype(np.float64), ~(avail > 0),
                                  np.eye(prog.n_alts)[choice])
-    return dv, np.zeros((v.shape[0], prog.mu.shape[0])) if dmu is None else dmu, p
+    return dv, np.zeros(prog.mu.shape[0]) if dmu is None else dmu, p
 
 
 def net_backward(prog: ModelProgram, dv: np.ndarray, b: Batch, l2: float = 0.0,
@@ -469,8 +497,9 @@ def net_backward(prog: ModelProgram, dv: np.ndarray, b: Batch, l2: float = 0.0,
     if q:
         return da @ prog.w_in.T
     if l2:
-        for k in NET_WEIGHTS:
-            out[k] += 2.0 * l2 * getattr(prog, k)
+        b.work.decay = b.work.decay or [np.empty_like(getattr(prog, k)) for k in NET_WEIGHTS]
+        for k, buf in zip(NET_WEIGHTS, b.work.decay):
+            out[k] += np.multiply(getattr(prog, k), 2.0 * l2, out=buf)
 
 
 def backprop(prog: ModelProgram, data: np.ndarray, dv: np.ndarray,
@@ -501,8 +530,8 @@ def step(prog: ModelProgram, b: Batch, l2: float = 0.0, scale: int = 1) -> np.nd
     if work.net:
         net_backward(prog, dv, b, l2)
     if work.mu is not None:
-        dmu /= scale
-        np.multiply(np.add.reduce(dmu, axis=0), work.mu_free, out=work.mu)
+        np.divide(dmu, scale, out=work.mu)
+        work.mu *= work.mu_free
     return p
 
 

@@ -8,9 +8,9 @@ boolean "unavailable" mask, the choice one-hot), refilled in place from the
 dataset once per epoch with that epoch's permutation of the rows, so each batch
 is a contiguous slice.  Every trained tensor is a view into one flat vector, its
 gradient a view into another that the step writes through one `program.StepWork`
-per fit (tensors a phase does not train are not backpropagated).  Adam stacks
-its two moments as one (2, P) array; it, the divergence snapshot and the
-rollback are in-place vector operations.
+per fit (tensors a phase does not train are not backpropagated).  Adam updates
+each of its two moments with scalar rates and bias corrections; it, the
+divergence snapshot and the rollback are in-place vector operations.
 
 Stream contract: the fit reads stream ``StreamId.FIT`` of ``config.seed``
 (`prng`) in order.  Per epoch it takes N permutation keys and then, per batch
@@ -118,7 +118,7 @@ def fit_program(prog: pr.ModelProgram, data: np.ndarray, avail: np.ndarray,
     tensors = [getattr(prog, k) for k in names]
     flat = np.concatenate([a.ravel() for a in tensors] + [np.zeros(0)])
     grad = np.zeros(flat.size)  # laid out like `flat`, as are Adam's rows below
-    moments, adam = np.zeros((2, 2, flat.size))  # (m1, m2) and two work rows
+    (m1, m2), (adam1, adam2) = np.zeros((2, 2, flat.size))  # Adam's moments and work rows
     bounds = np.cumsum([a.size for a in tensors])[:-1]
     views, grads = ({k: part.reshape(a.shape)
                      for k, part, a in zip(names, np.split(vec, bounds), tensors)}
@@ -132,10 +132,11 @@ def fit_program(prog: pr.ModelProgram, data: np.ndarray, avail: np.ndarray,
     mask_cells = np.empty(min(rows_per_draw, n) * width * dropout_on)  # one draw's masks
     masks = mask_cells.reshape(-1, width) if dropout_on else None
 
-    lr, b1, b2, eps = config.learning_rate, ADAM_BETA1, ADAM_BETA2, ADAM_EPS
-    b1p = b2p = 1.0
-    decay, corr = np.array([[b1], [b2]]), np.empty((2, 1))  # corr: 1 - b**t, bias corrections
-    rates, (adam1, adam2) = 1.0 - decay, adam
+    b1, b2, b1p, b2p = ADAM_BETA1, ADAM_BETA2, 1.0, 1.0
+    # Adam's scalars as 0-d arrays, which numpy takes faster than Python floats
+    decay1, decay2, rate1, rate2, corr1, corr2, lr, eps = (np.array(x) for x in (
+        b1, b2, 1.0 - b1, 1.0 - b2, 1.0, 1.0, config.learning_rate, ADAM_EPS))
+    mu = views["mu"] if fit_mu else None
     trace = np.full(config.epochs, np.nan)
     status, epochs_run = "ok", 0
 
@@ -154,21 +155,21 @@ def fit_program(prog: pr.ModelProgram, data: np.ndarray, avail: np.ndarray,
                 stream.keep_mask(cells, config.dropout, out=mask_cells[:cells])
             pr.step(trained, batch, l2, batch.rows)
 
-            # Adam: m1 = b1*m1 + (1-b1)*g, m2 = b2*m2 + ((1-b2)*g)*g,
-            # flat -= (lr*(m1/c1)) / (sqrt(m2/c2) + eps), in that order of operations
+            # Adam: m1 = b1*m1 + (1-b1)*g, m2 = b2*m2 + ((1-b2)*g)*g, flat -= (lr*(m1/corr1))
+            # / (sqrt(m2/corr2) + eps), corr = 1 - b**t, in that order of operations
             b1p, b2p = b1p * b1, b2p * b2
-            corr[0, 0], corr[1, 0] = 1.0 - b1p, 1.0 - b2p
-            moments *= decay
-            np.multiply(grad, rates, out=adam)
-            adam2 *= grad
-            moments += adam
-            np.divide(moments, corr, out=adam)
-            np.sqrt(adam2, out=adam2)
+            corr1[()], corr2[()] = 1.0 - b1p, 1.0 - b2p
+            m1 *= decay1
+            m1 += np.multiply(grad, rate1, out=adam1)
+            m2 *= decay2
+            m2 += np.multiply(np.multiply(grad, rate2, out=adam2), grad, out=adam2)
+            np.divide(m1, corr1, out=adam1)
+            np.sqrt(np.divide(m2, corr2, out=adam2), out=adam2)
             adam2 += eps
-            np.multiply(adam1, lr, out=adam1)
+            adam1 *= lr
             flat -= np.divide(adam1, adam2, out=adam1)
-            if fit_mu:
-                np.maximum(views["mu"], 1.0, out=views["mu"])
+            if mu is not None:
+                np.maximum(mu, 1.0, out=mu)
 
         trace[epoch] = float(pr.sample_nll(probs, chs).sum()) / n
         epochs_run = epoch + 1

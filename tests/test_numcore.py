@@ -1,6 +1,7 @@
 """Unit tests for the numeric core: PRNG, softmax and NLL, gradients, the trainer."""
 
 import ast
+import decimal
 import gc
 import math
 import re
@@ -424,29 +425,38 @@ def test_l2_penalty_adds_exactly():
 
 
 def _nested_row_reference(v, avail, alt_nest, mu, chosen):
-    """d(-ln P_chosen)/dV, d/dmu and P of one row, by loops over the two-level
-    formula, each logsum shifted by its own nest's max."""
-    alts, nests = range(len(v)), range(len(mu))
-    members = [[j for j in alts if alt_nest[j] == m and avail[j] > 0] for m in nests]
-    ln_s, ebar, cond = [-math.inf] * len(mu), [0.0] * len(mu), [0.0] * len(v)
-    for m in nests:
-        if members[m]:
-            c = max(mu[m] * v[j] for j in members[m])
-            ln_s[m] = c + math.log(sum(math.exp(mu[m] * v[j] - c) for j in members[m]))
-            for j in members[m]:
-                cond[j] = math.exp(mu[m] * v[j] - ln_s[m])
-            ebar[m] = sum(cond[j] * v[j] for j in members[m])
-    incl = [ln_s[m] / mu[m] for m in nests]
-    top = max(incl)
-    p_nest = [math.exp(x - top) / sum(math.exp(y - top) for y in incl) for x in incl]
-    p = [p_nest[alt_nest[j]] * cond[j] for j in alts]
-    star = alt_nest[chosen]
-    dv = [p[j] + (mu[star] - 1.0) * cond[j] * (alt_nest[j] == star) - mu[star] * (j == chosen)
-          for j in alts]
-    dmu = [p_nest[m] * (ebar[m] / mu[m] - ln_s[m] / mu[m] ** 2) if members[m] else 0.0
-           for m in nests]
-    dmu[star] += -v[chosen] + ebar[star] - ebar[star] / mu[star] + ln_s[star] / mu[star] ** 2
-    return dv, dmu, p
+    """d(-ln P_chosen)/dV, d/dmu and P of one row, as 50-digit Decimals, by loops over the
+    two-level formula (d/dmu by its own derivative, not the chain rule in mu * V).
+
+    The logsum arguments mu * V and the inclusive values ln S / mu are taken as float64
+    holds them: at |mu V| = 1.7e6 one ulp of either is ~2e-10, which moves P relative
+    by as much, so no float64 pass can do better; every other step is exact."""
+    d = decimal.Decimal
+    with decimal.localcontext(prec=50):
+        alts, nests = range(len(v)), range(len(mu))
+        s = [d(float(mu[alt_nest[j]] * v[j])) for j in alts]
+        v, mu = [d(float(x)) for x in v], [d(float(x)) for x in mu]
+        members = [[j for j in alts if alt_nest[j] == m and avail[j] > 0] for m in nests]
+        ln_s, ebar, cond = [None] * len(mu), [d(0)] * len(mu), [d(0)] * len(v)
+        for m in nests:
+            if members[m]:
+                c = max(s[j] for j in members[m])
+                ln_s[m] = c + sum((s[j] - c).exp() for j in members[m]).ln()
+                for j in members[m]:
+                    cond[j] = (s[j] - ln_s[m]).exp()
+                ebar[m] = sum(cond[j] * v[j] for j in members[m])
+        incl = {m: d(float(ln_s[m] / mu[m])) for m in nests if members[m]}
+        top = max(incl.values())
+        total = sum((x - top).exp() for x in incl.values())
+        p_nest = [(incl[m] - top).exp() / total if m in incl else d(0) for m in nests]
+        p = [p_nest[alt_nest[j]] * cond[j] for j in alts]
+        star = alt_nest[chosen]
+        dv = [p[j] + (mu[star] - 1) * cond[j] * (alt_nest[j] == star) - mu[star] * (j == chosen)
+              for j in alts]
+        dmu = [p_nest[m] * (ebar[m] / mu[m] - ln_s[m] / mu[m] ** 2) if members[m] else d(0)
+               for m in nests]
+        dmu[star] += -v[chosen] + ebar[star] - ebar[star] / mu[star] + ln_s[star] / mu[star] ** 2
+        return dv, dmu, p
 
 
 @pytest.mark.parametrize("case", ["survey_layout", "nest_unavailable", "far_below_at_1e6"])
@@ -470,12 +480,18 @@ def test_nested_loss_gradients_match_per_row_formula(case):
                         np.zeros(0, dtype=np.int64), *empty_net(3), alt_nest, mu,
                         np.array([1, 0], dtype=np.uint8), True)
     got = numcore.loss_gradients(prog, v, avail, choice)
-    want = [np.array(w) for w in zip(*(_nested_row_reference(v[i], avail[i], alt_nest, mu,
-                                                            choice[i]) for i in range(n)))]
-    # relative to each value; dmu relative to the size of the logsum terms it cancels
-    for name, g, w, size in zip(("dv", "dmu", "p"), got, want, (0.0, np.abs(v).max(), 0.0)):
-        assert np.isfinite(g).all(), name
+    rows = [_nested_row_reference(v[i], avail[i], alt_nest, mu, choice[i]) for i in range(n)]
+    with decimal.localcontext(prec=50):
+        dmu = [sum(row[1][m] for row in rows) for m in range(2)]
+    want = [np.array([[float(x) for x in row[k]] for row in rows]) for k in (0, 2)]
+    want.insert(1, np.array([float(x) for x in dmu]))  # summed over the rows, then rounded
+    # P relative to each value; dV, whose chosen entry cancels P against mu, relative to
+    # the size of its terms; dmu relative to the size of the logsum terms it cancels
+    sizes = (mu.max(), np.abs(v).max(), 0.0)
+    for name, g, w, size in zip(("dv", "dmu", "p"), got, want, sizes):
+        assert g.shape == w.shape and np.isfinite(g).all(), name
         assert (np.abs(g - w) <= 1e-12 * np.maximum(np.abs(w), size)).all(), name
+    assert (got[0][avail == 0] == 0.0).all() and (got[2][avail == 0] == 0.0).all()
 
 
 @pytest.mark.parametrize("at_hole", [np.inf, -np.inf, np.nan])
@@ -533,7 +549,7 @@ def test_probabilities_and_gradients_stay_finite(seed, with_net, with_nests, log
 def _where_masked_gradients(prog, avail):
     """`utility_gradients` with availability applied by ``np.where`` on 0/1 ``avail``,
     as before the mask was compiled: the reference of the compiled mask.  The
-    nested d/dmu reads the utilities with 0 where unavailable."""
+    nested d/dmu reads the logsum arguments with UNAVAILABLE where unavailable."""
     from lchoice.numcore.program import UNAVAILABLE
 
     def softmax(z):
@@ -544,21 +560,19 @@ def _where_masked_gradients(prog, avail):
         if not prog.use_nests:
             p = softmax(np.where(avail > 0, v, -np.inf))
             return p - onehot, None, p
-        lay, member = prog.layout, prog.layout.member
-        mu_alt = member @ prog.mu
-        s_arg = np.where(avail > 0, mu_alt * v, UNAVAILABLE)
-        c = np.maximum.reduceat(s_arg.take(lay.order, axis=1), lay.start, axis=1)
-        ln_s = c + np.log(np.exp(s_arg - c @ member.T) @ member)
-        scaled = ln_s / prog.mu
-        p_nest = softmax(scaled)
-        p_cond = np.exp(s_arg - ln_s @ member.T)
-        p = (p_nest @ member.T) * p_cond
-        dv = p + p_cond * (onehot @ (lay.same_nest * (mu_alt - 1.0))) - onehot * mu_alt
-        nest_star = onehot @ member
-        v = np.where(avail > 0, v, 0.0)
-        ebar = (p_cond * v) @ member
-        g = (ebar - scaled) / prog.mu
-        dmu = (p_nest - nest_star) * g + nest_star * ebar - (onehot * v) @ member
+        lay, member, member_t, mu = prog.layout, prog.layout.member, prog.layout.member.T, prog.mu
+        mu_alt = np.dot(member, mu)
+        s = np.where(avail > 0, v * mu_alt, UNAVAILABLE)
+        c = np.maximum.reduceat(s.take(lay.order, axis=1), lay.start, axis=1)
+        e = np.exp(s - np.dot(c, member_t))
+        sums = np.dot(e, member)
+        ln_s = np.log(sums) + c
+        p_cond = e / np.dot(sums, member_t)
+        p_nest = softmax(ln_s / mu)
+        p = np.dot(p_nest, member_t) * p_cond
+        dv = (np.dot(np.dot(onehot, member) * (mu - 1.0) + p_nest, member_t) * p_cond
+              - onehot * mu_alt)
+        dmu = np.dot(((s - np.dot(ln_s, member_t)) * dv).sum(axis=0), member) / (mu * mu)
         return dv, dmu, p
 
     return reference
@@ -977,6 +991,38 @@ def test_a_warm_workspace_step_allocates_less_than_one_activation():
         tracemalloc.stop()
     assert peak - current < 500 * 100 * 8
     assert peak < 500 * 100 * 8
+
+
+def _warm_step_peak(prog, data, avail, choice, rows, l2=0.0):
+    """tracemalloc's peak over the third `step` of one bound ``rows``-row batch, dropout on."""
+    inputs = compile_inputs(prog, data[:rows], avail[:rows], choice[:rows])
+    mask = np.where(np.random.default_rng(0).random((rows, prog.hidden_width)) < 0.2, 0.0, 1.25)
+    b = program.Batch(program.StepWork(prog, rows), *inputs, np.empty((rows, prog.n_alts)), mask)
+    program.step(prog, b, l2, rows)
+    program.step(prog, b, l2, rows)
+    tracemalloc.start()
+    try:
+        program.step(prog, b, l2, rows)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_a_warm_step_with_l2_allocates_no_more_than_without():
+    # 2 * l2 * W once made a temporary per weight tensor: 80,296 B against 41,200 B
+    prog, data, avail, choice = _wide_lmnl_instance(seed=3, n=50, width=100, depth=2)
+    assert (_warm_step_peak(prog, data, avail, choice, 50, l2=1e-3)
+            <= _warm_step_peak(prog, data, avail, choice, 50))
+
+
+def test_a_warm_nested_step_allocates_no_array():
+    # the nested pass once made about ten (50, 3) arrays per step, 11,752 B here; now it
+    # adds to the plain logit's step on the same net less than one float per row
+    from dataclasses import replace
+    nested, data, avail, choice = _featureful_instance(seed=5)
+    plain = replace(nested, use_nests=False)
+    assert (_warm_step_peak(nested, data, avail, choice, 50)
+            < _warm_step_peak(plain, data, avail, choice, 50) + 50 * 8)
 
 
 @pytest.mark.parametrize("train_net", [True, False])
