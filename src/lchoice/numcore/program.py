@@ -105,13 +105,14 @@ class ModelProgram:
 class StepWork:
     """What every batch of a training step of up to ``rows`` rows shares, built once per
     fit: each layer's activation (overwritten by its gradient), a ReLU gate, the net output,
-    softmax row statistic, dV, X_lin.T @ dV, sel @ beta, the nested pass's `NestWork`, the
-    gradients ``out`` (new when None), sel.T, the weights' transposes, ``mu_free > 0`` and
-    `cut`'s views for a full batch, with the hidden layers' input transposes.  ``holes``
-    False skips the mask."""
+    softmax row statistic, dV, X_lin.T @ dV, sel @ beta, the nested pass's `NestWork` (not
+    for a net-only pass, ``out`` empty), the gradients ``out`` (new when None), sel.T, the
+    weights' transposes, ``mu_free > 0`` and `cut`'s views for a full batch, with the hidden
+    layers' input transposes.  ``holes`` False skips the mask; ``l2`` > 0 keeps a buffer for
+    2 * l2 * W per net weight (without, `net_backward` makes them anew, as for `backprop`)."""
 
     def __init__(self, prog: ModelProgram, rows: int, out: dict[str, np.ndarray] | None = None,
-                 holes: bool = True):
+                 holes: bool = True, l2: float = 0.0):
         if out is None:
             names = ("beta",) + NET_TENSORS * prog.has_net + ("mu",) * prog.use_nests
             out = {k: np.empty_like(getattr(prog, k)) for k in names}
@@ -130,8 +131,8 @@ class StepWork:
         self.stat = np.empty((rows, 1))
         self.xtdv, self.lin_2d = np.empty((2, prog.lin_cols.shape[0] + 1, prog.n_alts))
         self.xtdv_flat, self.lin = self.xtdv.reshape(-1), self.lin_2d.reshape(-1)
-        self.nest = NestWork.of(prog, rows) if prog.use_nests else None
-        self.decay = None  # 2 * l2 * W of each of NET_WEIGHTS, from the first step with l2
+        self.nest = NestWork.of(prog, rows) if prog.use_nests and out else None
+        self.decay = [np.empty_like(getattr(prog, k)) if l2 else None for k in NET_WEIGHTS]
         self.full = self.cut(rows)
 
     def cut(self, n: int) -> tuple:
@@ -497,7 +498,6 @@ def net_backward(prog: ModelProgram, dv: np.ndarray, b: Batch, l2: float = 0.0,
     if q:
         return da @ prog.w_in.T
     if l2:
-        b.work.decay = b.work.decay or [np.empty_like(getattr(prog, k)) for k in NET_WEIGHTS]
         for k, buf in zip(NET_WEIGHTS, b.work.decay):
             out[k] += np.multiply(getattr(prog, k), 2.0 * l2, out=buf)
 
@@ -551,10 +551,10 @@ def gradients(prog: ModelProgram, xl: np.ndarray, q: np.ndarray, unavail: np.nda
     if reduction not in ("mean", "sum"):
         raise ValueError(f"reduction must be 'mean' or 'sum', got {reduction!r}")
     n = xl.shape[0]
-    work = StepWork(prog, n, out) if work is None else work
+    l2, scale = (l2, n) if reduction == "mean" else (0.0, 1)
+    work = StepWork(prog, n, out, l2=l2) if work is None else work
     probs = np.empty((n, prog.n_alts)) if probs is None else probs
-    b = Batch(work, xl, q, unavail, onehot, probs, mask)
-    return work.out, step(prog, b, *((l2, n) if reduction == "mean" else (0.0, 1)))
+    return work.out, step(prog, Batch(work, xl, q, unavail, onehot, probs, mask), l2, scale)
 
 
 def frozen_net_beta_gradient(prog: ModelProgram, xl: np.ndarray, v_net: np.ndarray | None,

@@ -124,7 +124,7 @@ def fit_program(prog: pr.ModelProgram, data: np.ndarray, avail: np.ndarray,
                      for k, part, a in zip(names, np.split(vec, bounds), tensors)}
                     for vec in (flat, grad))
     trained = replace(prog, **views)  # the program, reading the trained tensors from `flat`
-    work = pr.StepWork(trained, min(bs, n), grads, holes=not (avail > 0).all())
+    work = pr.StepWork(trained, min(bs, n), grads, holes=not (avail > 0).all(), l2=l2)
     good = flat.copy()
     probs = np.empty((n, prog.n_alts))
     inputs, chs = None, np.empty(n, dtype=np.int64)  # the epoch's rows, refilled in place

@@ -485,9 +485,9 @@ def test_nested_loss_gradients_match_per_row_formula(case):
         dmu = [sum(row[1][m] for row in rows) for m in range(2)]
     want = [np.array([[float(x) for x in row[k]] for row in rows]) for k in (0, 2)]
     want.insert(1, np.array([float(x) for x in dmu]))  # summed over the rows, then rounded
-    # P relative to each value; dV, whose chosen entry cancels P against mu, relative to
-    # the size of its terms; dmu relative to the size of the logsum terms it cancels
-    sizes = (mu.max(), np.abs(v).max(), 0.0)
+    # P and dV relative to each value, but dV's chosen entry, which cancels P against its
+    # nest's mu, relative to that mu; dmu relative to the size of the logsum terms it cancels
+    sizes = (np.where(np.eye(3)[choice] > 0, mu[alt_nest], 0.0), np.abs(v).max(), 0.0)
     for name, g, w, size in zip(("dv", "dmu", "p"), got, want, sizes):
         assert g.shape == w.shape and np.isfinite(g).all(), name
         assert (np.abs(g - w) <= 1e-12 * np.maximum(np.abs(w), size)).all(), name
@@ -997,7 +997,8 @@ def _warm_step_peak(prog, data, avail, choice, rows, l2=0.0):
     """tracemalloc's peak over the third `step` of one bound ``rows``-row batch, dropout on."""
     inputs = compile_inputs(prog, data[:rows], avail[:rows], choice[:rows])
     mask = np.where(np.random.default_rng(0).random((rows, prog.hidden_width)) < 0.2, 0.0, 1.25)
-    b = program.Batch(program.StepWork(prog, rows), *inputs, np.empty((rows, prog.n_alts)), mask)
+    work = program.StepWork(prog, rows, l2=l2)
+    b = program.Batch(work, *inputs, np.empty((rows, prog.n_alts)), mask)
     program.step(prog, b, l2, rows)
     program.step(prog, b, l2, rows)
     tracemalloc.start()
