@@ -48,7 +48,6 @@ from .estimation import (
     t_test,
 )
 from .models import (
-    FeaturePartition,
     HybridChoiceModel,
     NestStructure,
     RepresentationNet,

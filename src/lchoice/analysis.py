@@ -480,7 +480,7 @@ def sensitivity_sweep(model: HybridChoiceModel, ds: ChoiceDataset, column: str,
     Deltas are multiplicative fractions (0.1 means +10% on the raw column);
     all other columns stay untouched.
     """
-    if column not in model.partition.q:
+    if column not in model.q:
         raise ValueError(f"column {column!r} is not a net input of this model")
     j = ds.col_index(column)
     base = predict_probabilities(model, ds).mean(axis=0)
@@ -535,7 +535,7 @@ def feature_impact(model: HybridChoiceModel, ds: ChoiceDataset) -> FeatureImpact
     not drowned out by common ones.
     """
     labels = tuple(ds.alt_labels)
-    qcols = tuple(model.partition.q)
+    qcols = model.q
     n_alts = len(labels)
     if not qcols:
         return FeatureImpactResult(qcols, labels, np.zeros((n_alts, 0)),

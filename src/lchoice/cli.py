@@ -193,12 +193,6 @@ def _report_args(cfg: dict) -> dict:
                 **({"compute_std_errors": block["std_errors"]} if "std_errors" in block else {}))
 
 
-def _read_model(path: str):
-    if not Path(path).is_file():
-        raise ConfigError(f"model file not found: {path}")
-    return load_model(path)
-
-
 # ---------------------------------------------------------------------------
 # run directories
 
@@ -254,7 +248,7 @@ def cmd_estimate(args) -> int:
     report_args = _report_args(cfg)
 
     # building the model to fit refuses columns in both X and Q
-    model = _read_model(args.eval_only) if args.eval_only else recipe.build(labels, seed)
+    model = load_model(args.eval_only) if args.eval_only else recipe.build(labels, seed)
     named = set(report_args["references"]).union(*(r[1:] for r in report_args["ratio_defs"]))
     if unknown := sorted(named - set(model.param_names)):
         raise ConfigError(f"report names unknown parameters {unknown}; "
@@ -265,7 +259,7 @@ def cmd_estimate(args) -> int:
     else:
         if recipe.kind in ("LMNL", "LNL"):
             model.program_for(train)  # refuses columns the dataset lacks
-            for msg in validate_partition(train, model.partition.x, model.partition.q):
+            for msg in validate_partition(train, model.utility.x_columns(), model.q):
                 print(f"advisory: {msg}", file=sys.stderr)
         sequential = cfg.get("sequential")
         fit_model = partial(fit_sequential, order=str(sequential)) if sequential else fit_joint
@@ -351,7 +345,7 @@ def cmd_experiment(args) -> int:
     elif kind in ("sensitivity", "feature-impact"):
         if not cfg.get("model_file"):
             raise ConfigError(f"{kind} needs 'model_file' in the config")
-        model = _read_model(cfg["model_file"])
+        model = load_model(str(cfg["model_file"]))
         train, _ = _load_dataset(cfg, seed)
         if kind == "sensitivity":
             column = cfg.get("column")

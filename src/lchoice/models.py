@@ -16,7 +16,7 @@ import numpy as np
 
 from .dataio import ChoiceDataset, DataError
 from .numcore import prng
-from .numcore.program import (ModelProgram, empty_net, eval_inputs, first_nonfinite,
+from .numcore.program import (NET_TENSORS, ModelProgram, empty_net, eval_inputs, first_nonfinite,
                               probabilities, single_nest, utilities)
 
 KIND_LOGIT = "Logit"
@@ -63,14 +63,6 @@ class UtilitySpec:
             for _, col in t.entries:
                 seen.setdefault(col, None)
         return tuple(seen)
-
-
-@dataclass(frozen=True)
-class FeaturePartition:
-    """Column split: x feeds the linear block, q feeds the net."""
-
-    x: tuple[str, ...] = ()
-    q: tuple[str, ...] = ()
 
 
 @dataclass
@@ -124,11 +116,10 @@ class RepresentationNet:
 
     Hidden layers are ReLU with a shared width; the output layer is linear
     and zero-initialised so a fresh net contributes exactly nothing to the
-    utilities (frozen-net fits then reduce to plain logit).
+    utilities (frozen-net fits then reduce to plain logit).  The width and
+    depth are the shape of ``b_hidden``, (depth, width).
     """
 
-    width: int
-    depth: int
     w_in: np.ndarray
     w_hidden: np.ndarray
     b_hidden: np.ndarray
@@ -146,7 +137,7 @@ class RepresentationNet:
         w_in = stream.glorot(n_inputs, width)
         hidden = [stream.glorot(width, width) for _ in range(depth - 1)]
         w_hidden = np.array(hidden).reshape(depth - 1, width, width)
-        return cls(width, depth, w_in, w_hidden, np.zeros((depth, width)),
+        return cls(w_in, w_hidden, np.zeros((depth, width)),
                    np.zeros((width, n_alts)), np.zeros(n_alts))
 
 
@@ -159,15 +150,20 @@ def _index(a: str, alt_labels: tuple[str, ...]) -> int:
 
 @dataclass
 class HybridChoiceModel:
+    """The linear block reads ``utility.x_columns()``; the net reads ``q``."""
+
     kind: str
     alt_labels: tuple[str, ...]
     utility: UtilitySpec
-    partition: FeaturePartition
+    q: tuple[str, ...]
     beta: np.ndarray
-    param_names: tuple[str, ...]
     net: RepresentationNet | None = None
     nests: NestStructure | None = None
     _programs: dict = field(default_factory=dict, repr=False)
+
+    @property
+    def param_names(self) -> tuple[str, ...]:
+        return self.utility.parameter_names()
 
     @property
     def n_parameters(self) -> int:
@@ -202,9 +198,7 @@ def _compile(model: HybridChoiceModel, columns: list[str]) -> ModelProgram:
     col_pos = {c: j for j, c in enumerate(columns)}
     p_pos = {p: j for j, p in enumerate(model.param_names)}
     n_alts = len(model.alt_labels)
-    tp: list[int] = []
-    ta: list[int] = []
-    tc: list[int] = []
+    tp, ta, tc = [], [], []
     for a in model.utility.intercepts:
         tp.append(p_pos[f"asc_{a}"])
         ta.append(_index(a, model.alt_labels))
@@ -217,22 +211,19 @@ def _compile(model: HybridChoiceModel, columns: list[str]) -> ModelProgram:
             ta.append(_index(a, model.alt_labels))
             tc.append(col_pos[col])
     if model.net is not None:
-        missing = [c for c in model.partition.q if c not in col_pos]
-        if missing:
+        if missing := [c for c in model.q if c not in col_pos]:
             raise ValueError(f"net inputs reference unknown columns {missing}")
-        q_cols = np.array([col_pos[c] for c in model.partition.q], dtype=np.int64)
-        net = model.net
-        w = (net.w_in, net.w_hidden, net.b_hidden, net.w_out, net.b_out)
+        q_cols = np.array([col_pos[c] for c in model.q], dtype=np.int64)
+        w = tuple(getattr(model.net, k) for k in NET_TENSORS)
     else:
         q_cols = np.zeros(0, dtype=np.int64)
         w = empty_net(n_alts)
-    if model.nests is not None:
+    use_nests = model.nests is not None
+    if use_nests:
         alt_nest, mu_free = model.nests.resolve(model.alt_labels)
         mu = model.nests.mu
-        use_nests = True
     else:
         alt_nest, mu, mu_free = single_nest(n_alts)
-        use_nests = False
     return ModelProgram(
         n_alts, model.n_parameters,
         np.array(tp, dtype=np.int64), np.array(ta, dtype=np.int64), np.array(tc, dtype=np.int64),
@@ -283,8 +274,7 @@ def build_model(kind: str, alt_labels: tuple[str, ...],
     elif kind in (KIND_LMNL, KIND_LNL):
         if not has_linear or not q:
             raise ValueError(f"{kind} needs both a linear utility and Q columns")
-        overlap = sorted(set(q) & set(x_cols))
-        if overlap:
+        if overlap := sorted(set(q) & set(x_cols)):
             raise ValueError(f"columns in both X and Q break the interpretability "
                              f"condition dV_net/dx = 0: {overlap}")
         if kind == KIND_LNL and nests is None:
@@ -292,32 +282,23 @@ def build_model(kind: str, alt_labels: tuple[str, ...],
     elif kind == KIND_DUMMY:
         if not q:
             raise ValueError("DummyLogit needs Q columns to expand")
-
-    if kind == KIND_DUMMY:
         extra = tuple(UtilityTerm(f"{c}@{a}", ((a, c),))
                       for c in q for a in alt_labels)
         utility = UtilitySpec(utility.terms + extra, utility.intercepts)
-        partition = FeaturePartition(x=utility.x_columns(), q=())
         q = ()
-    else:
-        partition = FeaturePartition(x=x_cols, q=q)
 
-    param_names = utility.parameter_names()
     # coefficients start like a Glorot layer with one output; intercepts are
     # biases and start at zero
-    beta = np.zeros(len(param_names))
+    beta = np.zeros(len(utility.parameter_names()))
     n_asc = len(utility.intercepts)
-    n_coef = len(param_names) - n_asc
-    beta[n_asc:] = prng.Stream(seed, prng.StreamId.BETA_INIT).glorot(n_coef, 1).ravel()
-    net = None
-    if kind in (KIND_DNN, KIND_DNN_L, KIND_LMNL, KIND_LNL):
-        net = RepresentationNet.init(len(q), net_width, len(alt_labels), net_depth, seed)
+    beta[n_asc:] = prng.Stream(seed, prng.StreamId.BETA_INIT).glorot(len(beta) - n_asc, 1).ravel()
+    net = (RepresentationNet.init(len(q), net_width, len(alt_labels), net_depth, seed)
+           if kind in (KIND_DNN, KIND_DNN_L, KIND_LMNL, KIND_LNL) else None)
     if nests is not None:
         nests.resolve(alt_labels)  # fail fast on bad structures
         # private copy: fitting updates the model's mu, not the caller's object
         nests = NestStructure(nests.groups, nests.mu, nests.fixed)
-    return HybridChoiceModel(kind, alt_labels, utility, partition, beta,
-                             param_names, net, nests)
+    return HybridChoiceModel(kind, alt_labels, utility, q, beta, net, nests)
 
 
 def systematic_utility(model: HybridChoiceModel, ds: ChoiceDataset) -> np.ndarray:
@@ -332,63 +313,71 @@ def predict_probabilities(model: HybridChoiceModel, ds: ChoiceDataset) -> np.nda
 
 
 def save_model_dict(model: HybridChoiceModel) -> dict:
-    d = {
-        "format": "lchoice-model",
-        "version": 1,
-        "kind": model.kind,
-        "alt_labels": list(model.alt_labels),
-        "utility": {
-            "intercepts": list(model.utility.intercepts),
-            "terms": [{"param": t.param, "entries": [list(e) for e in t.entries]}
-                      for t in model.utility.terms],
-        },
-        "partition": {"x": list(model.partition.x), "q": list(model.partition.q)},
+    """Format version 1; ``load_model_dict`` checks its derived keys."""
+    net, nests = model.net, model.nests
+    return {
+        "format": "lchoice-model", "version": 1,
+        "kind": model.kind, "alt_labels": list(model.alt_labels),
+        "utility": {"intercepts": list(model.utility.intercepts),
+                    "terms": [{"param": t.param, "entries": [list(e) for e in t.entries]}
+                              for t in model.utility.terms]},
+        "partition": {"x": list(model.utility.x_columns()), "q": list(model.q)},
         "param_names": list(model.param_names),
         "beta": model.beta.tolist(),
+        "net": None if net is None else {
+            "width": net.b_hidden.shape[1], "depth": net.b_hidden.shape[0],
+            **{k: getattr(net, k).tolist() for k in NET_TENSORS}},
+        "nests": None if nests is None else {
+            "groups": [list(g) for g in nests.groups], "mu": nests.mu.tolist(),
+            "fixed": list(nests.fixed)},
     }
-    if model.net is not None:
-        n = model.net
-        d["net"] = {"width": n.width, "depth": n.depth,
-                    "w_in": n.w_in.tolist(), "w_hidden": n.w_hidden.tolist(),
-                    "b_hidden": n.b_hidden.tolist(), "w_out": n.w_out.tolist(),
-                    "b_out": n.b_out.tolist()}
-    else:
-        d["net"] = None
-    if model.nests is not None:
-        d["nests"] = {"groups": [list(g) for g in model.nests.groups],
-                      "mu": model.nests.mu.tolist(),
-                      "fixed": list(model.nests.fixed)}
-    else:
-        d["nests"] = None
-    return d
+
+
+def _agree(key: str, stated, implied) -> None:
+    if stated != implied:
+        raise ValueError(f"model file {key} {stated!r} disagrees with the implied {implied!r}")
+
+
+def _tensor(net: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
+    a = np.array(net[key], dtype=np.float64)
+    if a.size == 0 == np.prod(shape):  # a net of depth 1 stores w_hidden as []
+        a = a.reshape(shape)
+    _agree(f"net {key} shape", a.shape, shape)
+    return a
 
 
 def load_model_dict(d: dict) -> HybridChoiceModel:
-    if d.get("format") != "lchoice-model":
+    """The model a saved dict describes, read from its independent keys: kind,
+    labels, utility, ``partition.q``, ``beta``, net tensors and nests.  A key
+    missing, or derived from those and disagreeing with them, raises ValueError naming it."""
+    if not isinstance(d, dict) or d.get("format") != "lchoice-model":
         raise ValueError("not a saved model file")
-    alt_labels = tuple(d["alt_labels"])
-    utility = UtilitySpec(
-        tuple(UtilityTerm(t["param"], tuple((a, c) for a, c in t["entries"]))
-              for t in d["utility"]["terms"]),
-        tuple(d["utility"]["intercepts"]))
-    net = None
-    if d["net"] is not None:
-        n = d["net"]
-        net = RepresentationNet(n["width"], n["depth"],
-                                np.array(n["w_in"], dtype=np.float64).reshape(len(d["partition"]["q"]), n["width"]),
-                                np.array(n["w_hidden"], dtype=np.float64).reshape(n["depth"] - 1, n["width"], n["width"]),
-                                np.array(n["b_hidden"], dtype=np.float64).reshape(n["depth"], n["width"]),
-                                np.array(n["w_out"], dtype=np.float64).reshape(n["width"], len(alt_labels)),
-                                np.array(n["b_out"], dtype=np.float64))
-    nests = None
-    if d["nests"] is not None:
-        nests = NestStructure(tuple(tuple(g) for g in d["nests"]["groups"]),
-                              np.array(d["nests"]["mu"], dtype=np.float64),
-                              tuple(d["nests"]["fixed"]))
-    return HybridChoiceModel(d["kind"], alt_labels, utility,
-                             FeaturePartition(tuple(d["partition"]["x"]), tuple(d["partition"]["q"])),
-                             np.array(d["beta"], dtype=np.float64), tuple(d["param_names"]),
-                             net, nests)
+    try:
+        if d["kind"] not in KINDS:
+            raise ValueError(f"model file kind {d['kind']!r} is not one of {KINDS}")
+        alt_labels, q = tuple(d["alt_labels"]), tuple(d["partition"]["q"])
+        utility = UtilitySpec(
+            tuple(UtilityTerm(t["param"], tuple((a, c) for a, c in t["entries"]))
+                  for t in d["utility"]["terms"]),
+            tuple(d["utility"]["intercepts"]))
+        _agree("partition.x", tuple(d["partition"]["x"]), utility.x_columns())
+        _agree("param_names", tuple(d["param_names"]), utility.parameter_names())
+        beta = np.array(d["beta"], dtype=np.float64)
+        _agree("beta shape", beta.shape, (len(utility.parameter_names()),))
+        net = nests = None
+        if (n := d["net"]) is not None:
+            shape = np.shape(n["b_hidden"])
+            _agree("net (depth, width)", (n["depth"], n["width"]), shape)
+            depth, width = shape
+            shapes = ((len(q), width), (depth - 1, width, width), shape,
+                      (width, len(alt_labels)), (len(alt_labels),))
+            net = RepresentationNet(*(_tensor(n, k, s) for k, s in zip(NET_TENSORS, shapes)))
+        if (ns := d["nests"]) is not None:
+            nests = NestStructure(tuple(tuple(g) for g in ns["groups"]),
+                                  np.array(ns["mu"], dtype=np.float64), tuple(ns["fixed"]))
+    except KeyError as exc:
+        raise ValueError(f"model file lacks the key {exc.args[0]!r}") from None
+    return HybridChoiceModel(d["kind"], alt_labels, utility, q, beta, net, nests)
 
 
 def save_model(model: HybridChoiceModel, path: str) -> None:
@@ -397,5 +386,12 @@ def save_model(model: HybridChoiceModel, path: str) -> None:
 
 
 def load_model(path: str) -> HybridChoiceModel:
-    with open(path) as fh:
-        return load_model_dict(json.load(fh))
+    """The model saved at ``path``; every model file is read through here."""
+    try:
+        with open(path) as fh:
+            d = json.load(fh)
+    except (FileNotFoundError, IsADirectoryError):
+        raise ValueError(f"model file not found: {path}") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise ValueError(f"model file {path} is not JSON: {exc}") from None
+    return load_model_dict(d)

@@ -1,6 +1,7 @@
 """End-to-end CLI behavior: exit codes, run directories, reproducibility."""
 
 import csv
+import json
 import math
 import re
 from dataclasses import fields
@@ -657,6 +658,27 @@ def test_a_missing_model_file_exits_2_and_leaves_no_folder(tmp_path, capsys):
     for kind in ("sensitivity", "feature-impact"):
         assert main(["experiment", kind, "--config", exp, "--out-dir", str(out)]) == 2
         assert f"model file not found: {ghost}" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_a_model_file_that_disagrees_with_itself_exits_2_and_leaves_no_folder(tmp_path, capsys):
+    # reversed names once relabelled the coefficients and exited 0 with a wrong ll_train
+    cfg = logit_config()
+    recipe, labels = cli._parse_model(cfg)
+    cli.save_model(recipe.build(labels, 0), str(tmp_path / "model.json"))
+    saved = json.loads((tmp_path / "model.json").read_text())
+    saved["param_names"].reverse()
+    bad_names = tmp_path / "reversed.json"
+    bad_names.write_text(json.dumps(saved))
+    not_json = tmp_path / "truncated.json"
+    not_json.write_text((tmp_path / "model.json").read_text()[:40])
+    path = write_config(tmp_path / "cfg.yaml", cfg)
+    out = tmp_path / "runs"
+    for model_file, message in ((bad_names, "model file param_names"),
+                                (not_json, f"model file {not_json} is not JSON")):
+        assert main(["estimate", "--config", path, "--out-dir", str(out),
+                     "--eval-only", str(model_file)]) == 2
+        assert message in capsys.readouterr().err
     assert not out.exists()
 
 

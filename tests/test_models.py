@@ -1,6 +1,8 @@
 """Model construction, probability formulas, and serialization."""
 
+import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +11,6 @@ from hypothesis import strategies as st
 
 from lchoice import DataSpec, numcore
 from lchoice.models import (
-    FeaturePartition,
     NestStructure,
     UtilitySpec,
     UtilityTerm,
@@ -230,7 +231,7 @@ def test_dnn_l_accepts_matching_columns():
     util = small_utility()
     m = build_model("DNN_L", ("1", "2"), util, q=("p1", "p2", "a1", "a2"), net_width=4)
     assert m.net is not None
-    assert set(m.partition.q) == set(m.partition.x)
+    assert set(m.q) == set(m.utility.x_columns())
 
 
 def test_dummy_logit_expands_one_coefficient_per_column_and_alternative():
@@ -241,7 +242,8 @@ def test_dummy_logit_expands_one_coefficient_per_column_and_alternative():
     m = build_model("DummyLogit", ("A", "B", "C"), util, q=("g1", "g2", "g3", "g4"))
     # 2 intercepts + 1 shared coefficient + 4 columns x 3 alternatives
     assert m.n_parameters == 2 + 1 + 12
-    assert m.partition.q == ()
+    assert m.q == ()
+    assert m.utility.x_columns() == ("x1", "x2", "x3", "g1", "g2", "g3", "g4")
     assert m.net is None
     assert "g2@C" in m.param_names
 
@@ -360,29 +362,41 @@ def test_unknown_column_errors_at_compile():
 # ------------------------------------------------------------ persistence
 
 
-def fitted_like_model(seed=0):
-    ns = NestStructure((("1", "2"),), mu=np.array([1.4]), fixed=(False,))
-    m = build_model("LNL", ("1", "2"), small_utility(), q=("q1", "q2"),
-                    net_width=3, net_depth=2, nests=ns, seed=seed)
+def fitted_like_model(seed=0, kind="LNL"):
+    """A model of ``kind`` with its parameters moved off their initial values:
+    LNL of depth 2 with a nest and an intercept, Logit, DummyLogit, or a DNN of
+    depth 1 with no linear parameters."""
+    lnl = kind == "LNL"
+    ns = NestStructure((("1", "2"),), mu=np.array([1.4]), fixed=(False,)) if lnl else None
+    m = build_model(kind, ("1", "2"), None if kind == "DNN" else small_utility(),
+                    q=() if kind == "Logit" else ("q1", "q2"),
+                    net_width=3, net_depth=2 if lnl else 1, nests=ns, seed=seed)
     rng = np.random.default_rng(seed + 1)
     m.beta[:] = rng.normal(size=m.beta.shape)
-    m.net.w_out[:] = rng.normal(size=m.net.w_out.shape)
-    m.net.b_hidden[:] = rng.normal(size=m.net.b_hidden.shape)
+    if m.net is not None:
+        m.net.w_out[:] = rng.normal(size=m.net.w_out.shape)
+        m.net.b_hidden[:] = rng.normal(size=m.net.b_hidden.shape)
     return m
 
 
-def test_save_load_dict_round_trip():
-    m = fitted_like_model()
+@pytest.mark.parametrize("kind", ["LNL", "Logit", "DummyLogit", "DNN"])
+def test_save_load_dict_round_trip(kind):
+    m = fitted_like_model(kind=kind)
     d = save_model_dict(m)
     back = load_model_dict(d)
+    # the derived keys a load checks are the ones a save writes
+    assert json.dumps(save_model_dict(back)) == json.dumps(d)
     assert back.kind == m.kind
     assert back.param_names == m.param_names
+    assert back.q == m.q
     assert np.array_equal(back.beta, m.beta)
-    assert np.array_equal(back.net.w_in, m.net.w_in)
-    assert np.array_equal(back.net.w_hidden, m.net.w_hidden)
-    assert np.array_equal(back.net.w_out, m.net.w_out)
-    assert back.nests.groups == m.nests.groups
-    assert np.array_equal(back.nests.mu, m.nests.mu)
+    assert (back.net is None) == (m.net is None)
+    for k in numcore.program.NET_TENSORS * (m.net is not None):
+        assert np.array_equal(getattr(back.net, k), getattr(m.net, k)), k
+    assert (back.nests is None) == (m.nests is None)
+    if m.nests is not None:
+        assert back.nests.groups == m.nests.groups
+        assert np.array_equal(back.nests.mu, m.nests.mu)
     ds = DataSpec(n_train=25, n_test=0).dataset(6)
     assert np.array_equal(predict_probabilities(back, ds), predict_probabilities(m, ds))
 
@@ -401,6 +415,33 @@ def test_load_model_dict_rejects_foreign_payload():
         load_model_dict({"format": "something-else"})
 
 
+@pytest.mark.parametrize("spoil, key", [
+    # reversed names once relabelled the coefficients silently
+    pytest.param(lambda d: d["param_names"].reverse(), "param_names", id="reversed_names"),
+    pytest.param(lambda d: d["param_names"].append("beta_z"), "param_names", id="extra_name"),
+    # a short beta once surfaced as an IndexError
+    pytest.param(lambda d: d["beta"].pop(), "beta", id="short_beta"),
+    pytest.param(lambda d: d["net"]["w_in"].append([0.0] * 3), "w_in", id="w_in_shape"),
+    pytest.param(lambda d: d["net"].update(width=4), "width", id="stated_width"),
+    pytest.param(lambda d: d["partition"]["x"].pop(), "partition.x", id="stated_x"),
+    pytest.param(lambda d: d.update(kind="Probit"), "kind", id="unknown_kind"),
+    # a missing key once surfaced as a bare KeyError
+    pytest.param(lambda d: d.pop("kind"), "kind", id="missing_key"),
+])
+def test_load_model_dict_names_the_key_that_is_wrong(spoil, key):
+    d = save_model_dict(fitted_like_model())
+    spoil(d)
+    with pytest.raises(ValueError, match=re.escape(key)):
+        load_model_dict(d)
+
+
+def test_load_model_names_a_file_that_is_not_json(tmp_path):
+    path = tmp_path / "model.json"
+    path.write_text("{'kind': 'Logit'}")
+    with pytest.raises(ValueError, match=re.escape(f"model file {path} is not JSON")):
+        load_model(str(path))
+
+
 def test_a_loaded_copy_shares_no_array_with_its_source():
     m = fitted_like_model(seed=5)
     twin = load_model_dict(save_model_dict(m))
@@ -410,8 +451,3 @@ def test_a_loaded_copy_shares_no_array_with_its_source():
     assert twin.beta[0] != 99.0
     assert twin.net.w_out[0, 0] != -99.0
     assert twin.nests.mu[0] == 1.4
-
-
-def test_feature_partition_defaults():
-    fp = FeaturePartition()
-    assert fp.x == () and fp.q == ()
