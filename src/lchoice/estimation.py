@@ -120,36 +120,40 @@ def ratio_t_test(estimates: dict[str, float], cov: np.ndarray,
     return t_test(bn / bd, se, reference)
 
 
+def _beta_hessian(prog: numcore.ModelProgram, inputs: tuple, avail: np.ndarray,
+                  choice: np.ndarray) -> np.ndarray:
+    """Symmetrised central-difference Hessian in beta of the summed NLL, (P, P), over
+    ``inputs``, `numcore.eval_inputs` of the data, with the net and nest factors fixed.
+    Each beta gradient is `numcore.gradients`' with ``reduction="sum"``, in its order."""
+    (xl, v_net), unavail, onehot = inputs, ~(avail > 0), np.eye(prog.n_alts)[choice]
+    beta0, hess = prog.beta.copy(), np.zeros((prog.n_params, prog.n_params))
+    for j in range(prog.n_params):
+        h = HESSIAN_STEP * max(1.0, abs(beta0[j]))
+        grads = []
+        for step in (h, -h):
+            beta = beta0.copy()
+            beta[j] += step
+            dv = numcore.program.utility_gradients(
+                prog, numcore.utilities(prog, xl, v_net, beta), unavail, onehot)[0]
+            grads.append(numcore.program.linear_block_grad(prog, xl, dv))
+        hess[:, j] = (grads[0] - grads[1]) / (2.0 * h)
+    return 0.5 * (hess + hess.T)
+
+
 def hessian_std_errors(model: HybridChoiceModel, ds: ChoiceDataset, *,
                        _inputs: tuple | None = None) -> tuple[np.ndarray, np.ndarray, list[str]]:
     """(std_errors, covariance, warnings) for the linear coefficients.
 
-    Central finite differences of the analytic beta gradient of the summed
-    negative log-likelihood; net weights and nest factors stay fixed, so the
-    net runs once and each of the 2P points reruns only the linear block.  A
-    singular Hessian falls back to the pseudo-inverse with a warning.  Raises
-    DataError on a bad choice.  ``_inputs`` is `numcore.eval_inputs` of ``ds``
-    when `build_report` has already checked ``ds`` and run that pass.
-    """
+    Inverts `_beta_hessian`, or takes its pseudo-inverse with a warning when it is
+    singular.  Raises DataError on a bad choice.  ``_inputs`` is `numcore.eval_inputs`
+    of ``ds`` when `build_report` has already checked ``ds`` and run that pass."""
     if _inputs is None:
         ds.validate_choices()
     prog = model.program_for(ds)
-    n_params = prog.n_params
-    if n_params == 0:
+    if prog.n_params == 0:
         return np.zeros(0), np.zeros((0, 0)), []
-    beta0 = prog.beta.copy()
-    xl, v_net = _inputs or numcore.eval_inputs(prog, ds.values)
-    grad_at = numcore.frozen_net_beta_gradient(prog, xl, v_net, ds.avail,
-                                               np.eye(prog.n_alts)[ds.choice])
-    hess = np.zeros((n_params, n_params))
-    for j in range(n_params):
-        h = HESSIAN_STEP * max(1.0, abs(beta0[j]))
-        bp = beta0.copy()
-        bp[j] += h
-        bm = beta0.copy()
-        bm[j] -= h
-        hess[:, j] = (grad_at(bp) - grad_at(bm)) / (2.0 * h)
-    hess = 0.5 * (hess + hess.T)
+    hess = _beta_hessian(prog, _inputs or numcore.eval_inputs(prog, ds.values),
+                         ds.avail, ds.choice)
     warnings: list[str] = []
     try:
         cov = np.linalg.inv(hess)

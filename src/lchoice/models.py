@@ -26,6 +26,7 @@ KIND_LMNL = "LMNL"
 KIND_LNL = "LNL"
 KIND_DUMMY = "DummyLogit"
 KINDS = (KIND_LOGIT, KIND_DNN, KIND_DNN_L, KIND_LMNL, KIND_LNL, KIND_DUMMY)
+NET_KINDS = (KIND_DNN, KIND_DNN_L, KIND_LMNL, KIND_LNL)  # the kinds with a net over Q columns
 
 
 @dataclass(frozen=True)
@@ -293,7 +294,7 @@ def build_model(kind: str, alt_labels: tuple[str, ...],
     n_asc = len(utility.intercepts)
     beta[n_asc:] = prng.Stream(seed, prng.StreamId.BETA_INIT).glorot(len(beta) - n_asc, 1).ravel()
     net = (RepresentationNet.init(len(q), net_width, len(alt_labels), net_depth, seed)
-           if kind in (KIND_DNN, KIND_DNN_L, KIND_LMNL, KIND_LNL) else None)
+           if kind in NET_KINDS else None)
     if nests is not None:
         nests.resolve(alt_labels)  # fail fast on bad structures
         # private copy: fitting updates the model's mu, not the caller's object
@@ -338,24 +339,32 @@ def _agree(key: str, stated, implied) -> None:
         raise ValueError(f"model file {key} {stated!r} disagrees with the implied {implied!r}")
 
 
-def _tensor(net: dict, key: str, shape: tuple[int, ...]) -> np.ndarray:
-    a = np.array(net[key], dtype=np.float64)
-    if a.size == 0 == np.prod(shape):  # a net of depth 1 stores w_hidden as []
-        a = a.reshape(shape)
-    _agree(f"net {key} shape", a.shape, shape)
+def _tensor(net: dict, key: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    try:
+        a = np.array(net[key], dtype=np.float64)
+    except ValueError:  # ragged rows, or an entry that is not a number
+        raise ValueError(f"model file net {key} is not an array of numbers") from None
+    if shape is not None:
+        if a.size == 0 == np.prod(shape):  # a net of depth 1 stores w_hidden as []
+            a = a.reshape(shape)
+        _agree(f"net {key} shape", a.shape, shape)
     return a
 
 
 def load_model_dict(d: dict) -> HybridChoiceModel:
-    """The model a saved dict describes, read from its independent keys: kind,
-    labels, utility, ``partition.q``, ``beta``, net tensors and nests.  A key
-    missing, or derived from those and disagreeing with them, raises ValueError naming it."""
+    """The model a saved dict describes, read from its independent keys: kind, labels,
+    utility, ``partition.q``, ``beta``, net tensors and nests.  A version other than 1, or a
+    key missing or disagreeing with what those or the kind imply, raises ValueError naming it."""
     if not isinstance(d, dict) or d.get("format") != "lchoice-model":
         raise ValueError("not a saved model file")
     try:
+        if d["version"] != 1:
+            raise ValueError(f"model file version {d['version']!r} is not 1, the only one read")
         if d["kind"] not in KINDS:
             raise ValueError(f"model file kind {d['kind']!r} is not one of {KINDS}")
         alt_labels, q = tuple(d["alt_labels"]), tuple(d["partition"]["q"])
+        if not (d["kind"] in NET_KINDS) == (d["net"] is not None) == bool(q):
+            raise ValueError(f"model file net and partition.q disagree with kind {d['kind']!r}")
         utility = UtilitySpec(
             tuple(UtilityTerm(t["param"], tuple((a, c) for a, c in t["entries"]))
                   for t in d["utility"]["terms"]),
@@ -366,7 +375,7 @@ def load_model_dict(d: dict) -> HybridChoiceModel:
         _agree("beta shape", beta.shape, (len(utility.parameter_names()),))
         net = nests = None
         if (n := d["net"]) is not None:
-            shape = np.shape(n["b_hidden"])
+            shape = _tensor(n, "b_hidden").shape
             _agree("net (depth, width)", (n["depth"], n["width"]), shape)
             depth, width = shape
             shapes = ((len(q), width), (depth - 1, width, width), shape,

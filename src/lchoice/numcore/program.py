@@ -33,14 +33,13 @@ members, one ``np.maximum.reduceat`` over the nest-ordered columns: a shift by
 the row max would underflow a nest far below it.  An unavailable alternative
 enters at UNAVAILABLE, not -inf, so every logsum is finite.  P(i|m) is
 exp(s_i - c_m) / S_m; d/dmu, (M,), sums dV_i ln P(i|m) / mu_m**2 over rows and
-i in m (the chain rule in s).  The step, `probabilities` and the frozen-net
-gradient run the one `nested_pass`.
+i in m (the chain rule in s).  The step, `probabilities` and the beta Hessian
+of `estimation._beta_hessian`, through `utility_gradients`, run the one `nested_pass`.
 """
 
 from __future__ import annotations
 
 from collections import namedtuple
-from collections.abc import Callable
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -555,28 +554,6 @@ def gradients(prog: ModelProgram, xl: np.ndarray, q: np.ndarray, unavail: np.nda
     work = StepWork(prog, n, out, l2=l2) if work is None else work
     probs = np.empty((n, prog.n_alts)) if probs is None else probs
     return work.out, step(prog, Batch(work, xl, q, unavail, onehot, probs, mask), l2, scale)
-
-
-def frozen_net_beta_gradient(prog: ModelProgram, xl: np.ndarray, v_net: np.ndarray | None,
-                             avail: np.ndarray, onehot: np.ndarray,
-                             ) -> Callable[[np.ndarray], np.ndarray]:
-    """beta -> gradient in beta of the summed NLL, net and nest factors held fixed.
-
-    Reads X_lin and the eval-mode net output of `eval_inputs` and 0/1
-    availability, compiled once into the mask, so each call costs the linear
-    block, `utility_gradients` and one matmul back.  Equals
-    ``gradients(..., reduction="sum")[0]["beta"]`` at that beta bit for bit
-    when the net's rows fit in one block of `eval_inputs` (and always without a
-    net): the arithmetic is then done in the same order.  Across blocks the
-    net output, and so the gradient, may differ by BLAS rounding.
-    """
-    unavail = ~(avail > 0)
-
-    def grad(beta: np.ndarray) -> np.ndarray:
-        dv = utility_gradients(prog, utilities(prog, xl, v_net, beta), unavail, onehot)[0]
-        return linear_block_grad(prog, xl, dv)
-
-    return grad
 
 
 def input_gradients(prog: ModelProgram, data: np.ndarray, dv: np.ndarray) -> np.ndarray:

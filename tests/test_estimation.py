@@ -310,6 +310,27 @@ def test_report_runs_the_net_once_per_dataset(binary_data, monkeypatch):
     assert sorted(calls) == ["test", "train"]
 
 
+def test_a_report_with_std_errors_calls_hessian_std_errors_once(binary_data, monkeypatch):
+    # perfbench wraps this module global to split the Hessian's time from the report's
+    train, test = binary_data
+    m = build_model("LMNL", ("1", "2"), pa_utility(), q=("q1", "q2"), net_width=3, seed=2)
+    calls = []
+    original = estimation.hessian_std_errors
+
+    def spy(*args, **kwargs):
+        calls.append(args[1].n_rows)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(estimation, "hessian_std_errors", spy)
+    fit = FitResult("ok", 0, 0, np.zeros(0))
+    report = build_report(m, train, test, fit)
+    assert all(p.std_error is not None for p in report.params)
+    assert calls == [train.n_rows]
+    build_report(m, train, test, fit, compute_std_errors=False)
+    build_report(m, train, test, FitResult("diverged", 0, 0, np.zeros(0)))
+    assert calls == [train.n_rows]
+
+
 def test_fit_checks_each_dataset_once_at_the_door_and_once_in_the_report(monkeypatch):
     # the Hessian reuses the report's checked training set; it once re-checked it
     train, test, _ = DataSpec(n_train=200, n_test=50).make(4)

@@ -427,6 +427,12 @@ def test_load_model_dict_rejects_foreign_payload():
     pytest.param(lambda d: d.update(kind="Probit"), "kind", id="unknown_kind"),
     # a missing key once surfaced as a bare KeyError
     pytest.param(lambda d: d.pop("kind"), "kind", id="missing_key"),
+    # each of these once loaded: a net the kind lacks, a nested logit with no net, a
+    # later format read as version 1; a ragged tensor raised numpy's message, no key
+    pytest.param(lambda d: d.update(kind="Logit"), "net", id="kind_without_net"),
+    pytest.param(lambda d: d.update(net=None), "net", id="net_kind_with_null"),
+    pytest.param(lambda d: d["net"]["w_out"][0].pop(), "w_out", id="ragged_w_out"),
+    pytest.param(lambda d: d.update(version=7), "version", id="version_7"),
 ])
 def test_load_model_dict_names_the_key_that_is_wrong(spoil, key):
     d = save_model_dict(fitted_like_model())

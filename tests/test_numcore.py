@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 
 from fd_util import max_rel_error, numeric_gradients, random_instance
 from lchoice import numcore
+from lchoice.estimation import _beta_hessian
 from lchoice.numcore import (PROB_FLOOR, TrainConfig, compile_inputs, eval_inputs, fit_program,
                              gradients, input_gradients, loss_value, net_forward, sample_nll)
 from lchoice.numcore import prng, program
@@ -531,19 +532,18 @@ def test_probabilities_and_gradients_stay_finite(seed, with_net, with_nests, log
     rng = np.random.default_rng(seed)
     prog, data, avail, choice = random_instance(rng, with_net, with_nests)
     data *= 10.0 ** log_scale
-    inputs = compile_inputs(prog, data, avail, choice)
-    v = numcore.utilities(prog, *eval_inputs(prog, data))
+    inputs = eval_inputs(prog, data)
+    v = numcore.utilities(prog, *inputs)
     p = numcore.probabilities(prog, v, avail)
     dv, dmu, _ = numcore.loss_gradients(prog, v, avail, choice)
-    g_beta = numcore.frozen_net_beta_gradient(prog, *eval_inputs(prog, data), avail,
-                                              inputs[3])(prog.beta)
-    for arr in (p, dv, dmu, g_beta):
+    hess = _beta_hessian(prog, inputs, avail, choice)
+    for arr in (p, dv, dmu, hess):
         assert np.isfinite(arr).all()
+    assert np.array_equal(hess, hess.T)
     # a nested logsum keeps about eps * |mu v| of absolute accuracy
     tol = 8 * np.finfo(float).eps * max(1.0, float(np.abs(v).max() * prog.mu.max()))
     assert np.allclose(p.sum(axis=1), 1.0, rtol=0.0, atol=tol)
     assert (p[avail == 0] == 0.0).all()
-    assert np.array_equal(g_beta, gradients(prog, *inputs, reduction="sum")[0]["beta"])
 
 
 def _where_masked_gradients(prog, avail):
