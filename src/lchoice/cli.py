@@ -269,7 +269,7 @@ def cmd_estimate(args) -> int:
     run_dir = _write_run(args.out_dir, cfg, "estimate", files | {
         "report.csv": report.to_csv, "report.md": report.to_markdown(),
         "trace.csv": "epoch,mean_nll\n"
-                     + "".join(f"{i},{v!r}\n" for i, v in enumerate(report.trace))})
+                     + "".join(f"{i},{float(v)!r}\n" for i, v in enumerate(report.trace))})
     print(f"estimate: {model.kind} ll_train={report.ll_train:.2f}"
           + (f" ll_test={report.ll_test:.2f}" if report.ll_test is not None else "")
           + f" -> {run_dir}")

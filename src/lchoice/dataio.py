@@ -24,6 +24,9 @@ SWISSMETRO_SCALED = ("TRAIN_TT", "SM_TT", "CAR_TT", "TRAIN_CO", "SM_CO", "CAR_CO
 CORR_ADVISORY = 0.8  # |corr| between an X and a Q column above which a fit is warned
 LOAD_CELLS = 2**13  # cells `load_csv` holds as strings at once: one block of rows
 READ_BYTES = 2**16  # bytes `load_csv` reads at once while it checks the encoding
+# a block holding one of these is read by the csv reader, not numpy's: a quote is
+# csv syntax, and numpy strips \x1c-\x1f around a number as whitespace, float does not
+CSV_ONLY_CHARS = '"\x1c\x1d\x1e\x1f'
 
 
 class DataError(ValueError):
@@ -165,13 +168,14 @@ def _line_ends(path: str) -> int:
             lone_cr += int(np.count_nonzero(cr) - np.count_nonzero(cr[:-1] & lf[1:]))
 
 
-def _records(reader, path: str):
-    """The rows of a ``csv.reader``, its own errors (such as a field over the
-    field size limit) raised as ``<path>: line L: <reason>``."""
+def _records(reader, path: str, before: int = 0):
+    """The rows of a ``csv.reader`` that reads the file from after line ``before``,
+    its own errors (such as a field over the field size limit) raised as
+    ``<path>: line L: <reason>``."""
     try:
         yield from reader
     except csv.Error as exc:
-        raise DataError(f"{path}: line {reader.line_num}: {exc}") from None
+        raise DataError(f"{path}: line {before + reader.line_num}: {exc}") from None
 
 
 def load_csv(path: str, schema: CsvSchema, validate: bool = True) -> ChoiceDataset:
@@ -182,8 +186,8 @@ def load_csv(path: str, schema: CsvSchema, validate: bool = True) -> ChoiceDatas
     semicolon) is the one the header uses most; cells may be quoted and
     padded with whitespace; a UTF-8 byte-order mark before the header is
     dropped.  Rows whose cells are all empty or whitespace are skipped.
-    Every cell is read by Python's ``float``, so ``nan``, ``inf`` and
-    ``1_000`` are accepted.  The schema's availability cells must be 0 or 1
+    Every cell is read as Python's ``float`` reads it, so ``nan``, ``inf``
+    and ``1_000`` are accepted.  The schema's availability cells must be 0 or 1
     and its choice cells integer codes, shifted by ``choice_base`` to a
     0-based index; with ``validate`` each code must name an alternative that
     is available in its row (``validate=False`` keeps other codes, such as
@@ -198,10 +202,17 @@ def load_csv(path: str, schema: CsvSchema, validate: bool = True) -> ChoiceDatas
     the checks run in the order: field count, features, availability,
     choice code, code range, chosen alternative available.
 
-    The file is read twice, in fixed chunks: once to check its encoding and
-    count its lines, then in blocks of LOAD_CELLS cells, each checked and
-    converted into the output arrays before the next is read.  So memory is
-    the output arrays and one block, whatever the file's length or width.
+    The file is read twice: once in fixed chunks to check its encoding and
+    count its lines, then in blocks of LOAD_CELLS // width lines, each
+    converted and checked into the output arrays before the next is read.  So
+    memory is the output arrays and one block, whatever the file's
+    length or width.  A block without a quote is converted by numpy's C
+    reader, which parses a cell with the routine ``float`` uses, so its
+    values are bit for bit those of ``float``.  Any other block (one holding
+    a character of CSV_ONLY_CHARS or a line over the csv field size limit,
+    one numpy refuses, such as ``1_000``, or one with a bad row) goes through
+    the csv reader and ``float`` cell by cell, and every error is raised
+    from that path, so the messages are the same on either.
     """
     capacity = _line_ends(path)
     with open(path, encoding="utf-8-sig", newline="") as text:
@@ -209,9 +220,9 @@ def load_csv(path: str, schema: CsvSchema, validate: bool = True) -> ChoiceDatas
         if not sample.strip():
             raise DataError(f"{path}: empty file")
         text.seek(0)
-        reader = csv.reader(text, delimiter=_sniff_delimiter(sample))
-        records = _records(reader, path)
-        header = [h.strip() for h in next(records)]
+        delimiter = _sniff_delimiter(sample)
+        reader = csv.reader(text, delimiter=delimiter)
+        header = [h.strip() for h in next(_records(reader, path))]
         for j, name in enumerate(header):
             if name in header[:j]:
                 raise DataError(f"{path}: duplicate column {name!r}")
@@ -261,20 +272,53 @@ def load_csv(path: str, schema: CsvSchema, validate: bool = True) -> ChoiceDatas
                     return err
             raise AssertionError("a flagged row passed its checks")
 
+        def numpy_table(lines: list[str]) -> np.ndarray | None:
+            """``lines`` as a table by numpy's C reader, which parses each cell with
+            the routine ``float`` uses; None where only the csv reader may read them."""
+            joined = "".join(lines)
+            if (not joined.strip() or any(c in joined for c in CSV_ONLY_CHARS)
+                    or max(map(len, lines)) > csv.field_size_limit()):
+                return None
+            try:
+                table = np.loadtxt(lines, np.float64, delimiter=delimiter, comments=None,
+                                   ndmin=2)
+            except ValueError:  # a cell float may still read, or a bad row to locate
+                return None
+            return table if table.shape[1] == width else None
+
+        def csv_block(lines: list[str], before: int) -> tuple[list[list[str]], int]:
+            """The non-blank records that begin in ``lines``, the file's lines after
+            line ``before``, by the csv reader; and the count of lines they span, more
+            than ``len(lines)`` when the last one's quoted line end reads on into the file."""
+            block_reader = csv.reader(chain(lines, text), delimiter=delimiter)
+            records, block = _records(block_reader, path, before), []
+            while block_reader.line_num < len(lines):
+                if any(map(str.strip, row := next(records))):
+                    block.append(row)
+            return block, block_reader.line_num
+
+        def float_table(block: list[list[str]], first: int) -> np.ndarray:
+            """``block`` as a table by ``float``, cell by cell, or its first bad row's error."""
+            k = len(block)
+            if any(len(row) != width for row in block):
+                raise first_error(block, first)
+            try:
+                return np.fromiter(map(float, chain.from_iterable(block)), np.float64,
+                                   k * width).reshape(k, width)
+            except ValueError:
+                raise first_error(block, first) from None
+
         values = np.empty((capacity, len(feat_cols)))
         avail = np.empty((capacity, n_alts))
         choice = np.empty(capacity, np.int64)
-        rows = (r for r in records if any(map(str.strip, r)))
-        n = 0
-        while block := list(islice(rows, max(1, LOAD_CELLS // width))):
-            k = len(block)
-            if any(len(row) != width for row in block):
-                raise first_error(block, n)
-            try:
-                table = np.fromiter(map(float, chain.from_iterable(block)), np.float64,
-                                    k * width).reshape(k, width)
-            except ValueError:
-                raise first_error(block, n) from None
+        n, line = 0, reader.line_num  # data rows stored, lines of the file read
+        while lines := list(islice(text, max(1, LOAD_CELLS // width))):
+            block, spanned = None, len(lines)  # block: the csv reader's records, once read
+            table = numpy_table(lines)
+            if table is None:
+                block, spanned = csv_block(lines, line)
+                table = float_table(block, n)
+            k = len(table)
             rows_here = slice(n, n + k)
             values[rows_here] = table[:, feat_idx]
             av = table[:, av_idx] if av_cols else np.ones((k, n_alts))
@@ -290,9 +334,12 @@ def load_csv(path: str, schema: CsvSchema, validate: bool = True) -> ChoiceDatas
                 chosen = avail[rows_here][np.arange(k), np.where(in_range, code, 0)]
                 bad |= ~in_range | (chosen == 0.0)
             if bad.any():
+                if block is None:
+                    block = csv_block(lines, line)[0]
                 raise first_error(block, n, int(np.argmax(bad)))
             n += k
-            del block  # before the next block is read
+            line += spanned
+            del lines, block  # before the next block is read
 
     # the spare rows of the line-end bound stay allocated behind these views
     return ChoiceDataset(feat_cols, values[:n], avail[:n], choice[:n], list(schema.alt_labels))

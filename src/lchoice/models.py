@@ -365,6 +365,8 @@ def load_model_dict(d: dict) -> HybridChoiceModel:
         alt_labels, q = tuple(d["alt_labels"]), tuple(d["partition"]["q"])
         if not (d["kind"] in NET_KINDS) == (d["net"] is not None) == bool(q):
             raise ValueError(f"model file net and partition.q disagree with kind {d['kind']!r}")
+        if d["kind"] == KIND_LNL and d["nests"] is None:  # as build_model refuses it
+            raise ValueError("model file kind 'LNL' needs a nest structure, but nests is null")
         utility = UtilitySpec(
             tuple(UtilityTerm(t["param"], tuple((a, c) for a, c in t["entries"]))
                   for t in d["utility"]["terms"]),

@@ -412,7 +412,7 @@ def probabilities(prog: ModelProgram, v: np.ndarray, avail: np.ndarray) -> np.nd
         return nested_pass(prog, nw.t, unavail, nw)
     v = v.astype(np.float64)
     np.putmask(v, unavail, -np.inf)
-    return softmax(v)
+    return softmax(v, cols=(v[:, :1], v[:, 1:]) if prog.n_alts == 2 else None)
 
 
 def sample_nll(probs: np.ndarray, choice: np.ndarray) -> np.ndarray:
@@ -443,7 +443,10 @@ def utility_gradients(prog: ModelProgram, v: np.ndarray, unavail: np.ndarray,
     if not prog.use_nests:
         if b is None or b.work.holes:
             np.putmask(v, unavail, -np.inf)
-        stat, cols, dv = (None, None, None) if b is None else (b.stat, b.cols, b.dv)
+        if b is None:
+            stat, cols, dv = None, (v[:, :1], v[:, 1:]) if prog.n_alts == 2 else None, None
+        else:
+            stat, cols, dv = b.stat, b.cols, b.dv
         return np.subtract(softmax(v, stat, cols), onehot, out=dv), None, v
     lay, nw = prog.layout, NestWork.of(prog, v.shape[0]) if b is None else b.nest
     p = nested_pass(prog, v, unavail, nw, b is None or b.work.holes)

@@ -152,18 +152,28 @@ def test_generate_refuses_a_bad_scenario_and_writes_nothing(tmp_path, capsys, ar
 # ------------------------------------------------------------------ estimate
 
 
-def test_estimate_run_dir_artifacts(tmp_path, capsys):
+def test_estimate_run_dir_artifacts(tmp_path, capsys, monkeypatch):
     cfg = write_config(tmp_path / "cfg.yaml", logit_config(
         report={"std_errors": False,
                 "ratios": [{"name": "p_over_a", "num": "beta_p", "den": "beta_a"}]}))
+    reports = []
+
+    def spy_fit_joint(*args, **kwargs):
+        reports.append(fit_joint(*args, **kwargs))
+        return reports[-1]
+
+    monkeypatch.setattr(cli, "fit_joint", spy_fit_joint)
     out = tmp_path / "runs"
     assert main(["estimate", "--config", cfg, "--out-dir", str(out)]) == 0
     run = only_run_dir(out)
     assert run.name.startswith("estimate-")
     for artifact in ("config.yaml", "model.json", "report.csv", "report.md", "trace.csv"):
         assert (run / artifact).exists(), artifact
-    trace = (run / "trace.csv").read_text().splitlines()
-    assert trace[0] == "epoch,mean_nll" and len(trace) == 4
+    with open(run / "trace.csv", newline="") as fh:
+        trace = list(csv.DictReader(fh))
+    # a numpy scalar's repr once wrote each loss as np.float64(...)
+    assert [float(r["mean_nll"]) for r in trace] == [float(v) for v in reports[0].trace]
+    assert [r["epoch"] for r in trace] == ["0", "1", "2"]
     md = (run / "report.md").read_text()
     assert "| beta_p |" in md and "| p_over_a |" in md
     assert "estimate: Logit ll_train=" in capsys.readouterr().out

@@ -269,10 +269,16 @@ def write_unclosed_quote(path):
     return path
 
 
-def test_load_csv_names_the_line_of_a_csv_reader_error(tmp_path):
+@pytest.mark.parametrize("long_field", ["unclosed_quote", "unquoted_number"])
+def test_load_csv_names_the_line_of_a_csv_reader_error(tmp_path, long_field):
     # a field over the reader's 131,072-character limit once surfaced as a bare
-    # _csv.Error, without path or line
-    path = write_unclosed_quote(tmp_path / "unclosed.csv")
+    # _csv.Error, without path or line; numpy's reader has no such limit, so an
+    # unquoted number that long must still reach the csv reader
+    path = tmp_path / f"{long_field}.csv"
+    if long_field == "unclosed_quote":
+        write_unclosed_quote(path)
+    else:
+        path.write_text("x1,AV_1,AV_2,CHOICE\n1.0,1,1,0\n" + "0" * 140_000 + "1,1,1,0\n")
     want = f"{path}: line 3: field larger than field limit (131072)"
     with pytest.raises(DataError, match=re.escape(want)):
         load_csv(str(path), generic_schema(("1", "2")))
@@ -401,7 +407,18 @@ def _same_load(path, schema, validate=True):
      generic_schema(("1", "2")), True),
     ("quoted_newline_across_blocks", 'x1,AV_1,AV_2,CHOICE\n1,1,1,0\n2,1,1,1\n"3.5\n",1,1,0\n'
      '"\n4.5",1,1,"\r\n1"\n5,1,1,0\n', generic_schema(("1", "2")), True),
+    # numpy's reader gives these float's values bit for bit
+    ("numpy_and_float_agree", "x1,x2,AV_1,AV_2,CHOICE\n1e400,-nan,1,1,0\n\u00a01\t,+.5,1,1,1\n"
+     "4.9e-324,-0,1,1,0\n", generic_schema(("1", "2")), True),
+    # numpy's reader strips \x1c as whitespace and reads 2; float refuses the cell
+    ("cell_float_refuses", "x1,AV_1,AV_2,CHOICE\n1,1,1,0\n\x1c2,1,1,0\n",
+     generic_schema(("1", "2")), True),
+    # at 12 cells the second block is blank lines alone, which numpy's reader
+    # warns of as input with no data
+    ("blank_middle_block", "x1,AV_1,AV_2,CHOICE\n1,1,1,0\n2,1,1,1\n3,1,0,1\n\n\r\n\n"
+     "4,1,1,0\n", generic_schema(("1", "2")), True),
 ])
+@pytest.mark.filterwarnings("error")
 def test_load_csv_matches_the_cell_by_cell_reference(tmp_path, monkeypatch, name, text, schema,
                                                      validate, block_cells, chunk_bytes):
     monkeypatch.setattr(dataio, "LOAD_CELLS", block_cells)
@@ -411,8 +428,11 @@ def test_load_csv_matches_the_cell_by_cell_reference(tmp_path, monkeypatch, name
     _same_load(str(path), schema, validate)
 
 
+# the feature cells hold some that numpy's reader and float part ways on: numpy
+# refuses Unicode digits and underscores, and strips \x1c as whitespace
 _CELLS = {"feature": ["0", "-0", "2.5", " 2.5 ", "1_000", "nan", "-inf", "Infinity", "1e-300",
-                      "0.1", "-7", "3.25e2", "oops", ""],
+                      "0.1", "-7", "3.25e2", "oops", "", "\u0661\u0662\u0663", "1e400", "-nan",
+                      "\u00a01", "1_", "\x1c1"],
           "avail": ["0", "1", "1.0", " 1 ", "-0", "0e0"],
           "choice": ["0", "1", "2", "-1", "1.0", " 2 ", "1.5", "nan", "x"]}
 

@@ -433,6 +433,8 @@ def test_load_model_dict_rejects_foreign_payload():
     pytest.param(lambda d: d.update(net=None), "net", id="net_kind_with_null"),
     pytest.param(lambda d: d["net"]["w_out"][0].pop(), "w_out", id="ragged_w_out"),
     pytest.param(lambda d: d.update(version=7), "version", id="version_7"),
+    # an LNL with no nests once loaded and scored as an LMNL
+    pytest.param(lambda d: d.update(nests=None), "nests", id="lnl_without_nests"),
 ])
 def test_load_model_dict_names_the_key_that_is_wrong(spoil, key):
     d = save_model_dict(fitted_like_model())

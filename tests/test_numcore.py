@@ -150,6 +150,13 @@ def test_softmax_folds_rows_in_numpys_reduction_order(n_alts):
         z2 = z.copy()
         assert np.array_equal(program.softmax(z2, np.empty((257, 1)), (z2[:, :1], z2[:, 1:])),
                               want)
+    # the inference routes, which fold two columns too: the masked utilities' softmax
+    # and their unbound gradient's probabilities
+    prog, unavail = _plain_program(n_alts), np.isneginf(z)
+    v = np.where(unavail, 0.0, z)
+    assert np.array_equal(numcore.probabilities(prog, v, (~unavail).astype(float)), want)
+    assert np.array_equal(program.utility_gradients(prog, v.copy(), unavail,
+                                                    np.zeros_like(z))[2], want)
 
 
 def test_choice_fault_names_the_first_faulty_row_and_its_first_rule():
